@@ -218,6 +218,8 @@ def cmd_evaluate(config: ExperimentConfig, weights_file: str, out_dir: str) -> N
     sk = _sketch_config(config)
     method = config.opt.method
 
+    # KL has no frozen form: every method but eig and dense reports the sketch's KL
+    kl_method = method if method in ("eig", "dense") else "rand"
     if method == "eig":
         J = design.objective_eig(w, config.opt.eig_k or sk.k)
         kl = design.kl_estimate(w, y_obs, "eig", k=config.opt.eig_k or sk.k, theta_post=report.theta_post)
@@ -238,6 +240,7 @@ def cmd_evaluate(config: ExperimentConfig, weights_file: str, out_dir: str) -> N
         "info_gain": 0.5 * J,
         "D_KL": kl,
         "method": method,
+        "kl_method": kl_method,
         "map_cg_iterations": report.iterations,
     }
     if design.G.n <= 600 and np.sum(w) > 0:

@@ -97,15 +97,19 @@ def map_estimate(
 
 
 def prior_pointwise_variance(G) -> np.ndarray:
-    """Nodal prior variance diag(L^{-1} M L^{-1}) via per-node solves, blocked."""
+    """Nodal prior variance diag(L^{-1} M L^{-1}) = rowsum((L^{-1} R)^2).
+
+    R is applied to identity column blocks, so the working set is n x 256.
+    """
     n = G.n
     prior = G.prior
     out = np.zeros(n)
     block = 256
-    R = prior.mass.R.toarray() if hasattr(prior.mass.R, "toarray") else np.asarray(prior.mass.R)
     for start in range(0, n, block):
-        cols = R[:, start : start + block]
-        X = prior.solve_L(cols)
+        width = min(block, n - start)
+        E = np.zeros((n, width))
+        E[start + np.arange(width), np.arange(width)] = 1.0
+        X = prior.solve_L(prior.mass.apply_R(E))
         out += np.sum(X * X, axis=1)
     return out
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -118,14 +119,22 @@ class MisfitHessianOp(LinearOperator):
 
 
 def _zcache_write(path, config_hash: bytes, z: np.ndarray) -> None:
-    with open(path, "wb") as f:
-        f.write(_ZCACHE_MAGIC)
-        f.write(config_hash)
-        f.write(struct.pack("<I", len(z)))
-        f.write(np.asarray(z, dtype="<f8").tobytes())
+    """Write the cache atomically: a temp file in the same directory, then a rename."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(_ZCACHE_MAGIC)
+            f.write(config_hash)
+            f.write(struct.pack("<I", len(z)))
+            f.write(np.asarray(z, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _zcache_read(path, config_hash: bytes):
+    """Cached z, or None when the file is malformed or keyed to another configuration."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < len(_ZCACHE_MAGIC) + 32 + 4 or raw[: len(_ZCACHE_MAGIC)] != _ZCACHE_MAGIC:
@@ -135,6 +144,8 @@ def _zcache_read(path, config_hash: bytes):
         return None
     off = len(_ZCACHE_MAGIC) + 32
     (n_s,) = struct.unpack_from("<I", raw, off)
+    if len(raw) != off + 4 + 8 * n_s:
+        return None
     z = np.frombuffer(raw, dtype="<f8", count=n_s, offset=off + 4)
     return np.array(z)
 
@@ -159,7 +170,7 @@ def precompute_z(
             cached = _zcache_read(cache_path, config_hash)
             if cached is not None and len(cached) == n_s:
                 return SensorDerivConstants(z=cached)
-            warnings.warn("z cache does not match configuration; recomputing", stacklevel=2)
+            warnings.warn("z cache is malformed or does not match configuration; recomputing", stacklevel=2)
 
     n_y = n_s * n_t
     z = np.empty(n_s)

@@ -9,18 +9,17 @@ operator built from
 
 whose weighted Gram matrix G^T W G is the design-weighted misfit Hessian in
 whitened coordinates.  Nothing here is ever materialized; L is factorized once
-and applied via solves.
+and applied via solves.  L is symmetric, so that one factor serves L^{-1} and
+L^{-T} alike.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .fem import AssembledOperators, MassFactor
-from .transport import ForwardMap
+from .transport import ForwardMap, _factorize, _solve_by_width
 
 
 class PriorOperator:
@@ -39,16 +38,14 @@ class PriorOperator:
         self.M = mass.M
         self.L = (alpha * ops.K + beta * mass.M).tocsc()
         self.n = ops.n
-        try:
-            self._lu = spla.splu(self.L)
-        except RuntimeError as exc:
-            raise NumericalError(f"prior operator factorization failed: {exc}") from exc
+        self._lu = _factorize(self.L, 0.0, "prior operator")
 
     def solve_L(self, b: np.ndarray) -> np.ndarray:
-        return self._lu.solve(np.asarray(b, dtype=float))
+        return _solve_by_width(self._lu, self._lu, np.asarray(b, dtype=float))
 
     def solve_Lt(self, b: np.ndarray) -> np.ndarray:
-        return self._lu.solve(np.asarray(b, dtype=float), trans="T")
+        # L is assembled exactly symmetric, so L^{-T} b = L^{-1} b
+        return _solve_by_width(self._lu, self._lu, np.asarray(b, dtype=float))
 
     def apply_sqrt_cov(self, v: np.ndarray) -> np.ndarray:
         """Covariance square root as an operator: L^{-1} M v."""

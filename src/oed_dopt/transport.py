@@ -5,7 +5,8 @@ The forward map F takes a nodal initial state theta0, marches
 state at the sensor nodes at the observation time steps.  The transpose map is
 the exact discrete transpose of that recursion: a reverse-order sweep with the
 transposed step matrix, injecting observation residuals at the observed steps.
-Both directions reuse one sparse LU factorization of the step matrix.
+The step matrix and its transpose are each factorized once, so both
+directions solve blocks of columns with SuperLU's plain solve.
 
 Observation vectors are stacked time-major: block m holds all sensors at
 observation time t_m, so entry (m, j) sits at position m * n_s + j (0-based).
@@ -98,8 +99,8 @@ def make_observation_setup(
     """Snap requested sensor coordinates and times onto the mesh / time grid.
 
     Sensors snap to the nearest retained mesh node and must land on distinct
-    nodes; observation times snap to the nearest time-grid point and must be
-    distinct and positive.
+    nodes; observation times must lie in (0, T] and snap to the nearest
+    positive time-grid point, distinct for distinct times.
     """
     sensor_coords = np.atleast_2d(np.asarray(sensor_coords, dtype=float))
     if sensor_coords.size == 0:
@@ -112,9 +113,13 @@ def make_observation_setup(
     if len(np.unique(nodes)) != len(nodes):
         raise ConfigError("sensors snap to coincident mesh nodes; refine the mesh or move sensors")
 
+    times = np.atleast_1d(np.asarray(obs_times, dtype=float))
+    outside = ~((times > 0) & (times <= T))
+    if np.any(outside):
+        raise ConfigError(f"observation times {times[outside].tolist()} lie outside (0, T] with T = {T}")
     dt = T / n_steps
-    steps = np.array([int(round(t / dt)) for t in np.atleast_1d(obs_times)], dtype=int)
-    steps = np.clip(steps, 1, n_steps)
+    # a time in (0, dt/2) rounds to step 0, the initial state; it observes step 1
+    steps = np.maximum(np.rint(times / dt).astype(int), 1)
     if len(np.unique(steps)) != len(steps):
         raise ConfigError("observation times snap to coincident time-grid points")
     if np.any(np.diff(steps) <= 0):
@@ -130,12 +135,44 @@ def make_observation_setup(
     )
 
 
-class ForwardMap:
-    """Matrix-free F and F^T built on one factorized implicit-Euler step.
+# Minimum-degree ordering on the pattern of A^T + A: the step matrix is nearly
+# symmetric and the prior operator symmetric, so it fills far less than COLAMD.
+_ORDERING = dict(permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
 
-    The step matrix A = M + dt (kappa K + N) is factorized once; forward and
-    transpose applications accept a vector or a matrix of stacked columns
-    (each column counts as one PDE solve in the global tally).
+
+def _factorize(A: sp.csc_matrix, diag_pivot_thresh: float, what: str):
+    """Sparse LU of a CSC matrix A with the symmetric-pattern ordering.
+
+    ``diag_pivot_thresh`` is SuperLU's threshold for keeping the diagonal
+    pivot: 0 for SPD matrices, small but positive for the nonsymmetric step.
+    """
+    try:
+        return spla.splu(A, diag_pivot_thresh=diag_pivot_thresh, **_ORDERING)
+    except RuntimeError as exc:
+        raise NumericalError(f"{what} factorization failed: {exc}") from exc
+
+
+def _solve_by_width(own, other, B: np.ndarray) -> np.ndarray:
+    """X = S^{-1} B, where ``own`` factors S and ``other`` factors S^T.
+
+    A block of two or more columns takes ``own``'s plain solve, SuperLU's
+    blocked supernodal path.  A single column takes ``other``'s transposed
+    solve, a per-column triangular sweep that is faster for one right-hand
+    side.  For a symmetric S both arguments are the same factor.
+    """
+    if B.ndim == 2 and B.shape[1] > 1:
+        return own.solve(B)
+    return other.solve(B, trans="T")
+
+
+class ForwardMap:
+    """Matrix-free F and F^T built on a factorized implicit-Euler step.
+
+    The step matrix A = M + dt (kappa K + N) and its transpose are each
+    factorized once (``_lu`` and ``_lu_t``), so both sweep directions solve
+    blocks with a plain solve; forward and transpose applications accept a
+    vector or a matrix of stacked columns (each column counts as one PDE
+    solve in the global tally).
     """
 
     def __init__(
@@ -153,11 +190,8 @@ class ForwardMap:
         self.n = ops.n
         dt = obs.dt
         A = (self.M + dt * (kappa * ops.K + ops.N)).tocsc()
-        try:
-            self._lu = spla.splu(A)
-        except RuntimeError as exc:
-            raise NumericalError(f"time-step matrix factorization failed: {exc}") from exc
-        self._step_matrix = A
+        self._lu = _factorize(A, 0.1, "time-step matrix")
+        self._lu_t = _factorize(A.T.tocsc(), 0.1, "transposed time-step matrix")
 
     @property
     def n_y(self) -> int:
@@ -176,7 +210,7 @@ class ForwardMap:
         obs_lookup = {step: i for i, step in enumerate(obs.obs_steps)}
         last = obs.obs_steps[-1]
         for m in range(1, last + 1):
-            U = self._lu.solve(self.M @ U)
+            U = _solve_by_width(self._lu, self._lu_t, self.M @ U)
             i = obs_lookup.get(m)
             if i is not None:
                 Y[i * obs.n_s : (i + 1) * obs.n_s, :] = U[obs.sensor_nodes, :]
@@ -199,7 +233,7 @@ class ForwardMap:
             i = obs_lookup.get(m)
             if i is not None:
                 G[obs.sensor_nodes, :] += Y[i * obs.n_s : (i + 1) * obs.n_s, :]
-            G = self.M @ self._lu.solve(G, trans="T")
+            G = self.M @ _solve_by_width(self._lu_t, self._lu, G)
         solve_counter.add_adjoint(ncols)
         return G[:, 0] if single else G
 
@@ -213,7 +247,7 @@ class ForwardMap:
         obs_lookup = {step: i for i, step in enumerate(obs.obs_steps)}
         u = theta0
         for m in range(1, obs.n_steps + 1):
-            u = self._lu.solve(self.M @ u)
+            u = _solve_by_width(self._lu, self._lu_t, self.M @ u)
             traj[m] = u
             i = obs_lookup.get(m)
             if i is not None:

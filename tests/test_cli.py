@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from oed_dopt.accounting import count_solves
 from oed_dopt.cli import main
 from oed_dopt.config import ExperimentConfig
 from oed_dopt.errors import ConfigError
@@ -243,6 +244,41 @@ def test_cli_evaluate_zero_design(tmp_path):
     assert metrics["J"] == 0.0
     assert metrics["info_gain"] == 0.0
     assert metrics["D_KL"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cli_truncated_z_cache_is_recomputed(tmp_path):
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "z")
+    cache = os.path.join(out, "z_cache.bin")
+    assert main(["oed", "--config", cfg_path, "--out", out]) == 0
+    with open(cache, "r+b") as f:
+        f.truncate(50)  # cut inside the z values
+    with count_solves() as miss, pytest.warns(UserWarning, match="malformed"):
+        assert main(["oed", "--config", cfg_path, "--out", out]) == 0
+    with count_solves() as hit:
+        assert main(["oed", "--config", cfg_path, "--out", out]) == 0
+    n_y = 9 * 3
+    assert miss.delta.adjoint - hit.delta.adjoint == n_y
+    assert miss.delta.forward == hit.delta.forward
+
+
+@pytest.mark.parametrize("method", ["frozen", "rand"])
+def test_cli_evaluate_labels_kl_method(tmp_path, method):
+    cfg_path = write_config(tmp_path, {**SMALL, "opt": {**SMALL["opt"], "method": method}})
+    out = str(tmp_path / method)
+    os.makedirs(out, exist_ok=True)
+    weights = os.path.join(out, "weights.csv")
+    with open(weights, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["sensor_id", "x", "y", "weight", "active"])
+        for j in range(9):
+            w.writerow([j, 0.0, 0.0, 1.0, 1])
+    assert main(["evaluate", "--config", cfg_path, "--weights", weights, "--out", out]) == 0
+    with open(os.path.join(out, "metrics.json")) as f:
+        metrics = json.load(f)
+    assert metrics["method"] == method
+    # KL has no frozen form; the frozen method reports the randomized sketch's KL
+    assert metrics["kl_method"] == "rand"
 
 
 def test_peclet_warning_fires_on_advection_dominated_config(tmp_path):

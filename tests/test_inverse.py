@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oed_dopt.config import ExperimentConfig
 from oed_dopt.errors import ConfigError, ConvergenceError
 from oed_dopt.inverse import (
     half_power_update,
@@ -12,6 +13,7 @@ from oed_dopt.inverse import (
     sample_posterior,
 )
 from oed_dopt.oed import DesignProblem, NoiseModel, weighted_diag
+from oed_dopt.problem import build_problem
 from oed_dopt.sketch import LowRankEig, exact_eigs
 
 
@@ -83,6 +85,19 @@ def test_prior_variance_matches_dense(small_problem):
     M = small_problem.mass.M.toarray()
     cov = np.linalg.solve(L, np.linalg.solve(L, M).T)
     assert np.allclose(prior_pointwise_variance(G), np.diag(cov), rtol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["lumped", "cholesky"])
+@pytest.mark.parametrize("nx", [10, 20])
+def test_prior_variance_matches_dense_R_formula(desk_problem, mode, nx):
+    """Unit blocks through apply_R equal the dense-R formula (nx=20 spans two blocks)."""
+    cfg = desk_problem.config.to_dict()
+    cfg["mesh"] = {"nx": nx}
+    cfg["mass"] = {"mode": mode}
+    G = build_problem(ExperimentConfig.from_dict(cfg)).G
+    X = G.prior.solve_L(G.prior.mass.R.toarray())
+    ref = np.sum(X * X, axis=1)
+    assert np.max(np.abs(prior_pointwise_variance(G) - ref) / ref) <= 1e-12
 
 
 def test_posterior_variance_zero_design_is_prior(small_problem, small_design):

@@ -89,6 +89,34 @@ def test_z_cache_round_trip(tmp_path, small_design):
     assert np.allclose(z3.z, z1.z)
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda raw: raw[:-5],  # truncated inside z
+        lambda raw: raw[:20],  # truncated inside the header
+        lambda raw: raw + b"\x00" * 8,  # trailing bytes
+        lambda raw: raw[:40] + b"\xff\xff\xff\xff" + raw[44:],  # absurd length field
+        lambda raw: b"",
+    ],
+    ids=["truncated", "short-header", "trailing", "bad-length", "empty"],
+)
+def test_z_cache_malformed_is_a_miss(tmp_path, small_design, corrupt):
+    d = small_design
+    h = config_hash_bytes("payload-a")
+    path = tmp_path / "z.bin"
+    z1 = precompute_z(d.G, d.noise, d.n_t, path, h)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with count_solves() as c, pytest.warns(UserWarning, match="malformed"):
+        z2 = precompute_z(d.G, d.noise, d.n_t, path, h)
+    assert (c.delta.forward, c.delta.adjoint) == (0, d.G.n_y)
+    assert np.array_equal(z1.z, z2.z)
+    # rewritten whole, with no temp file left beside it
+    assert [p.name for p in tmp_path.iterdir()] == ["z.bin"]
+    with count_solves() as c:
+        precompute_z(d.G, d.noise, d.n_t, path, h)
+    assert c.delta.adjoint == 0
+
+
 def test_objective_grad_eig_zero_design(small_design):
     J, grad = small_design.objective_grad_eig(np.zeros(small_design.n_s), k=5)
     assert J == 0.0

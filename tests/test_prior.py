@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from conftest import dense_G_matrix, dense_prior_sqrt, make_config
+from oed_dopt.config import ExperimentConfig
 from oed_dopt.errors import ConfigError
 from oed_dopt.fem import assemble, build_mesh, mass_factor
 from oed_dopt.prior import PriorOperator, dense_whitened_map
@@ -204,3 +206,18 @@ def test_cholesky_mode_whitened_map_consistency():
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-30)
     Gd = dense_G_matrix(p)
     assert np.allclose(p.G.apply(x), Gd @ x, rtol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["lumped", "cholesky"])
+def test_solve_Lt_matches_transposed_solve(desk_problem, mode):
+    """One factor serves L^{-1} and L^{-T}: L is assembled exactly symmetric."""
+    cfg = desk_problem.config.to_dict()
+    cfg["mass"] = {"mode": mode}
+    prior = build_problem(ExperimentConfig.from_dict(cfg)).prior
+    assert (prior.L != prior.L.T).nnz == 0
+    Lt = prior.L.T.tocsc()
+    rng = np.random.default_rng(12)
+    for B in (rng.standard_normal(prior.n), rng.standard_normal((prior.n, 6))):
+        ref = spla.spsolve(Lt, B)
+        assert np.linalg.norm(prior.solve_Lt(B) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(prior.solve_L(B) - ref) <= 1e-12 * np.linalg.norm(ref)

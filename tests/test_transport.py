@@ -64,6 +64,19 @@ def test_observation_times_validation(small_problem):
     assert np.allclose(obs.times, [0.6, 1.2])
 
 
+def test_observation_times_outside_horizon_rejected(small_problem):
+    mesh = small_problem.mesh
+    # a time past T used to be clipped to T without a word
+    with pytest.raises(ConfigError, match=r"outside \(0, T\]"):
+        make_observation_setup(mesh, [[0.5, 0.5]], [0.5, 1.0, 3.7], 2.0, 10)
+    for bad in ([0.0, 1.0], [-0.5, 1.0], [float("nan")]):
+        with pytest.raises(ConfigError, match="outside"):
+            make_observation_setup(mesh, [[0.5, 0.5]], bad, 2.0, 10)
+    # the end points of (0, T]: a time below dt/2 observes the first step
+    obs = make_observation_setup(mesh, [[0.5, 0.5]], [0.05, 2.0], 2.0, 10)
+    assert obs.obs_steps.tolist() == [1, 10]
+
+
 def test_forward_zero_initial_state(tiny_problem):
     y = tiny_problem.forward.apply(np.zeros(tiny_problem.G.n))
     assert np.allclose(y, 0.0)
@@ -179,3 +192,70 @@ def test_synthesize_rejects_zero_signal(small_problem):
         synthesize_data(small_problem.forward, np.zeros(small_problem.G.n), 0.02, 0)
     with pytest.raises(ConfigError):
         synthesize_data(small_problem.forward, small_problem.theta_true, 1.5, 0)
+
+
+# -- solve paths: blocked plain solves and single-column transposed solves ----
+
+
+@pytest.fixture(scope="module", params=["desk", "advection"])
+def path_problem(request, desk_problem):
+    """The desk instance and an advection-dominated one (mesh Peclet 50)."""
+    if request.param == "desk":
+        return desk_problem
+    cfg = make_config(
+        mesh={"nx": 10},
+        pde={"kappa": 0.001, "T": 2.0, "n_steps": 20},
+        sensors={"grid": [7, 5], "margin": [0.2, 0.3]},
+        obs={"times": [0.5, 1.0, 2.0]},
+    )
+    with pytest.warns(UserWarning, match="Peclet"):
+        return build_problem(cfg)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_blocked_solves_match_per_column(path_problem):
+    fwd = path_problem.forward
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((fwd.n, 5))
+    Y = fwd.apply(X)
+    Yb = rng.standard_normal((fwd.n_y, 5))
+    Z = fwd.apply_transpose(Yb)
+    for i in range(5):
+        assert _rel(Y[:, i], fwd.apply(X[:, i])) <= 1e-12
+        assert _rel(Z[:, i], fwd.apply_transpose(Yb[:, i])) <= 1e-12
+    _, y = fwd.solve_with_trajectory(X[:, 0])
+    assert _rel(y, Y[:, 0]) <= 1e-12
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_adjoint_identity_at_each_width(path_problem, width):
+    fwd = path_problem.forward
+    rng = np.random.default_rng(19 + width)
+    X = rng.standard_normal((fwd.n, width))
+    Yb = rng.standard_normal((fwd.n_y, width))
+    FX = fwd.apply(X)
+    lhs = FX.T @ Yb
+    rhs = X.T @ fwd.apply_transpose(Yb)
+    scale = np.outer(np.linalg.norm(FX, axis=0), np.linalg.norm(Yb, axis=0))
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_solve_tallies_per_call(path_problem, width):
+    fwd = path_problem.forward
+    with count_solves() as c:
+        fwd.apply(np.ones((fwd.n, width)))
+    assert (c.delta.forward, c.delta.adjoint) == (width, 0)
+    with count_solves() as c:
+        fwd.apply_transpose(np.ones((fwd.n_y, width)))
+    assert (c.delta.forward, c.delta.adjoint) == (0, width)
+    with count_solves() as c:
+        path_problem.G.apply(np.ones((fwd.n, width)))
+        path_problem.G.apply_transpose(np.ones((fwd.n_y, width)))
+    assert (c.delta.forward, c.delta.adjoint) == (width, width)
+    with count_solves() as c:
+        fwd.solve_with_trajectory(np.ones(fwd.n))
+    assert (c.delta.forward, c.delta.adjoint) == (1, 0)
