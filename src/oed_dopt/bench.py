@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ExperimentConfig
-from .oed import DesignProblem
+from .oed import DENSE_GUARD, DesignProblem
 from .sketch import SketchConfig, exact_eigs
 from .problem import build_problem
 
@@ -84,8 +84,8 @@ def mesh_refinement_sweep(
     """Relative error of the randomized objective across mesh refinements.
 
     The sketch parameters stay fixed while nx is scaled by each level.  Truth
-    is the dense reference when n <= 600 and the full-rank spectral value
-    otherwise (both exact).  Sensor coordinates should be pinned in the
+    is the dense reference when n <= DENSE_GUARD and the full-rank spectral
+    value otherwise (both exact).  Sensor coordinates should be pinned in the
     config so every level sees the same physical sensors.
     """
     rows = []
@@ -95,7 +95,7 @@ def mesh_refinement_sweep(
         problem = build_problem(cfg)
         design = problem.design
         w = np.ones(design.n_s)
-        if design.G.n <= 600:
+        if design.G.n <= DENSE_GUARD:
             J_true = design.dense_reference().evaluate(w)[0]
         else:
             lam = exact_eigs(design.misfit_op(w), design.rank_bound).lam

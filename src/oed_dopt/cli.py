@@ -30,7 +30,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, NumericalError
 from .fem import export_mesh_csv
 from .inverse import map_estimate
-from .oed import check_design_weights
+from .oed import DENSE_GUARD, check_design_weights
 from .optimize import random_binary_designs, solve_continuation, solve_l1, threshold
 from .problem import build_problem
 from .sketch import SketchConfig
@@ -102,7 +102,7 @@ def _estimator(problem, config: ExperimentConfig):
         return design.estimator("rand", cfg=_sketch_config(config))
     if opt.method == "frozen":
         k_f = opt.frozen_k or min(design.rank_bound, config.sketch.k + config.sketch.p)
-        frozen = design.build_frozen(k_f, seed=problem.seeds["sketch"])
+        frozen = design.build_frozen(k_f)
         return design.estimator("frozen", frozen=frozen)
     if opt.method == "dense":
         return design.estimator("dense")
@@ -135,7 +135,7 @@ def cmd_oed(config: ExperimentConfig, out_dir: str) -> None:
     problem = build_problem(config)
     design = _prepare_design(problem, out_dir)
     estimator = _estimator(problem, config)
-    dense_ref = design.dense_reference() if design.G.n <= 600 else None
+    dense_ref = design.dense_reference() if design.G.n <= DENSE_GUARD else None
     opt = config.opt
     if opt.penalty == "l1":
         result = solve_l1(
@@ -228,7 +228,7 @@ def cmd_evaluate(config: ExperimentConfig, weights_file: str, out_dir: str) -> N
         kl = design.kl_estimate(w, y_obs, "dense", theta_post=report.theta_post)
     elif method == "frozen":
         k_f = config.opt.frozen_k or min(design.rank_bound, sk.l)
-        frozen = design.build_frozen(k_f, seed=problem.seeds["sketch"])
+        frozen = design.build_frozen(k_f)
         J = design.objective_frozen(w, frozen)
         kl = design.kl_estimate(w, y_obs, "rand", cfg=sk, theta_post=report.theta_post)
     else:
@@ -243,13 +243,13 @@ def cmd_evaluate(config: ExperimentConfig, weights_file: str, out_dir: str) -> N
         "kl_method": kl_method,
         "map_cg_iterations": report.iterations,
     }
-    if design.G.n <= 600 and np.sum(w) > 0:
+    if design.G.n <= DENSE_GUARD and np.sum(w) > 0:
         J_dense = design.dense_reference().evaluate(w)[0]
         scale = max(abs(J_dense), 1e-300)
         errors = {"dense_J": J_dense}
         errors["rand_rel_err"] = abs(design.objective_rand(w, sk) - J_dense) / scale
         errors["eig_rel_err"] = abs(design.objective_eig(w, min(sk.k, design.rank_bound)) - J_dense) / scale
-        frozen = design.build_frozen(min(design.rank_bound, sk.l), seed=problem.seeds["sketch"])
+        frozen = design.build_frozen(min(design.rank_bound, sk.l))
         errors["frozen_rel_err"] = abs(design.objective_frozen(w, frozen) - J_dense) / scale
         metrics["errors_vs_dense"] = errors
     write_json(os.path.join(out_dir, "metrics.json"), metrics)
@@ -267,7 +267,7 @@ def cmd_compare_random(config: ExperimentConfig, weights_file: str, n_designs: i
         raise ConfigError("optimal design has no active sensors; nothing to compare")
     y_obs, _ = problem.synthesize()
     sk = _sketch_config(config)
-    use_dense = design.G.n <= 600
+    use_dense = design.G.n <= DENSE_GUARD
 
     randoms = random_binary_designs(design.n_s, cardinality, n_designs, seed=problem.seeds["designs"])
     rows = []

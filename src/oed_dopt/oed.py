@@ -12,9 +12,11 @@ is J(w) = log det(I + H(w)) with componentwise derivative
 
 where z_j = tr(dH/dw_j) are design-independent constants.  Three estimators
 are provided: truncated spectral (top-k exact eigenpairs), randomized
-(subspace-iteration sketch), and a frozen one-time SVD of G that needs zero
-PDE solves per evaluation.  A dense reference implementation covers
-desk-scale instances (n <= 600).
+(subspace-iteration sketch), and frozen, the exact rank-k_f truncated SVD of
+G that needs zero PDE solves per evaluation.  A dense reference
+implementation covers desk-scale instances (n <= DENSE_GUARD).  The z step
+materializes G^T (n_y adjoint solves) once per DesignProblem, and the frozen
+factor and the dense reference read it with no further solves.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class SensorDerivConstants:
     """z_j = tr(dH/dw_j) >= 0, independent of the design weights."""
 
     z: np.ndarray
-    provenance: str = "exact"  # "exact" (true G) or "frozen" (SVD surrogate)
+    Gt: np.ndarray | None = None  # the (n, n_y) G^T behind z; None on a cache hit
 
 
 def check_design_weights(w, n_s: int) -> np.ndarray:
@@ -150,6 +152,22 @@ def _zcache_read(path, config_hash: bytes):
     return np.array(z)
 
 
+def _adjoint_columns(G, n_s: int, n_t: int) -> np.ndarray:
+    """G^T as an (n, n_y) array by n_y unit probes, one adjoint solve each.
+
+    The probes go in n_t blocks of n_s, one block per observation time, so
+    each block's reverse sweep starts at its own time instead of the last.
+    """
+    n_y = n_s * n_t
+    Gt = np.empty((G.n, n_y))
+    for m in range(n_t):
+        rows = slice(m * n_s, (m + 1) * n_s)
+        probes = np.zeros((n_y, n_s))
+        probes[rows] = np.eye(n_s)
+        Gt[:, rows] = G.apply_transpose(probes)
+    return Gt
+
+
 def precompute_z(
     G,
     noise: NoiseModel,
@@ -157,10 +175,13 @@ def precompute_z(
     cache_path=None,
     config_hash: bytes | None = None,
 ) -> SensorDerivConstants:
-    """Design-independent gradient constants, one adjoint solve per (sensor, time).
+    """Design-independent gradient constants from G^T, one adjoint solve per (sensor, time).
 
-    z_j = sigma_j^{-2} sum_m ||G^T (v_m (x) e_j)||^2.  Costs n_s * n_t adjoint
-    solves; optionally cached to disk keyed by a 32-byte configuration hash.
+    z_j = sigma_j^{-2} sum_m ||G^T (v_m (x) e_j)||^2, the squared norms of
+    sensor j's columns of G^T.  A miss costs n_s * n_t adjoint solves, in
+    one sweep per observation time (:func:`_adjoint_columns`), and returns
+    G^T with z; a cache hit costs none and returns no G^T.  The cache is
+    keyed by a 32-byte configuration hash.
     """
     n_s = noise.n_s
     if cache_path is not None:
@@ -172,26 +193,20 @@ def precompute_z(
                 return SensorDerivConstants(z=cached)
             warnings.warn("z cache is malformed or does not match configuration; recomputing", stacklevel=2)
 
-    n_y = n_s * n_t
-    z = np.empty(n_s)
-    for j in range(n_s):
-        probes = np.zeros((n_y, n_t))
-        for m in range(n_t):
-            probes[m * n_s + j, m] = 1.0
-        F = G.apply_transpose(probes)  # columns f_{jm}
-        z[j] = np.sum(F * F) / noise.sigma[j] ** 2
+    Gt = _adjoint_columns(G, n_s, n_t)
+    col_sq = np.einsum("ny,ny->y", Gt, Gt)
+    z = sensor_blocks(col_sq, n_s, n_t).sum(axis=0) / noise.sigma**2
     if cache_path is not None:
         _zcache_write(cache_path, config_hash, z)
-    return SensorDerivConstants(z=z)
+    return SensorDerivConstants(z=z, Gt=Gt)
 
 
 @dataclass
 class FrozenSVD:
-    """One-time thin SVD of the whitened forward map: G ~ U diag(s) V^T."""
+    """Thin SVD of the whitened forward map, G ~ U diag(s) V^T; V is not kept."""
 
     U: np.ndarray  # (n_y, k_f), orthonormal columns
     s: np.ndarray  # (k_f,), descending
-    V: np.ndarray | None = None  # (n, k_f), optional right factor
 
     @property
     def k(self) -> int:
@@ -199,28 +214,9 @@ class FrozenSVD:
 
     @classmethod
     def from_dense(cls, G_dense: np.ndarray, k_f: int) -> "FrozenSVD":
-        """Exact rank-k_f truncation of a dense G (tests and desk scale)."""
-        U, s, Vt = np.linalg.svd(np.asarray(G_dense, dtype=float), full_matrices=False)
-        return cls(U=U[:, :k_f], s=s[:k_f], V=Vt[:k_f].T)
-
-    @classmethod
-    def from_randomized(cls, G, k_f: int, oversample: int = 10, power: int = 2, seed: int = 0) -> "FrozenSVD":
-        """Randomized SVD of the matrix-free G; O(k_f) PDE solves total."""
-        n, n_y = G.n, G.n_y
-        l = min(k_f + oversample, min(n, n_y))
-        if k_f > min(n, n_y):
-            raise ConfigError(f"k_f = {k_f} exceeds min(n_y, n) = {min(n, n_y)}")
-        rng = np.random.default_rng(seed)
-        Y = G.apply(rng.standard_normal((n, l)))
-        for _ in range(power):
-            Q, _ = np.linalg.qr(Y)
-            Z, _ = np.linalg.qr(G.apply_transpose(Q))
-            Y = G.apply(Z)
-        Q, _ = np.linalg.qr(Y)
-        B = G.apply_transpose(Q)  # (n, l) = G^T Q
-        W, s, Vt = np.linalg.svd(B.T, full_matrices=False)
-        U = Q @ W
-        return cls(U=U[:, :k_f], s=s[:k_f], V=Vt[:k_f].T)
+        """Exact rank-k_f truncation of a dense (n_y, n) G."""
+        U, s, _ = np.linalg.svd(np.asarray(G_dense, dtype=float), full_matrices=False)
+        return cls(U=U[:, :k_f], s=s[:k_f])
 
 
 class DesignProblem:
@@ -228,7 +224,8 @@ class DesignProblem:
 
     Wraps the whitened forward map G together with the noise model and the
     observation layout (n_s sensors times n_t observation times, time-major
-    stacking).  All estimators share the precomputed constants z.
+    stacking).  All estimators share the precomputed constants z; the frozen
+    factor and the dense reference share the held G^T.
     """
 
     def __init__(self, G, noise: NoiseModel, n_t: int | None = None):
@@ -241,6 +238,7 @@ class DesignProblem:
         if self.n_s * self.n_t != G.n_y:
             raise ConfigError("n_s * n_t must equal the observation dimension")
         self._z: SensorDerivConstants | None = None
+        self._Gt: np.ndarray | None = None
         self._dense: DenseReference | None = None
 
     # -- constants ---------------------------------------------------------
@@ -252,7 +250,16 @@ class DesignProblem:
     def ensure_z(self, cache_path=None, config_hash=None) -> SensorDerivConstants:
         if self._z is None:
             self._z = precompute_z(self.G, self.noise, self.n_t, cache_path, config_hash)
+            if self._Gt is None:
+                self._Gt = self._z.Gt
         return self._z
+
+    @property
+    def Gt(self) -> np.ndarray:
+        """G^T as an (n, n_y) array, held once: the z step's, else n_y adjoint solves."""
+        if self._Gt is None:
+            self._Gt = _adjoint_columns(self.G, self.n_s, self.n_t)
+        return self._Gt
 
     @property
     def z(self) -> np.ndarray:
@@ -317,8 +324,15 @@ class DesignProblem:
 
     # -- frozen low-rank estimator -------------------------------------------
 
-    def build_frozen(self, k_f: int, oversample: int = 10, power: int = 2, seed: int = 0) -> FrozenSVD:
-        return FrozenSVD.from_randomized(self.G, k_f, oversample, power, seed)
+    def build_frozen(self, k_f: int, seed: int = 0) -> FrozenSVD:
+        """Exact rank-k_f truncated SVD of the held G^T; ``seed`` is unused.
+
+        Costs no PDE solve once G^T is held, else the n_y adjoint solves
+        that build it.
+        """
+        if k_f > self.rank_bound:
+            raise ConfigError(f"k_f = {k_f} exceeds min(n_y, n) = {self.rank_bound}")
+        return FrozenSVD.from_dense(self.Gt.T, k_f)
 
     def objective_grad_frozen(self, w, frozen: FrozenSVD):
         """Objective and gradient from the frozen SVD; zero PDE solves.
@@ -418,10 +432,11 @@ class DesignProblem:
 
 
 class DenseReference:
-    """Exact J, gradient and spectrum by materializing G (n <= 600 guard).
+    """Exact J, gradient and spectrum by materializing G (n <= DENSE_GUARD).
 
-    G is materialized once with unit probes on the cheaper side; afterwards
-    every evaluation is dense linear algebra with no PDE solves.
+    G is read from the design's held G^T when n_y <= n, else materialized
+    with n forward unit probes; afterwards every evaluation is dense linear
+    algebra with no PDE solves.
     """
 
     def __init__(self, design: DesignProblem, max_n: int = DENSE_GUARD):
@@ -430,7 +445,7 @@ class DenseReference:
             raise ConfigError(f"dense reference refused for n = {n} > {max_n}")
         self.design = design
         if design.G.n_y <= n:
-            self.G_dense = design.G.apply_transpose(np.eye(design.G.n_y)).T
+            self.G_dense = design.Gt.T
         else:
             self.G_dense = design.G.apply(np.eye(n))
         self.n = n
@@ -445,10 +460,6 @@ class DenseReference:
     def spectrum(self, w) -> np.ndarray:
         lam = np.linalg.eigvalsh(self.hessian(w))[::-1]
         return np.clip(lam, 0.0, None)
-
-    def z_constants(self) -> np.ndarray:
-        blocks = sensor_blocks(self.G_dense, self.design.n_s, self.design.n_t)
-        return (blocks**2).sum(axis=(0, 2)) / self.design.noise.sigma**2
 
     def z_matrix(self, j: int) -> np.ndarray:
         """Dense dH/dw_j = G^T E_j G / sigma_j^2."""
@@ -564,9 +575,7 @@ def make_estimator(design: DesignProblem, method: str, **params) -> Estimator:
     if method == "frozen":
         frozen = params.get("frozen")
         if frozen is None:
-            frozen = design.build_frozen(
-                params["k"], oversample=params.get("oversample", 10), seed=params.get("seed", 0)
-            )
+            frozen = design.build_frozen(params["k"])
         return FrozenEstimator(design, frozen)
     if method == "dense":
         return DenseEstimator(design)

@@ -97,16 +97,3 @@ class WhitenedForwardMap:
         """Map a whitened-coordinate vector to a nodal field: L^{-1} R x."""
         return self.prior.solve_L(self.prior.mass.apply_R(np.asarray(x, dtype=float)))
 
-
-def dense_whitened_map(G: WhitenedForwardMap, max_n: int = 600) -> np.ndarray:
-    """Materialize G as an (n_y, n) array by unit probes (test/desk-scale only).
-
-    Uses whichever side needs fewer solves: n_y transpose probes when
-    n_y <= n, else n forward probes.  Guarded to n <= max_n.
-    """
-    n, n_y = G.n, G.n_y
-    if n > max_n:
-        raise ConfigError(f"dense materialization refused for n = {n} > {max_n}")
-    if n_y <= n:
-        return G.apply_transpose(np.eye(n_y)).T
-    return G.apply(np.eye(n))

@@ -228,7 +228,9 @@ class ForwardMap:
         ncols = Y.shape[1]
         G = np.zeros((self.n, ncols))
         obs_lookup = {step: i for i, step in enumerate(obs.obs_steps)}
-        last = obs.obs_steps[-1]
+        # the adjoint state is exactly zero until the latest step that holds data
+        live = np.flatnonzero(Y.reshape(obs.n_t, -1).any(axis=1))
+        last = obs.obs_steps[live[-1]] if live.size else 0
         for m in range(last, 0, -1):
             i = obs_lookup.get(m)
             if i is not None:

@@ -253,6 +253,39 @@ def test_frozen_gradient_is_exact_derivative(small_design):
         assert fd == pytest.approx(g[j], rel=1e-5, abs=1e-10)
 
 
+def test_build_frozen_is_dense_truncation(small_design):
+    ref = small_design.dense_reference()
+    rng = np.random.default_rng(20)
+    w = rng.uniform(0.1, 1.0, small_design.n_s)
+    for k in (5, 12, small_design.rank_bound):
+        J, g = small_design.objective_grad_frozen(w, small_design.build_frozen(k))
+        J_d, g_d = small_design.objective_grad_frozen(w, FrozenSVD.from_dense(ref.G_dense, k))
+        assert J == pytest.approx(J_d, rel=1e-12)
+        assert np.linalg.norm(g - g_d) <= 1e-12 * np.linalg.norm(g_d)
+    with count_solves() as c, pytest.raises(ConfigError, match="exceeds"):
+        small_design.build_frozen(small_design.rank_bound + 1)
+    assert c.delta.total == 0
+
+
+@pytest.mark.parametrize("first", ["frozen", "dense"])
+def test_held_Gt_is_built_once(tmp_path, small_design, first):
+    """The frozen factor and the dense reference read the z step's G^T; after a
+    z cache hit, whichever comes first builds it with n_y adjoint solves."""
+    readers = {"frozen": lambda d: d.build_frozen(8), "dense": lambda d: d.dense_reference()}
+    order = [first] + [name for name in readers if name != first]
+    h = config_hash_bytes("payload-a")
+    n_y = small_design.G.n_y
+    for cache_hit, first_cost in ((False, 0), (True, n_y)):
+        d = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
+        d.ensure_z(tmp_path / "z.bin", h)
+        spent = []
+        for name in order:
+            with count_solves() as c:
+                readers[name](d)
+            spent.append((c.delta.forward, c.delta.adjoint))
+        assert spent == [(0, first_cost), (0, 0)], f"cache hit: {cache_hit}"
+
+
 def test_kl_zero_design_is_zero(small_design):
     y = np.zeros(small_design.G.n_y)
     kl = small_design.kl_estimate(np.zeros(small_design.n_s), y, "dense")

@@ -218,10 +218,15 @@ def _rel(a, b):
 
 def test_blocked_solves_match_per_column(path_problem):
     fwd = path_problem.forward
+    n_s = fwd.obs.n_s
     rng = np.random.default_rng(17)
     X = rng.standard_normal((fwd.n, 5))
     Y = fwd.apply(X)
     Yb = rng.standard_normal((fwd.n_y, 5))
+    # data only up to the first and the second observation time: the block's
+    # sweep starts at the last time, each of these columns' own sweep earlier
+    Yb[n_s:, 0] = 0.0
+    Yb[2 * n_s :, 1] = 0.0
     Z = fwd.apply_transpose(Yb)
     for i in range(5):
         assert _rel(Y[:, i], fwd.apply(X[:, i])) <= 1e-12
@@ -235,12 +240,15 @@ def test_adjoint_identity_at_each_width(path_problem, width):
     fwd = path_problem.forward
     rng = np.random.default_rng(19 + width)
     X = rng.standard_normal((fwd.n, width))
-    Yb = rng.standard_normal((fwd.n_y, width))
     FX = fwd.apply(X)
-    lhs = FX.T @ Yb
-    rhs = X.T @ fwd.apply_transpose(Yb)
-    scale = np.outer(np.linalg.norm(FX, axis=0), np.linalg.norm(Yb, axis=0))
-    assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
+    full = rng.standard_normal((fwd.n_y, width))
+    early = full.copy()
+    early[fwd.obs.n_s :] = 0.0  # data only at the first observation time
+    for Yb in (full, early):
+        lhs = FX.T @ Yb
+        rhs = X.T @ fwd.apply_transpose(Yb)
+        scale = np.outer(np.linalg.norm(FX, axis=0), np.linalg.norm(Yb, axis=0))
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("width", [1, 4])
@@ -251,6 +259,10 @@ def test_solve_tallies_per_call(path_problem, width):
     assert (c.delta.forward, c.delta.adjoint) == (width, 0)
     with count_solves() as c:
         fwd.apply_transpose(np.ones((fwd.n_y, width)))
+    assert (c.delta.forward, c.delta.adjoint) == (0, width)
+    with count_solves() as c:
+        Z = fwd.apply_transpose(np.zeros((fwd.n_y, width)))
+    assert not Z.any()  # no sweep runs, and the columns still count
     assert (c.delta.forward, c.delta.adjoint) == (0, width)
     with count_solves() as c:
         path_problem.G.apply(np.ones((fwd.n, width)))
