@@ -104,20 +104,27 @@ class MatrixWhitenedMap:
 
 
 class MisfitHessianOp(LinearOperator):
-    """x -> G^T (W (G x)), symmetric PSD, one forward + one adjoint solve per column."""
+    """x -> G^T (W (G x)), symmetric PSD, one forward + one adjoint solve per column.
+
+    The last block application keeps its forward images as ``last_images =
+    (X, G X)``, so a caller that needs G X for the same X pays no solve.
+    """
 
     def __init__(self, G, w: np.ndarray, noise: NoiseModel, n_t: int):
         self.G = G
         self.w = check_design_weights(w, noise.n_s)
         self.noise = noise
         self.diag_w = weighted_diag(self.w, noise.sigma, n_t)
+        self.last_images = None
         super().__init__(dtype=float, shape=(G.n, G.n))
 
     def _matvec(self, x):
         return self.G.apply_transpose(self.diag_w * self.G.apply(np.asarray(x).ravel()))
 
     def _matmat(self, X):
-        return self.G.apply_transpose(self.diag_w[:, None] * self.G.apply(X))
+        GX = self.G.apply(X)
+        self.last_images = (X, GX)
+        return self.G.apply_transpose(self.diag_w[:, None] * GX)
 
 
 def _zcache_write(path, config_hash: bytes, z: np.ndarray) -> None:
@@ -174,14 +181,17 @@ def precompute_z(
     n_t: int,
     cache_path=None,
     config_hash: bytes | None = None,
+    *,
+    Gt: np.ndarray | None = None,
 ) -> SensorDerivConstants:
     """Design-independent gradient constants from G^T, one adjoint solve per (sensor, time).
 
     z_j = sigma_j^{-2} sum_m ||G^T (v_m (x) e_j)||^2, the squared norms of
     sensor j's columns of G^T.  A miss costs n_s * n_t adjoint solves, in
     one sweep per observation time (:func:`_adjoint_columns`), and returns
-    G^T with z; a cache hit costs none and returns no G^T.  The cache is
-    keyed by a 32-byte configuration hash.
+    G^T with z; given a held ``Gt`` it costs none and returns that array.
+    A cache hit costs none and returns no G^T.  The cache is keyed by a
+    32-byte configuration hash.
     """
     n_s = noise.n_s
     if cache_path is not None:
@@ -193,7 +203,8 @@ def precompute_z(
                 return SensorDerivConstants(z=cached)
             warnings.warn("z cache is malformed or does not match configuration; recomputing", stacklevel=2)
 
-    Gt = _adjoint_columns(G, n_s, n_t)
+    if Gt is None:
+        Gt = _adjoint_columns(G, n_s, n_t)
     col_sq = np.einsum("ny,ny->y", Gt, Gt)
     z = sensor_blocks(col_sq, n_s, n_t).sum(axis=0) / noise.sigma**2
     if cache_path is not None:
@@ -240,6 +251,7 @@ class DesignProblem:
         self._z: SensorDerivConstants | None = None
         self._Gt: np.ndarray | None = None
         self._dense: DenseReference | None = None
+        self._eig_run: tuple | None = None  # (key, eig, G U) of the last Eig-k solve
 
     # -- constants ---------------------------------------------------------
 
@@ -249,7 +261,10 @@ class DesignProblem:
 
     def ensure_z(self, cache_path=None, config_hash=None) -> SensorDerivConstants:
         if self._z is None:
-            self._z = precompute_z(self.G, self.noise, self.n_t, cache_path, config_hash)
+            # a held G^T goes in by keyword only when there is one, so the
+            # five-argument form stays the call on a fresh problem
+            held = {} if self._Gt is None else {"Gt": self._Gt}
+            self._z = precompute_z(self.G, self.noise, self.n_t, cache_path, config_hash, **held)
             if self._Gt is None:
                 self._Gt = self._z.Gt
         return self._z
@@ -278,20 +293,43 @@ class DesignProblem:
 
     # -- truncated spectral estimator ---------------------------------------
 
-    def objective_grad_eig(self, w, k: int, seed: int = 0):
-        """Objective and gradient from the top-k exact eigenpairs of H(w)."""
+    def _top_eigs(self, w, k: int, seed: int, images: bool = False):
+        """(eig, G U): the top-k eigenpairs of H(w) and, if asked, their forward images.
+
+        J, the gradient and the KL term of one design share a single
+        ``exact_eigs`` run: the last run is kept, keyed by the bytes of w, k
+        and the seed, so a repeat costs no solve and returns the same arrays.
+        G U is the residual check's own ``op @ U`` product; only on the
+        dense-fallback and zero-operator branches does it cost k forward
+        solves, once, when ``images`` asks for it.  Otherwise it may be None.
+        """
         w = check_design_weights(w, self.n_s)
         if k > self.rank_bound:
             raise ConfigError(f"k = {k} exceeds rank bound {self.rank_bound}")
-        self.ensure_z()
-        eig = exact_eigs(self.misfit_op(w), k, seed=seed)
+        key = (w.tobytes(), k, seed)
+        if self._eig_run is None or self._eig_run[0] != key:
+            op = self.misfit_op(w)
+            eig = exact_eigs(op, k, seed=seed)
+            X, GU = op.last_images or (None, None)
+            self._eig_run = (key, eig, GU if X is eig.U else None)
+        _, eig, GU = self._eig_run
+        if images and GU is None:
+            GU = self.G.apply(eig.U)  # k forward solves
+            self._eig_run = (key, eig, GU)
+        return eig, GU
+
+    def objective_grad_eig(self, w, k: int, seed: int = 0):
+        """Objective and gradient from the top-k exact eigenpairs of H(w).
+
+        Costs one eigensolve per design, shared with :meth:`objective_eig`
+        and ``kl_estimate(method="eig")``, and no further solve.
+        """
+        eig, GU = self._top_eigs(w, k, seed, images=True)
         J = float(np.sum(np.log1p(eig.lam)))
-        Qhat = self.G.apply(eig.U)  # k forward solves
-        return J, self._gradient_from_pairs(eig.lam, Qhat)
+        return J, self._gradient_from_pairs(eig.lam, GU)
 
     def objective_eig(self, w, k: int, seed: int = 0) -> float:
-        w = check_design_weights(w, self.n_s)
-        eig = exact_eigs(self.misfit_op(w), k, seed=seed)
+        eig, _ = self._top_eigs(w, k, seed)
         return float(np.sum(np.log1p(eig.lam)))
 
     # -- randomized estimator ------------------------------------------------
@@ -381,7 +419,7 @@ class DesignProblem:
         if method == "eig":
             if k is None:
                 raise ConfigError("kl_estimate(method='eig') needs k")
-            lam = exact_eigs(self.misfit_op(w), k, seed=seed).lam
+            lam = self._top_eigs(w, k, seed)[0].lam
         elif method == "rand":
             if cfg is None:
                 raise ConfigError("kl_estimate(method='rand') needs a SketchConfig")

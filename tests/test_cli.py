@@ -292,6 +292,22 @@ def test_cli_evaluate_labels_kl_method(tmp_path, method):
     assert metrics["kl_method"] == "rand"
 
 
+def test_cli_eig_k_above_rank_bound_exits_2(tmp_path):
+    """oed and evaluate refuse an Eig-k rank above min(n_y, n) = 27 alike."""
+    payload = {**SMALL, "opt": {**SMALL["opt"], "method": "eig", "eig_k": 28}}
+    cfg_path = write_config(tmp_path, payload)
+    out = str(tmp_path / "eig")
+    os.makedirs(out, exist_ok=True)
+    weights = os.path.join(out, "weights.csv")
+    with open(weights, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["sensor_id", "x", "y", "weight", "active"])
+        for j in range(9):
+            w.writerow([j, 0.0, 0.0, 1.0, 1])
+    assert main(["oed", "--config", cfg_path, "--out", out]) == 2
+    assert main(["evaluate", "--config", cfg_path, "--weights", weights, "--out", out]) == 2
+
+
 def test_peclet_warning_fires_on_advection_dominated_config(tmp_path):
     from oed_dopt.problem import build_problem
 

@@ -13,9 +13,10 @@ from oed_dopt.oed import (
     check_design_weights,
     config_hash_bytes,
     precompute_z,
+    sensor_blocks,
     weighted_diag,
 )
-from oed_dopt.sketch import SketchConfig, SpectrumSplit, cge_constant, error_bounds
+from oed_dopt.sketch import SketchConfig, SpectrumSplit, cge_constant, error_bounds, exact_eigs
 
 
 def test_noise_model_validation():
@@ -158,6 +159,130 @@ def test_eig_gradient_bound(small_design):
         assert abs(g_ref[j] - g_k[j]) <= bound + 1e-10
     norm_bound = error_bounds(split, None, "grad_norm_eig", z_norms=ref.z_norms())
     assert np.linalg.norm(g_ref - g_k) <= norm_bound + 1e-10
+
+
+def fresh_design(d):
+    """A new DesignProblem over d's map, with its z constants computed."""
+    out = DesignProblem(d.G, d.noise, n_t=d.n_t)
+    out.ensure_z()
+    return out
+
+
+def separate_eig_run(d, w, k, seed):
+    """J, gradient and KL spectral term from a separate exact_eigs run plus G.apply(U)."""
+    eig = exact_eigs(d.misfit_op(w), k, seed=seed)
+    lam = eig.lam
+    S = (sensor_blocks(d.G.apply(eig.U), d.n_s, d.n_t) ** 2).sum(axis=0)
+    grad = d.z - (S @ (lam / (1.0 + lam))) / d.noise.sigma**2
+    kl_spectral = 0.5 * float(np.sum(np.log1p(lam)) - np.sum(lam / (1.0 + lam)))
+    return float(np.sum(np.log1p(lam))), grad, kl_spectral
+
+
+def assert_matches_separate_run(d, w, k, seed, with_kl=True):
+    J_ref, g_ref, kl_ref = separate_eig_run(d, w, k, seed)
+    J, g = d.objective_grad_eig(w, k, seed=seed)
+    assert J == pytest.approx(J_ref, rel=1e-12, abs=1e-300)
+    assert d.objective_eig(w, k, seed=seed) == J
+    assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+    if with_kl:  # a zero MAP point leaves the spectral term alone
+        kl = d.kl_estimate(w, np.zeros(d.G.n_y), "eig", k=k, seed=seed, theta_post=np.zeros(d.G.n))
+        assert kl == pytest.approx(kl_ref, rel=1e-12, abs=1e-300)
+
+
+def test_eig_rank_guard_is_shared(desk_design):
+    """Every Eig-k reader refuses k above min(n_y, n), before any solve."""
+    d = desk_design
+    k = d.rank_bound + 1
+    w = np.ones(d.n_s)
+    y = np.zeros(d.G.n_y)
+    theta = np.zeros(d.G.n)
+    calls = {
+        "objective_grad_eig": lambda: d.objective_grad_eig(w, k),
+        "objective_eig": lambda: d.objective_eig(w, k),
+        "kl_estimate": lambda: d.kl_estimate(w, y, "eig", k=k, theta_post=theta),
+    }
+    for name, call in calls.items():
+        with count_solves() as c, pytest.raises(ConfigError, match="exceeds rank bound"):
+            call()
+        assert c.delta.total == 0, name
+
+
+def test_eig_run_is_shared_by_J_grad_and_kl(small_design):
+    """One eigensolve per design: the gradient adds no forward solve, and KL and
+    J on the same (w, k, seed) cost none."""
+    d = fresh_design(small_design)
+    rng = np.random.default_rng(21)
+    w = rng.uniform(0.2, 1.0, d.n_s)
+    y = np.zeros(d.G.n_y)
+    theta = np.zeros(d.G.n)
+    k, seed = 8, 3
+    with count_solves() as c:
+        J, g = d.objective_grad_eig(w, k, seed=seed)
+    assert c.delta.forward == c.delta.adjoint > k  # ARPACK matvecs plus the residual check
+    with count_solves() as c:
+        kl = d.kl_estimate(w, y, "eig", k=k, seed=seed, theta_post=theta)
+        J2 = d.objective_eig(w, k, seed=seed)
+        J3, g3 = d.objective_grad_eig(w, k, seed=seed)
+    assert c.delta.total == 0
+    assert J2 == J == J3 and np.array_equal(g3, g)
+    assert kl == pytest.approx(separate_eig_run(d, w, k, seed)[2], rel=1e-12)
+
+
+def test_eig_run_misses_on_new_w_k_or_seed(small_design):
+    d = fresh_design(small_design)
+    rng = np.random.default_rng(22)
+    w = rng.uniform(0.2, 1.0, d.n_s)
+    k, seed = 6, 0
+    d.objective_grad_eig(w, k, seed=seed)
+    w[2] *= 0.5  # changed in place after the first call
+    for args in ((w, k, seed), (w, k + 1, seed), (w, k + 1, seed + 1)):
+        with count_solves() as c:
+            d.objective_grad_eig(*args[:2], seed=args[2])
+        assert c.delta.forward == c.delta.adjoint > 0, args[1:]
+        assert_matches_separate_run(d, *args)
+
+
+def test_eig_estimates_match_separate_run(small_design):
+    """J, gradient and KL from the shared run equal exact_eigs + G.apply(U)."""
+    d = fresh_design(small_design)
+    rng = np.random.default_rng(23)
+    for k, seed in ((4, 0), (11, 5), (d.rank_bound, 1)):
+        assert_matches_separate_run(d, rng.uniform(0.1, 1.0, d.n_s), k, seed)
+    # all-zero design: the zero-operator branch, G U by k forward solves
+    w0 = np.zeros(d.n_s)
+    with count_solves() as c:
+        J, g = d.objective_grad_eig(w0, 5)
+    assert (J, c.delta.forward) == (0.0, 5 + 1)  # the probe, then G U
+    assert_matches_separate_run(d, w0, 5, 0)
+
+
+def test_eig_dense_fallback_matches_separate_run():
+    """k > n - 2 takes the dense eigensolve; G U is then applied separately."""
+    spectrum = 2.0 ** -np.arange(1, 21, dtype=float)
+    d = synthetic_design(20, 5, 4, spectrum, seed=3)
+    rng = np.random.default_rng(24)
+    for k in (19, 20):
+        assert_matches_separate_run(d, rng.uniform(0.1, 1.0, d.n_s), k, 0, with_kl=False)
+
+
+def test_ensure_z_takes_held_Gt(tmp_path, small_design):
+    """A G^T already held by the dense reference serves the z step: no solve, one copy."""
+    h = config_hash_bytes("payload-a")
+    path = tmp_path / "z.bin"
+    d = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
+    with count_solves() as c:
+        d.dense_reference()
+    assert (c.delta.forward, c.delta.adjoint) == (0, d.G.n_y)
+    with count_solves() as c:
+        z = d.ensure_z(path, h)
+    assert c.delta.total == 0
+    assert d.Gt is z.Gt
+    assert np.array_equal(z.z, small_design.z)
+    # the cache is still written, and a fresh problem reads it
+    fresh = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
+    with count_solves() as c:
+        assert np.array_equal(fresh.ensure_z(path, h).z, z.z)
+    assert c.delta.total == 0
 
 
 def test_objective_grad_rand_zero_design(small_design):
