@@ -5,13 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ExperimentConfig
-from .oed import DENSE_GUARD, DesignProblem
+from .oed import DENSE_GUARD, DesignProblem, kl_divergence
 from .sketch import SketchConfig, exact_eigs
 from .problem import build_problem
-
-
-def _kl_spectral(lam: np.ndarray) -> float:
-    return 0.5 * float(np.sum(np.log1p(lam)) - np.sum(lam / (1.0 + lam)))
 
 
 def error_vs_rank_sweep(
@@ -31,33 +27,33 @@ def error_vs_rank_sweep(
     """
     ref = design.dense_reference()
     J_true, grad_true, lam_true = ref.evaluate(w)
-    kl_true = _kl_spectral(lam_true)
+    kl_true = kl_divergence(lam_true)
     gnorm = max(np.linalg.norm(grad_true), 1e-300)
     J_scale = max(abs(J_true), 1e-300)
     kl_scale = max(abs(kl_true), 1e-300)
 
     rows = []
     for k in ks:
-        J_e, g_e = design.objective_grad_eig(w, k)
-        lam_e = design._top_eigs(w, k, seed=0)[0].lam  # the run objective_grad_eig just made
+        eig = design.estimator("eig", k=k)
+        J_e, g_e = eig.evaluate(w)
+        lam_e = eig.spectrum(w)  # the eigensolve evaluate just made
         rows.append(
             {
                 "k": int(k),
                 "method": "eig",
                 "err_J": abs(J_true - J_e) / J_scale,
                 "err_grad": np.linalg.norm(grad_true - g_e) / gnorm,
-                "err_kl": abs(kl_true - _kl_spectral(lam_e)) / kl_scale,
+                "err_kl": abs(kl_true - kl_divergence(lam_e)) / kl_scale,
             }
         )
         errs = np.zeros((n_seeds, 3))
         for s in range(n_seeds):
             cfg = SketchConfig(k=int(k), p=p, q=q, seed=seed0 + 1000 * s + int(k))
-            J_r, g_r = design.objective_grad_rand(w, cfg)
-            lam_r = design.sketch_eig(w, cfg).lam
+            J_r, g_r, lam_r = design.sketch_evaluate(w, cfg)
             errs[s] = (
                 abs(J_true - J_r) / J_scale,
                 np.linalg.norm(grad_true - g_r) / gnorm,
-                abs(kl_true - _kl_spectral(lam_r)) / kl_scale,
+                abs(kl_true - kl_divergence(lam_r)) / kl_scale,
             )
         mean = errs.mean(axis=0)
         rows.append(

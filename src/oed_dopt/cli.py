@@ -30,7 +30,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, NumericalError
 from .fem import export_mesh_csv
 from .inverse import map_estimate
-from .oed import DENSE_GUARD, check_design_weights
+from .oed import DENSE_GUARD, check_design_weights, kl_divergence
 from .optimize import random_binary_designs, solve_continuation, solve_l1, threshold
 from .problem import build_problem
 from .sketch import SketchConfig
@@ -94,19 +94,13 @@ def _prepare_design(problem, out_dir):
 
 
 def _estimator(problem, config: ExperimentConfig):
+    """The estimator of ``opt.method``, with the config's defaults for its rank."""
     design = problem.design
     opt = config.opt
-    if opt.method == "eig":
-        return design.estimator("eig", k=opt.eig_k or config.sketch.k)
-    if opt.method == "rand":
-        return design.estimator("rand", cfg=_sketch_config(config))
-    if opt.method == "frozen":
-        k_f = opt.frozen_k or min(design.rank_bound, config.sketch.k + config.sketch.p)
-        frozen = design.build_frozen(k_f)
-        return design.estimator("frozen", frozen=frozen)
-    if opt.method == "dense":
-        return design.estimator("dense")
-    raise ConfigError(f"unknown opt.method {opt.method!r}")
+    k_f = opt.frozen_k or min(design.rank_bound, config.sketch.k + config.sketch.p)
+    return design.estimator(
+        opt.method, k=opt.eig_k or config.sketch.k, cfg=_sketch_config(config), frozen=lambda: design.build_frozen(k_f)
+    )
 
 
 def cmd_synthesize(config: ExperimentConfig, out_dir: str) -> None:
@@ -213,34 +207,21 @@ def cmd_evaluate(config: ExperimentConfig, weights_file: str, out_dir: str) -> N
     problem = build_problem(config)
     design = _prepare_design(problem, out_dir)
     w, _ = _read_weights(weights_file, design.n_s)
+    est = _estimator(problem, config)
     y_obs, _ = problem.synthesize()
     report = map_estimate(design, w, y_obs, tol=min(config.opt.tol, 1e-8))
     sk = _sketch_config(config)
-    method = config.opt.method
 
-    # KL has no frozen form: every method but eig and dense reports the sketch's KL
-    kl_method = method if method in ("eig", "dense") else "rand"
-    if method == "eig":
-        J = design.objective_eig(w, config.opt.eig_k or sk.k)
-        kl = design.kl_estimate(w, y_obs, "eig", k=config.opt.eig_k or sk.k, theta_post=report.theta_post)
-    elif method == "dense":
-        J = design.dense_reference().evaluate(w)[0]
-        kl = design.kl_estimate(w, y_obs, "dense", theta_post=report.theta_post)
-    elif method == "frozen":
-        k_f = config.opt.frozen_k or min(design.rank_bound, sk.l)
-        frozen = design.build_frozen(k_f)
-        J = design.objective_frozen(w, frozen)
-        kl = design.kl_estimate(w, y_obs, "rand", cfg=sk, theta_post=report.theta_post)
-    else:
-        J = design.objective_rand(w, sk)
-        kl = design.kl_estimate(w, y_obs, "rand", cfg=sk, theta_post=report.theta_post)
-
+    # KL has no frozen form: the frozen method reports the sketch's KL
+    kl_est = design.estimator("rand", cfg=sk) if est.name == "frozen" else est
+    lam = kl_est.spectrum(w)
+    J = est.objective(w)  # the same sketch or eigensolve as lam, unless frozen
     metrics = {
         "J": J,
         "info_gain": 0.5 * J,
-        "D_KL": kl,
-        "method": method,
-        "kl_method": kl_method,
+        "D_KL": kl_divergence(lam, design.G.prior.weighted_norm_sq(report.theta_post)),
+        "method": est.name,
+        "kl_method": kl_est.name,
         "map_cg_iterations": report.iterations,
     }
     if design.G.n <= DENSE_GUARD and np.sum(w) > 0:
@@ -250,7 +231,7 @@ def cmd_evaluate(config: ExperimentConfig, weights_file: str, out_dir: str) -> N
         errors["rand_rel_err"] = abs(design.objective_rand(w, sk) - J_dense) / scale
         errors["eig_rel_err"] = abs(design.objective_eig(w, min(sk.k, design.rank_bound)) - J_dense) / scale
         frozen = design.build_frozen(min(design.rank_bound, sk.l))
-        errors["frozen_rel_err"] = abs(design.objective_frozen(w, frozen) - J_dense) / scale
+        errors["frozen_rel_err"] = abs(design.objective_grad_frozen(w, frozen)[0] - J_dense) / scale
         metrics["errors_vs_dense"] = errors
     write_json(os.path.join(out_dir, "metrics.json"), metrics)
     config.save_resolved(os.path.join(out_dir, "resolved_config.json"))
@@ -267,18 +248,14 @@ def cmd_compare_random(config: ExperimentConfig, weights_file: str, n_designs: i
         raise ConfigError("optimal design has no active sensors; nothing to compare")
     y_obs, _ = problem.synthesize()
     sk = _sketch_config(config)
-    use_dense = design.G.n <= DENSE_GUARD
+    # J is exact where the dense reference is allowed, else the KL's own sketch
+    J_est = design.estimator("dense") if design.G.n <= DENSE_GUARD else design.estimator("rand", cfg=sk)
 
     randoms = random_binary_designs(design.n_s, cardinality, n_designs, seed=problem.seeds["designs"])
     rows = []
     for design_id, wb in enumerate([active] + list(randoms)):
         wv = wb.astype(float)
-        if use_dense:
-            J = design.dense_reference().evaluate(wv)[0]
-        else:
-            J = design.objective_rand(wv, sk)
-        kl = design.kl_estimate(wv, y_obs, "rand", cfg=sk)
-        rows.append([design_id, -J, kl])
+        rows.append([design_id, -J_est.objective(wv), design.kl_estimate(wv, y_obs, "rand", cfg=sk)])
     write_csv(
         os.path.join(out_dir, "cloud.csv"),
         ["design_id", "neg_J", "info_gain_from_data"],

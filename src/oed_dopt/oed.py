@@ -13,8 +13,9 @@ is J(w) = log det(I + H(w)) with componentwise derivative
 where z_j = tr(dH/dw_j) are design-independent constants.  Three estimators
 are provided: truncated spectral (top-k exact eigenpairs), randomized
 (subspace-iteration sketch), and frozen, the exact rank-k_f truncated SVD of
-G that needs zero PDE solves per evaluation.  A dense reference
-implementation covers desk-scale instances (n <= DENSE_GUARD).  The z step
+G that needs zero PDE solves per evaluation; a dense reference covers
+desk-scale instances (n <= DENSE_GUARD).  ``DesignProblem.estimator`` maps a
+method name to one of these four as an :class:`Estimator`.  The z step
 materializes G^T (n_y adjoint solves) once per DesignProblem, and the frozen
 factor and the dense reference read it with no further solves.
 """
@@ -26,6 +27,7 @@ import os
 import struct
 import tempfile
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +36,6 @@ from scipy.sparse.linalg import LinearOperator
 
 from .errors import ConfigError
 from .sketch import (
-    LowRankEig,
     SketchConfig,
     exact_eigs,
     low_rank_eig,
@@ -252,6 +253,7 @@ class DesignProblem:
         self._Gt: np.ndarray | None = None
         self._dense: DenseReference | None = None
         self._eig_run: tuple | None = None  # (key, eig, G U) of the last Eig-k solve
+        self._sketch_run: tuple | None = None  # (key, T) of the last T-only sketch
 
     # -- constants ---------------------------------------------------------
 
@@ -334,10 +336,10 @@ class DesignProblem:
 
     # -- randomized estimator ------------------------------------------------
 
-    def objective_grad_rand(self, w, cfg: SketchConfig):
-        """Objective and gradient from the randomized sketch of H(w).
+    def sketch_evaluate(self, w, cfg: SketchConfig):
+        """Objective, gradient and eigenvalues from one randomized sketch of H(w).
 
-        Costs exactly l(q+2) forward and l(q+1) adjoint solves per call
+        Costs exactly l(q+2) forward and l(q+1) adjoint solves on every call
         (l = k + p): the sketch spends l(q+1) of each and the gradient
         products G u_hat_i the remaining l forward solves.
         """
@@ -347,18 +349,26 @@ class DesignProblem:
         J = sketched_logdet(T)
         eig = low_rank_eig(Q, T)
         Qhat = self.G.apply(eig.U)  # l forward solves
-        return J, self._gradient_from_pairs(eig.lam, Qhat)
+        return J, self._gradient_from_pairs(eig.lam, Qhat), eig.lam
+
+    def objective_grad_rand(self, w, cfg: SketchConfig):
+        """(J, grad) of :meth:`sketch_evaluate`, at its full cost."""
+        return self.sketch_evaluate(w, cfg)[:2]
+
+    def _sketch(self, w, cfg: SketchConfig) -> np.ndarray:
+        """T = Q^T H(w) Q of the randomized sketch, kept for the last (w, cfg).
+
+        J, the spectrum and the KL term of one design share one sketch; the
+        (J, grad) path needs Q too and sketches afresh, at its exact cost.
+        """
+        w = check_design_weights(w, self.n_s)
+        key = (w.tobytes(), cfg)
+        if self._sketch_run is None or self._sketch_run[0] != key:
+            self._sketch_run = (key, subspace_iteration(self.misfit_op(w), cfg)[1])
+        return self._sketch_run[1]
 
     def objective_rand(self, w, cfg: SketchConfig) -> float:
-        w = check_design_weights(w, self.n_s)
-        _, T = subspace_iteration(self.misfit_op(w), cfg)
-        return sketched_logdet(T)
-
-    def sketch_eig(self, w, cfg: SketchConfig) -> LowRankEig:
-        """Low-rank eigenpairs of H(w) from the randomized sketch."""
-        w = check_design_weights(w, self.n_s)
-        Q, T = subspace_iteration(self.misfit_op(w), cfg)
-        return low_rank_eig(Q, T)
+        return sketched_logdet(self._sketch(w, cfg))
 
     # -- frozen low-rank estimator -------------------------------------------
 
@@ -391,10 +401,7 @@ class DesignProblem:
         grad = per_sensor / self.noise.sigma**2
         return J, grad
 
-    def objective_frozen(self, w, frozen: FrozenSVD) -> float:
-        return self.objective_grad_frozen(w, frozen)[0]
-
-    # -- KL divergence and information gain -----------------------------------
+    # -- KL divergence ---------------------------------------------------------
 
     def kl_estimate(
         self,
@@ -409,64 +416,55 @@ class DesignProblem:
     ) -> float:
         """Posterior-to-prior KL divergence for the design w and data y_obs.
 
-        D = 1/2 [ sum log(1+lam_i) - sum lam_i/(1+lam_i) + c(theta_post) ]
-        with lam from top-k exact eigenvalues ("eig"), the sketch ("rand"),
-        or the full dense spectrum ("dense").  The prior-precision norm of
-        the MAP point is computed by the inverse module unless a
-        ``theta_post`` is supplied.
+        :func:`kl_divergence` of the spectrum of the estimator ``method`` and
+        the prior-precision norm of the MAP point, which the inverse module
+        computes unless a ``theta_post`` is supplied.
         """
-        w = check_design_weights(w, self.n_s)
-        if method == "eig":
-            if k is None:
-                raise ConfigError("kl_estimate(method='eig') needs k")
-            lam = self._top_eigs(w, k, seed)[0].lam
-        elif method == "rand":
-            if cfg is None:
-                raise ConfigError("kl_estimate(method='rand') needs a SketchConfig")
-            _, T = subspace_iteration(self.misfit_op(w), cfg)
-            lam = np.clip(np.linalg.eigvalsh(T), 0.0, None)
-        elif method in ("dense", "exact_dense"):
-            lam = self.dense_reference().spectrum(w)
-        else:
-            raise ConfigError(f"unknown KL method {method!r}")
-
+        lam = self.estimator(method, k=k, cfg=cfg, seed=seed).spectrum(w)
         if theta_post is None:
             from .inverse import map_estimate
 
             theta_post = map_estimate(self, w, y_obs, tol=tol).theta_post
-        c = self.G.prior.weighted_norm_sq(theta_post)
-        return 0.5 * float(np.sum(np.log1p(lam)) - np.sum(lam / (1.0 + lam)) + c)
+        return kl_divergence(lam, self.G.prior.weighted_norm_sq(theta_post))
 
-    def expected_info_gain(self, w, method: str = "rand", k: int | None = None, cfg: SketchConfig | None = None, frozen: FrozenSVD | None = None, seed: int = 0) -> float:
-        """Half the D-optimal objective, by the chosen estimator."""
-        w = check_design_weights(w, self.n_s)
-        if method == "eig":
-            if k is None:
-                raise ConfigError("expected_info_gain(method='eig') needs k")
-            return 0.5 * self.objective_eig(w, k, seed=seed)
-        if method == "rand":
-            if cfg is None:
-                raise ConfigError("expected_info_gain(method='rand') needs a SketchConfig")
-            return 0.5 * self.objective_rand(w, cfg)
-        if method == "frozen":
-            if frozen is None:
-                raise ConfigError("expected_info_gain(method='frozen') needs a FrozenSVD")
-            return 0.5 * self.objective_frozen(w, frozen)
-        if method == "dense":
-            return 0.5 * self.dense_reference().evaluate(w)[0]
-        raise ConfigError(f"unknown method {method!r}")
+    # -- dense reference and estimator objects ----------------------------------
 
-    # -- dense reference -------------------------------------------------------
-
-    def dense_reference(self, max_n: int = DENSE_GUARD) -> "DenseReference":
+    def dense_reference(self) -> "DenseReference":
         if self._dense is None:
-            self._dense = DenseReference(self, max_n=max_n)
+            self._dense = DenseReference(self)
         return self._dense
 
-    # -- estimator objects for the optimizer ------------------------------------
+    def estimator(
+        self,
+        method: str,
+        *,
+        k: int | None = None,
+        cfg: SketchConfig | None = None,
+        frozen: FrozenSVD | Callable[[], FrozenSVD] | None = None,
+        seed: int = 0,
+    ) -> "Estimator":
+        """The estimator named ``method``; the one place a method name is read.
 
-    def estimator(self, method: str, **params) -> "Estimator":
-        return make_estimator(self, method, **params)
+        "eig" needs the rank k, "rand" a SketchConfig and "frozen" a
+        FrozenSVD, or a function that builds one and is called only for
+        "frozen"; "dense" needs nothing.  An unknown name or a missing
+        parameter is a :class:`ConfigError`.
+        """
+        if method == "eig":
+            if k is None:
+                raise ConfigError("the eig estimator needs k")
+            return EigEstimator(self, k, seed)
+        if method == "rand":
+            if cfg is None:
+                raise ConfigError("the rand estimator needs a SketchConfig")
+            return RandEstimator(self, cfg)
+        if method == "frozen":
+            if frozen is None:
+                raise ConfigError("the frozen estimator needs a FrozenSVD")
+            return FrozenEstimator(self, frozen() if callable(frozen) else frozen)
+        if method == "dense":
+            return DenseEstimator(self)
+        raise ConfigError(f"unknown estimator method {method!r}")
 
 
 class DenseReference:
@@ -477,17 +475,13 @@ class DenseReference:
     algebra with no PDE solves.
     """
 
-    def __init__(self, design: DesignProblem, max_n: int = DENSE_GUARD):
+    def __init__(self, design: DesignProblem):
         n = design.G.n
-        if n > max_n:
-            raise ConfigError(f"dense reference refused for n = {n} > {max_n}")
+        if n > DENSE_GUARD:
+            raise ConfigError(f"dense reference refused for n = {n} > {DENSE_GUARD}")
         self.design = design
-        if design.G.n_y <= n:
-            self.G_dense = design.Gt.T
-        else:
-            self.G_dense = design.G.apply(np.eye(n))
+        self.G_dense = design.Gt.T if design.G.n_y <= n else design.G.apply(np.eye(n))
         self.n = n
-        self.n_y = design.G.n_y
 
     def hessian(self, w) -> np.ndarray:
         w = check_design_weights(w, self.design.n_s)
@@ -496,13 +490,7 @@ class DenseReference:
         return Gw.T @ Gw
 
     def spectrum(self, w) -> np.ndarray:
-        lam = np.linalg.eigvalsh(self.hessian(w))[::-1]
-        return np.clip(lam, 0.0, None)
-
-    def z_matrix(self, j: int) -> np.ndarray:
-        """Dense dH/dw_j = G^T E_j G / sigma_j^2."""
-        rows = sensor_blocks(self.G_dense, self.design.n_s, self.design.n_t)[:, j, :]
-        return rows.T @ rows / self.design.noise.sigma[j] ** 2
+        return np.clip(np.linalg.eigvalsh(self.hessian(w))[::-1], 0.0, None)
 
     def z_norms(self) -> np.ndarray:
         """Spectral norms ||dH/dw_j||_2 (via the thin factor, exact)."""
@@ -538,8 +526,22 @@ class DenseReference:
 # -- estimator objects ---------------------------------------------------------
 
 
+def kl_divergence(lam, prior_norm_sq: float = 0.0) -> float:
+    """KL divergence from the spectrum lam of H(w) and the MAP point's prior-precision norm.
+
+    D = 1/2 [ sum log(1+lam_i) - sum lam_i/(1+lam_i) + ||theta_post||^2 ];
+    with the default zero norm it is the spectral part alone.
+    """
+    lam = np.asarray(lam)
+    return 0.5 * float(np.sum(np.log1p(lam)) - np.sum(lam / (1.0 + lam)) + prior_norm_sq)
+
+
 class Estimator:
-    """Uniform (J, grad) evaluation interface for the optimizer."""
+    """One estimator of J(w) = log det(I + H(w)), made by :meth:`DesignProblem.estimator`.
+
+    ``evaluate(w)`` gives (J, grad), ``objective(w)`` J alone, and ``spectrum(w)``
+    the eigenvalues of H(w) behind J, in the order J sums them (the sketch's ascending).
+    """
 
     name = "base"
     stochastic = False
@@ -550,6 +552,12 @@ class Estimator:
 
     def evaluate(self, w):
         raise NotImplementedError
+
+    def spectrum(self, w) -> np.ndarray:
+        raise NotImplementedError
+
+    def objective(self, w) -> float:
+        return float(np.sum(np.log1p(self.spectrum(w))))
 
 
 class EigEstimator(Estimator):
@@ -562,6 +570,9 @@ class EigEstimator(Estimator):
 
     def evaluate(self, w):
         return self.design.objective_grad_eig(w, self.k, seed=self.seed)
+
+    def spectrum(self, w) -> np.ndarray:
+        return self.design._top_eigs(w, self.k, self.seed)[0].lam
 
 
 class RandEstimator(Estimator):
@@ -578,6 +589,9 @@ class RandEstimator(Estimator):
     def evaluate(self, w):
         return self.design.objective_grad_rand(w, self.cfg)
 
+    def spectrum(self, w) -> np.ndarray:
+        return np.clip(np.linalg.eigvalsh(self.design._sketch(w, self.cfg)), 0.0, None)
+
 
 class FrozenEstimator(Estimator):
     name = "frozen"
@@ -589,35 +603,25 @@ class FrozenEstimator(Estimator):
     def evaluate(self, w):
         return self.design.objective_grad_frozen(w, self.frozen)
 
+    def spectrum(self, w) -> np.ndarray:
+        raise ConfigError("the frozen estimator has no spectrum of H(w), so no KL form")
+
+    def objective(self, w) -> float:
+        return self.design.objective_grad_frozen(w, self.frozen)[0]
+
 
 class DenseEstimator(Estimator):
     name = "dense"
 
-    def __init__(self, design, max_n: int = DENSE_GUARD):
+    def __init__(self, design):
         super().__init__(design)
-        self.ref = design.dense_reference(max_n=max_n)
+        self.ref = design.dense_reference()
 
     def evaluate(self, w):
-        J, grad, _ = self.ref.evaluate(w)
-        return J, grad
+        return self.ref.evaluate(w)[:2]
 
-
-def make_estimator(design: DesignProblem, method: str, **params) -> Estimator:
-    if method == "eig":
-        return EigEstimator(design, k=params["k"], seed=params.get("seed", 0))
-    if method == "rand":
-        cfg = params.get("cfg") or SketchConfig(
-            k=params["k"], p=params.get("p", 5), q=params.get("q", 1), seed=params.get("seed", 0)
-        )
-        return RandEstimator(design, cfg)
-    if method == "frozen":
-        frozen = params.get("frozen")
-        if frozen is None:
-            frozen = design.build_frozen(params["k"])
-        return FrozenEstimator(design, frozen)
-    if method == "dense":
-        return DenseEstimator(design)
-    raise ConfigError(f"unknown estimator method {method!r}")
+    def spectrum(self, w) -> np.ndarray:
+        return self.ref.spectrum(w)
 
 
 def config_hash_bytes(payload: str) -> bytes:

@@ -47,10 +47,6 @@ class PriorOperator:
         # L is assembled exactly symmetric, so L^{-T} b = L^{-1} b
         return _solve_by_width(self._lu, self._lu, np.asarray(b, dtype=float))
 
-    def apply_sqrt_cov(self, v: np.ndarray) -> np.ndarray:
-        """Covariance square root as an operator: L^{-1} M v."""
-        return self.solve_L(self.M @ v)
-
     def weighted_norm_sq(self, theta: np.ndarray) -> float:
         """Squared prior-precision norm theta^T L M^{-1} L theta = ||R^{-1} L theta||^2."""
         z = self.mass.solve_R(self.L @ np.asarray(theta, dtype=float))

@@ -85,10 +85,6 @@ def apply_operator(op, X: np.ndarray) -> np.ndarray:
     return op.matmat(X)
 
 
-def operator_dim(op) -> int:
-    return op.shape[0]
-
-
 def _orthonormalize(Y: np.ndarray) -> np.ndarray:
     Q, R = np.linalg.qr(Y)
     diag = np.abs(np.diag(R))
@@ -110,7 +106,7 @@ def subspace_iteration(op, cfg: SketchConfig):
     returns (Q, T) with Q the final orthonormal basis and T = Q^T op Q
     symmetrized.
     """
-    n = operator_dim(op)
+    n = op.shape[0]
     if cfg.l > n:
         raise ConfigError(f"sketch size l = {cfg.l} exceeds dimension n = {n}")
     rng = np.random.default_rng(cfg.seed)
@@ -146,7 +142,7 @@ def exact_eigs(op, k: int, rtol: float = 1e-8, seed: int = 0, maxiter: int | Non
     ||op u - lam u|| <= rtol * lam_max, verified explicitly; otherwise a
     :class:`ConvergenceError` carrying the residuals is raised.
     """
-    n = operator_dim(op)
+    n = op.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"need 1 <= k <= n, got k = {k}, n = {n}")
     rng = np.random.default_rng(seed)

@@ -120,6 +120,18 @@ def drop_column(path, column):
     return [tuple(v for i, v in enumerate(row) if i != idx) for row in rows]
 
 
+def write_weights(out, weight):
+    """A weights.csv for the 9-sensor SMALL config with every sensor at ``weight``."""
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, "weights.csv")
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["sensor_id", "x", "y", "weight", "active"])
+        for j in range(9):
+            w.writerow([j, 0.0, 0.0, weight, int(weight > 0)])
+    return path
+
+
 def test_cli_pipeline_and_determinism(tmp_path):
     cfg_path = write_config(tmp_path)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -232,13 +244,7 @@ def test_cli_bench_outputs(tmp_path):
 def test_cli_evaluate_zero_design(tmp_path):
     cfg_path = write_config(tmp_path)
     out = str(tmp_path / "zero")
-    os.makedirs(out, exist_ok=True)
-    weights = os.path.join(out, "weights.csv")
-    with open(weights, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["sensor_id", "x", "y", "weight", "active"])
-        for j in range(9):
-            w.writerow([j, 0.0, 0.0, 0.0, 0])
+    weights = write_weights(out, 0.0)
     assert main(["evaluate", "--config", cfg_path, "--weights", weights, "--out", out]) == 0
     with open(os.path.join(out, "metrics.json")) as f:
         metrics = json.load(f)
@@ -273,23 +279,48 @@ def test_cli_truncated_z_cache_is_recomputed(tmp_path, monkeypatch):
     assert z_steps == [(0, n_y), (0, 0)]  # the warned miss, then a hit
 
 
-@pytest.mark.parametrize("method", ["frozen", "rand"])
+@pytest.mark.parametrize("method", ["frozen", "rand", "eig", "dense"])
 def test_cli_evaluate_labels_kl_method(tmp_path, method):
     cfg_path = write_config(tmp_path, {**SMALL, "opt": {**SMALL["opt"], "method": method}})
     out = str(tmp_path / method)
-    os.makedirs(out, exist_ok=True)
-    weights = os.path.join(out, "weights.csv")
-    with open(weights, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["sensor_id", "x", "y", "weight", "active"])
-        for j in range(9):
-            w.writerow([j, 0.0, 0.0, 1.0, 1])
+    weights = write_weights(out, 1.0)
     assert main(["evaluate", "--config", cfg_path, "--weights", weights, "--out", out]) == 0
     with open(os.path.join(out, "metrics.json")) as f:
         metrics = json.load(f)
     assert metrics["method"] == method
     # KL has no frozen form; the frozen method reports the randomized sketch's KL
-    assert metrics["kl_method"] == "rand"
+    assert metrics["kl_method"] == ("rand" if method == "frozen" else method)
+
+
+def test_cli_unknown_method_exits_2(tmp_path):
+    """oed and evaluate refuse an unknown opt.method alike, and write no metrics."""
+    cfg_path = write_config(tmp_path, {**SMALL, "opt": {**SMALL["opt"], "method": "bogus"}})
+    out = str(tmp_path / "bogus")
+    weights = write_weights(out, 1.0)
+    assert main(["oed", "--config", cfg_path, "--out", out]) == 2
+    assert main(["evaluate", "--config", cfg_path, "--weights", weights, "--out", out]) == 2
+    assert not os.path.exists(os.path.join(out, "metrics.json"))
+
+
+def test_cli_evaluate_rand_sketches_once(tmp_path, monkeypatch):
+    """J, D_KL and rand_rel_err of a randomized evaluate come from one sketch."""
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "once")
+    weights = write_weights(out, 1.0)
+    sketches = []
+    subspace_iteration = oed.subspace_iteration
+
+    def counted(op, cfg):
+        sketches.append(cfg)
+        return subspace_iteration(op, cfg)
+
+    monkeypatch.setattr(oed, "subspace_iteration", counted)
+    assert main(["evaluate", "--config", cfg_path, "--weights", weights, "--out", out]) == 0
+    with open(os.path.join(out, "metrics.json")) as f:
+        metrics = json.load(f)
+    assert metrics["method"] == metrics["kl_method"] == "rand"
+    assert "rand_rel_err" in metrics["errors_vs_dense"]
+    assert len(sketches) == 1
 
 
 def test_cli_eig_k_above_rank_bound_exits_2(tmp_path):
@@ -297,13 +328,7 @@ def test_cli_eig_k_above_rank_bound_exits_2(tmp_path):
     payload = {**SMALL, "opt": {**SMALL["opt"], "method": "eig", "eig_k": 28}}
     cfg_path = write_config(tmp_path, payload)
     out = str(tmp_path / "eig")
-    os.makedirs(out, exist_ok=True)
-    weights = os.path.join(out, "weights.csv")
-    with open(weights, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["sensor_id", "x", "y", "weight", "active"])
-        for j in range(9):
-            w.writerow([j, 0.0, 0.0, 1.0, 1])
+    weights = write_weights(out, 1.0)
     assert main(["oed", "--config", cfg_path, "--out", out]) == 2
     assert main(["evaluate", "--config", cfg_path, "--weights", weights, "--out", out]) == 2
 

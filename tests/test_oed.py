@@ -12,6 +12,7 @@ from oed_dopt.oed import (
     NoiseModel,
     check_design_weights,
     config_hash_bytes,
+    kl_divergence,
     precompute_z,
     sensor_blocks,
     weighted_diag,
@@ -49,8 +50,10 @@ def test_misfit_op_matches_dense(small_design):
 
 
 def test_z_matches_dense_trace_oracle(small_design):
-    ref = small_design.dense_reference()
-    z_ref = np.array([np.trace(ref.z_matrix(j)) for j in range(small_design.n_s)])
+    d = small_design
+    blocks = sensor_blocks(d.dense_reference().G_dense, d.n_s, d.n_t)
+    # tr(dH/dw_j) with the dense dH/dw_j = G^T E_j G / sigma_j^2
+    z_ref = np.array([np.trace(blocks[:, j, :].T @ blocks[:, j, :]) / d.noise.sigma[j] ** 2 for j in range(d.n_s)])
     assert np.allclose(small_design.z, z_ref, rtol=1e-8)
 
 
@@ -342,7 +345,7 @@ def test_frozen_truncation_bound_20_designs(small_design):
     for _ in range(20):
         w = rng.uniform(0.0, 1.0, small_design.n_s)
         J_ref = ref.evaluate(w)[0]
-        J_f = small_design.objective_frozen(w, frozen)
+        J_f = small_design.objective_grad_frozen(w, frozen)[0]
         gap = J_ref - J_f
         assert -1e-9 <= gap <= bound + 1e-9
 
@@ -358,7 +361,7 @@ def test_single_sensor_rank_structure(small_design):
     J_eig = small_design.objective_eig(w, k=small_design.n_t)
     assert abs(J_eig - J_ref) <= 1e-8 * abs(J_ref)
     frozen = FrozenSVD.from_dense(ref.G_dense, small_design.n_t)
-    J_froz = small_design.objective_frozen(w, frozen)
+    J_froz = small_design.objective_grad_frozen(w, frozen)[0]
     assert abs(J_froz - J_ref) > 1e-6 * abs(J_ref)
 
 
@@ -374,7 +377,8 @@ def test_frozen_gradient_is_exact_derivative(small_design):
         wp, wm = w.copy(), w.copy()
         wp[j] += h
         wm[j] -= h
-        fd = (small_design.objective_frozen(wp, frozen) - small_design.objective_frozen(wm, frozen)) / (2 * h)
+        est = small_design.estimator("frozen", frozen=frozen)
+        fd = (est.objective(wp) - est.objective(wm)) / (2 * h)
         assert fd == pytest.approx(g[j], rel=1e-5, abs=1e-10)
 
 
@@ -452,7 +456,7 @@ def test_kl_eig_truncation_bound(small_design):
     lam = ref.evaluate(w)[2]
     theta0 = np.zeros(small_design.G.n)
     y0 = np.zeros(small_design.G.n_y)
-    kl_true = small_design.kl_estimate(w, y0, "exact_dense", theta_post=theta0)
+    kl_true = small_design.kl_estimate(w, y0, "dense", theta_post=theta0)
     for k in (3, 8, 15):
         kl_k = small_design.kl_estimate(w, y0, "eig", k=k, theta_post=theta0)
         split = SpectrumSplit.from_spectrum(lam, k)
@@ -485,16 +489,83 @@ def test_kl_rand_bound_monte_carlo(small_design):
     assert errs.mean() <= (1.0 + c) * np.sum(split.lam2)
 
 
-def test_expected_info_gain_half_objective(small_design):
-    ref = small_design.dense_reference()
-    rng = np.random.default_rng(12)
-    w = rng.uniform(0.2, 1.0, small_design.n_s)
-    assert small_design.expected_info_gain(w, "dense") == pytest.approx(0.5 * ref.evaluate(w)[0], rel=1e-12)
-    assert small_design.expected_info_gain(np.zeros(small_design.n_s), "dense") == 0.0
-    cfg = SketchConfig(k=8, p=5, q=1, seed=3)
-    assert small_design.expected_info_gain(w, "rand", cfg=cfg) == pytest.approx(
-        0.5 * small_design.objective_rand(w, cfg), rel=1e-12
-    )
+@pytest.mark.parametrize("method", ["eig", "rand", "dense", "frozen"])
+def test_estimator_matches_kernels_bit_for_bit(small_design, method):
+    """Each estimator's objective is its kernel's J; its spectrum is the one
+    behind J, and kl_estimate is kl_divergence of that spectrum."""
+    d = fresh_design(small_design)
+    cfg = SketchConfig(k=8, p=3, q=1, seed=4)
+    frozen = d.build_frozen(10)
+    params = {"eig": {"k": 6, "seed": 2}, "rand": {"cfg": cfg}, "dense": {}, "frozen": {"frozen": frozen}}[method]
+    kernel = {
+        "eig": lambda w: d.objective_grad_eig(w, 6, seed=2)[0],
+        "rand": lambda w: d.objective_grad_rand(w, cfg)[0],  # a fresh sketch
+        "dense": lambda w: d.dense_reference().evaluate(w)[0],
+        "frozen": lambda w: d.objective_grad_frozen(w, frozen)[0],
+    }[method]
+    est = d.estimator(method, **params)
+    assert est.name == method
+    rng = np.random.default_rng(30)
+    w = rng.uniform(0.1, 1.0, d.n_s)
+    J = kernel(w)
+    assert est.objective(w) == J
+    assert est.evaluate(w)[0] == J
+    if method == "frozen":
+        return
+    lam = est.spectrum(w)
+    assert float(np.sum(np.log1p(lam))) == J
+    theta = rng.standard_normal(d.G.n)
+    kl = d.kl_estimate(w, np.zeros(d.G.n_y), method, theta_post=theta, **params)
+    assert kl == kl_divergence(lam, d.G.prior.weighted_norm_sq(theta))
+
+
+def test_estimator_dispatch_refusals(small_design):
+    """An unknown name, a missing parameter and frozen's spectrum are config
+    errors, at no solve; the frozen factory runs only for "frozen"."""
+    d = small_design
+    w = np.ones(d.n_s)
+    y, theta = np.zeros(d.G.n_y), np.zeros(d.G.n)
+    factor = d.build_frozen(5)
+    with count_solves() as c:
+        for method in ("bogus", "exact_dense"):
+            with pytest.raises(ConfigError, match="unknown estimator method"):
+                d.estimator(method)
+            with pytest.raises(ConfigError, match="unknown estimator method"):
+                d.kl_estimate(w, y, method, theta_post=theta)
+        for method, needs in (("eig", "needs k"), ("rand", "needs a SketchConfig"), ("frozen", "needs a FrozenSVD")):
+            with pytest.raises(ConfigError, match=needs):
+                d.estimator(method)
+            with pytest.raises(ConfigError, match=needs):
+                d.kl_estimate(w, y, method, theta_post=theta)
+        with pytest.raises(ConfigError, match="no KL form"):
+            d.estimator("frozen", frozen=factor).spectrum(w)
+    assert c.delta.total == 0
+    built = []
+    d.estimator("eig", k=3, frozen=lambda: built.append(1))
+    assert built == []
+
+
+def test_rand_sketch_shared_by_J_spectrum_and_kl(small_design):
+    """J, spectrum and KL of one (w, cfg) share one sketch; (J, grad) always
+    pays its full l(q+2) / l(q+1) solves."""
+    d = fresh_design(small_design)
+    cfg = SketchConfig(k=8, p=3, q=1, seed=5)
+    est = d.estimator("rand", cfg=cfg)
+    w = np.random.default_rng(31).uniform(0.2, 1.0, d.n_s)
+    with count_solves() as c:
+        lam = est.spectrum(w)
+    assert (c.delta.forward, c.delta.adjoint) == (cfg.l * (cfg.q + 1),) * 2
+    with count_solves() as c:
+        J = est.objective(w)
+        kl = d.kl_estimate(w, np.zeros(d.G.n_y), "rand", cfg=cfg, theta_post=np.zeros(d.G.n))
+        assert J == d.objective_rand(w, cfg)
+    assert c.delta.total == 0
+    assert kl == kl_divergence(lam)
+    for _ in range(2):
+        with count_solves() as c:
+            J_g, _ = est.evaluate(w)
+        assert (c.delta.forward, c.delta.adjoint) == (cfg.l * (cfg.q + 2), cfg.l * (cfg.q + 1))
+        assert J_g == J
 
 
 def test_info_gain_monotone_in_weights(small_design):
@@ -541,8 +612,9 @@ def test_dense_spectrum_rank_bound(small_design):
 
 def test_dense_reference_guard():
     d = synthetic_design(700, 4, 2, np.ones(8))
-    with pytest.raises(ConfigError, match="refused"):
-        d.dense_reference(max_n=600)
+    for build in (d.dense_reference, lambda: d.estimator("dense")):
+        with pytest.raises(ConfigError, match="refused for n = 700 > 600"):
+            build()
 
 
 def test_nonnegative_objective_all_estimators(small_design):

@@ -35,7 +35,7 @@ def test_identity_prior_when_L_equals_M():
     prior = _prior_with(0.0, 1.0)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(prior.n)
-    assert np.allclose(prior.apply_sqrt_cov(v), v, atol=1e-12)
+    assert np.allclose(prior.solve_L(prior.M @ v), v, atol=1e-12)
 
 
 def test_sqrt_composition_equals_covariance():
@@ -45,7 +45,7 @@ def test_sqrt_composition_equals_covariance():
     cov = np.linalg.solve(L, M) @ np.linalg.solve(L, M)
     rng = np.random.default_rng(1)
     v = rng.standard_normal(prior.n)
-    twice = prior.apply_sqrt_cov(prior.apply_sqrt_cov(v))
+    twice = prior.solve_L(prior.M @ prior.solve_L(prior.M @ v))
     assert np.allclose(twice, cov @ v, rtol=1e-10)
 
 
@@ -53,7 +53,8 @@ def test_sqrt_matches_dense_oracle(tiny_default_prior):
     S = dense_prior_sqrt(tiny_default_prior)
     rng = np.random.default_rng(2)
     v = rng.standard_normal(tiny_default_prior.G.n)
-    assert np.allclose(tiny_default_prior.prior.apply_sqrt_cov(v), S @ v, rtol=1e-10)
+    prior = tiny_default_prior.prior
+    assert np.allclose(prior.solve_L(prior.M @ v), S @ v, rtol=1e-10)
 
 
 def test_invalid_coefficients_rejected():
