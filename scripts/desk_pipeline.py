@@ -2,7 +2,9 @@
 """Run the full desk-scale pipeline: synthesize -> oed -> evaluate -> compare.
 
 Writes a default desk configuration (35 candidate sensors, 3 observation
-times, n = 121) next to the outputs and drives the CLI commands on it.
+times, n = 121) next to the outputs and drives the CLI commands on it.  Each
+command's forward and adjoint PDE solves and its seconds are printed as it
+finishes.
 
     python scripts/desk_pipeline.py [--out runs/desk] [--seed 1]
 """
@@ -11,7 +13,9 @@ import argparse
 import json
 import os
 import sys
+import time
 
+from oed_dopt.accounting import solve_counter
 from oed_dopt.cli import main as cli_main
 
 DESK_CONFIG = {
@@ -62,10 +66,13 @@ def run(argv=None):
             args.out,
         ],
     ):
+        t0 = time.perf_counter()
         rc = cli_main(cmd + seed)
+        seconds = time.perf_counter() - t0
         if rc != 0:
             return rc
-        print(f"done: {cmd[0]}")
+        spent = solve_counter.snapshot()  # cli main() resets the tally on entry
+        print(f"done: {cmd[0]}: {spent.forward} forward + {spent.adjoint} adjoint solves, {seconds:.2f} s")
     print(f"artifacts in {args.out}/")
     return 0
 

@@ -30,7 +30,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, NumericalError
 from .fem import export_mesh_csv
 from .inverse import map_estimate
-from .oed import DENSE_GUARD, check_design_weights, kl_divergence
+from .oed import check_design_weights, kl_divergence
 from .optimize import random_binary_designs, solve_continuation, solve_l1, threshold
 from .problem import build_problem
 from .sketch import SketchConfig
@@ -64,15 +64,20 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _read_weights(path, n_s: int):
+    """(weights, active) from a weights.csv; any malformed entry is a :class:`ConfigError`."""
+    with open(path) as f:
+        try:
+            rows = [(int(r["sensor_id"]), float(r["weight"]), int(r["active"])) for r in csv.DictReader(f)]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed weights file {path}: {exc!r}") from exc
     weights = np.zeros(n_s)
     active = np.zeros(n_s, dtype=int)
-    with open(path) as f:
-        for row in csv.DictReader(f):
-            i = int(row["sensor_id"])
-            if not 0 <= i < n_s:
-                raise ConfigError(f"weights file sensor_id {i} out of range for n_s = {n_s}")
-            weights[i] = float(row["weight"])
-            active[i] = int(row["active"])
+    for i, weight, flag in rows:
+        if not 0 <= i < n_s:
+            raise ConfigError(f"weights file sensor_id {i} out of range for n_s = {n_s}")
+        if flag not in (0, 1):
+            raise ConfigError(f"weights file active flag {flag} of sensor {i} is not 0 or 1")
+        weights[i], active[i] = weight, flag
     return check_design_weights(weights, n_s), active
 
 
@@ -129,7 +134,7 @@ def cmd_oed(config: ExperimentConfig, out_dir: str) -> None:
     problem = build_problem(config)
     design = _prepare_design(problem, out_dir)
     estimator = _estimator(problem, config)
-    dense_ref = design.dense_reference() if design.G.n <= DENSE_GUARD else None
+    dense_ref = design.dense_reference() if design.dense_allowed else None
     opt = config.opt
     if opt.penalty == "l1":
         result = solve_l1(
@@ -224,7 +229,7 @@ def cmd_evaluate(config: ExperimentConfig, weights_file: str, out_dir: str) -> N
         "kl_method": kl_est.name,
         "map_cg_iterations": report.iterations,
     }
-    if design.G.n <= DENSE_GUARD and np.sum(w) > 0:
+    if design.dense_allowed and np.sum(w) > 0:
         J_dense = design.dense_reference().evaluate(w)[0]
         scale = max(abs(J_dense), 1e-300)
         errors = {"dense_J": J_dense}
@@ -248,14 +253,15 @@ def cmd_compare_random(config: ExperimentConfig, weights_file: str, n_designs: i
         raise ConfigError("optimal design has no active sensors; nothing to compare")
     y_obs, _ = problem.synthesize()
     sk = _sketch_config(config)
-    # J is exact where the dense reference is allowed, else the KL's own sketch
-    J_est = design.estimator("dense") if design.G.n <= DENSE_GUARD else design.estimator("rand", cfg=sk)
+    # J and KL are exact where the dense reference is allowed (0 solves), else
+    # one sketch per design serves both and the MAP point costs a CG solve
+    est = design.estimator("dense") if design.dense_allowed else design.estimator("rand", cfg=sk)
 
     randoms = random_binary_designs(design.n_s, cardinality, n_designs, seed=problem.seeds["designs"])
     rows = []
     for design_id, wb in enumerate([active] + list(randoms)):
         wv = wb.astype(float)
-        rows.append([design_id, -J_est.objective(wv), design.kl_estimate(wv, y_obs, "rand", cfg=sk)])
+        rows.append([design_id, -est.objective(wv), design.kl_estimate(wv, y_obs, est.name, cfg=sk)])
     write_csv(
         os.path.join(out_dir, "cloud.csv"),
         ["design_id", "neg_J", "info_gain_from_data"],

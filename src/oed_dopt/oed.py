@@ -13,11 +13,15 @@ is J(w) = log det(I + H(w)) with componentwise derivative
 where z_j = tr(dH/dw_j) are design-independent constants.  Three estimators
 are provided: truncated spectral (top-k exact eigenpairs), randomized
 (subspace-iteration sketch), and frozen, the exact rank-k_f truncated SVD of
-G that needs zero PDE solves per evaluation; a dense reference covers
-desk-scale instances (n <= DENSE_GUARD).  ``DesignProblem.estimator`` maps a
-method name to one of these four as an :class:`Estimator`.  The z step
-materializes G^T (n_y adjoint solves) once per DesignProblem, and the frozen
-factor and the dense reference read it with no further solves.
+G that needs zero PDE solves per evaluation.  The exact reference works in
+observation space: with C = G G^T (n_y x n_y) and S = W^{1/2}, Sylvester's
+identity gives log det(I + H(w)) = log det(I + S C S), and the gradient, the
+spectrum and the MAP norm follow from the same small matrix; it serves any n
+once n_y <= DENSE_GUARD (:attr:`DesignProblem.dense_allowed`, the one check of
+that limit).  ``DesignProblem.estimator`` maps a method name to one of these
+four as an :class:`Estimator`.  The z step materializes G^T (n_y adjoint
+solves) once per DesignProblem; C is formed from it once, or read from the z
+cache, and the frozen factor and the dense reference read C with no solve.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from scipy.sparse.linalg import LinearOperator
 
 from .errors import ConfigError
 from .sketch import (
+    DENSE_GUARD,
     SketchConfig,
     exact_eigs,
     low_rank_eig,
@@ -43,8 +48,7 @@ from .sketch import (
     subspace_iteration,
 )
 
-DENSE_GUARD = 600
-_ZCACHE_MAGIC = b"OEDZ0001"
+_ZCACHE_MAGIC = b"OEDZ0002"
 
 
 @dataclass(frozen=True)
@@ -68,14 +72,15 @@ class SensorDerivConstants:
     """z_j = tr(dH/dw_j) >= 0, independent of the design weights."""
 
     z: np.ndarray
-    Gt: np.ndarray | None = None  # the (n, n_y) G^T behind z; None on a cache hit
+    Gt: np.ndarray | None = None  # the (n, n_y) G^T behind z, when no cache file is used
+    C: np.ndarray | None = None  # the (n_y, n_y) C = G G^T, when a cache file is used
 
 
 def check_design_weights(w, n_s: int) -> np.ndarray:
     w = np.asarray(w, dtype=float).ravel()
     if w.shape != (n_s,):
         raise ConfigError(f"design weights must have shape ({n_s},), got {w.shape}")
-    if np.any(w < 0) or np.any(w > 1):
+    if not np.all((w >= 0) & (w <= 1)):
         raise ConfigError("design weights must lie in [0, 1]")
     return w
 
@@ -128,36 +133,36 @@ class MisfitHessianOp(LinearOperator):
         return self.G.apply_transpose(self.diag_w[:, None] * GX)
 
 
-def _zcache_write(path, config_hash: bytes, z: np.ndarray) -> None:
+def _zcache_write(path, config_hash: bytes, z: np.ndarray, C: np.ndarray) -> None:
     """Write the cache atomically: a temp file in the same directory, then a rename."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(_ZCACHE_MAGIC)
             f.write(config_hash)
-            f.write(struct.pack("<I", len(z)))
+            f.write(struct.pack("<II", len(z), len(C)))
             f.write(np.asarray(z, dtype="<f8").tobytes())
+            f.write(np.asarray(C, dtype="<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _zcache_read(path, config_hash: bytes):
-    """Cached z, or None when the file is malformed or keyed to another configuration."""
+def _zcache_read(path, config_hash: bytes, n_s: int, n_y: int):
+    """Cached (z, C), or None for a malformed or older file or one keyed to another configuration."""
     with open(path, "rb") as f:
         raw = f.read()
-    if len(raw) < len(_ZCACHE_MAGIC) + 32 + 4 or raw[: len(_ZCACHE_MAGIC)] != _ZCACHE_MAGIC:
+    off = len(_ZCACHE_MAGIC) + 32 + 8
+    if len(raw) < off or raw[: len(_ZCACHE_MAGIC)] != _ZCACHE_MAGIC:
         return None
-    stored = raw[len(_ZCACHE_MAGIC) : len(_ZCACHE_MAGIC) + 32]
-    if stored != config_hash:
+    if raw[len(_ZCACHE_MAGIC) : len(_ZCACHE_MAGIC) + 32] != config_hash:
         return None
-    off = len(_ZCACHE_MAGIC) + 32
-    (n_s,) = struct.unpack_from("<I", raw, off)
-    if len(raw) != off + 4 + 8 * n_s:
+    if struct.unpack_from("<II", raw, off - 8) != (n_s, n_y) or len(raw) != off + 8 * (n_s + n_y * n_y):
         return None
-    z = np.frombuffer(raw, dtype="<f8", count=n_s, offset=off + 4)
-    return np.array(z)
+    z = np.frombuffer(raw, dtype="<f8", count=n_s, offset=off)
+    C = np.frombuffer(raw, dtype="<f8", count=n_y * n_y, offset=off + 8 * n_s)
+    return np.array(z), np.array(C).reshape(n_y, n_y)
 
 
 def _adjoint_columns(G, n_s: int, n_t: int) -> np.ndarray:
@@ -189,33 +194,38 @@ def precompute_z(
 
     z_j = sigma_j^{-2} sum_m ||G^T (v_m (x) e_j)||^2, the squared norms of
     sensor j's columns of G^T.  A miss costs n_s * n_t adjoint solves, in
-    one sweep per observation time (:func:`_adjoint_columns`), and returns
-    G^T with z; given a held ``Gt`` it costs none and returns that array.
-    A cache hit costs none and returns no G^T.  The cache is keyed by a
-    32-byte configuration hash.
+    one sweep per observation time (:func:`_adjoint_columns`); given a held
+    ``Gt`` it costs none.  Without a cache path it returns G^T with z.  With
+    one, the file (keyed by a 32-byte configuration hash) holds z and
+    C = G G^T, and a hit (no solve) and a miss alike return those two and no
+    G^T, so a design served by the cache holds the n_y x n_y C only; C is
+    formed only when a cache file is written.  A file of another format is a
+    warned miss.
     """
     n_s = noise.n_s
     if cache_path is not None:
         if config_hash is None or len(config_hash) != 32:
             raise ConfigError("z cache needs a 32-byte configuration hash")
         if os.path.exists(cache_path):
-            cached = _zcache_read(cache_path, config_hash)
-            if cached is not None and len(cached) == n_s:
-                return SensorDerivConstants(z=cached)
+            cached = _zcache_read(cache_path, config_hash, n_s, n_s * n_t)
+            if cached is not None:
+                return SensorDerivConstants(z=cached[0], C=cached[1])
             warnings.warn("z cache is malformed or does not match configuration; recomputing", stacklevel=2)
 
     if Gt is None:
         Gt = _adjoint_columns(G, n_s, n_t)
     col_sq = np.einsum("ny,ny->y", Gt, Gt)
     z = sensor_blocks(col_sq, n_s, n_t).sum(axis=0) / noise.sigma**2
-    if cache_path is not None:
-        _zcache_write(cache_path, config_hash, z)
-    return SensorDerivConstants(z=z, Gt=Gt)
+    if cache_path is None:
+        return SensorDerivConstants(z=z, Gt=Gt)
+    C = Gt.T @ Gt
+    _zcache_write(cache_path, config_hash, z, C)
+    return SensorDerivConstants(z=z, C=C)
 
 
 @dataclass
 class FrozenSVD:
-    """Thin SVD of the whitened forward map, G ~ U diag(s) V^T; V is not kept."""
+    """Thin SVD of the whitened forward map, G ~ U diag(s) V^T; V is not kept (C = U diag(s^2) U^T)."""
 
     U: np.ndarray  # (n_y, k_f), orthonormal columns
     s: np.ndarray  # (k_f,), descending
@@ -230,6 +240,12 @@ class FrozenSVD:
         U, s, _ = np.linalg.svd(np.asarray(G_dense, dtype=float), full_matrices=False)
         return cls(U=U[:, :k_f], s=s[:k_f])
 
+    @classmethod
+    def from_gram(cls, C: np.ndarray, k_f: int) -> "FrozenSVD":
+        """Exact rank-k_f truncation from C = G G^T: the top eigenpairs, s = sqrt(eigenvalue)."""
+        lam, U = np.linalg.eigh(C)
+        return cls(U=U[:, ::-1][:, :k_f], s=np.sqrt(np.clip(lam[::-1][:k_f], 0.0, None)))
+
 
 class DesignProblem:
     """Objective, gradient and KL estimators for one sensor-placement problem.
@@ -237,7 +253,7 @@ class DesignProblem:
     Wraps the whitened forward map G together with the noise model and the
     observation layout (n_s sensors times n_t observation times, time-major
     stacking).  All estimators share the precomputed constants z; the frozen
-    factor and the dense reference share the held G^T.
+    factor and the dense reference share the held C = G G^T.
     """
 
     def __init__(self, G, noise: NoiseModel, n_t: int | None = None):
@@ -251,6 +267,7 @@ class DesignProblem:
             raise ConfigError("n_s * n_t must equal the observation dimension")
         self._z: SensorDerivConstants | None = None
         self._Gt: np.ndarray | None = None
+        self._C: np.ndarray | None = None
         self._dense: DenseReference | None = None
         self._eig_run: tuple | None = None  # (key, eig, G U) of the last Eig-k solve
         self._sketch_run: tuple | None = None  # (key, T) of the last T-only sketch
@@ -269,6 +286,8 @@ class DesignProblem:
             self._z = precompute_z(self.G, self.noise, self.n_t, cache_path, config_hash, **held)
             if self._Gt is None:
                 self._Gt = self._z.Gt
+            if self._z.C is not None:
+                self._C = self._z.C  # the cache's copy is the one held
         return self._z
 
     @property
@@ -277,6 +296,18 @@ class DesignProblem:
         if self._Gt is None:
             self._Gt = _adjoint_columns(self.G, self.n_s, self.n_t)
         return self._Gt
+
+    @property
+    def C(self) -> np.ndarray:
+        """C = G G^T as an (n_y, n_y) array, held once: the z cache's, else formed from the held G^T."""
+        if self._C is None:
+            self._C = self.Gt.T @ self.Gt
+        return self._C
+
+    @property
+    def dense_allowed(self) -> bool:
+        """Whether the exact reference may hold its n_y x n_y matrices (n_y <= DENSE_GUARD)."""
+        return self.G.n_y <= DENSE_GUARD
 
     @property
     def z(self) -> np.ndarray:
@@ -373,14 +404,14 @@ class DesignProblem:
     # -- frozen low-rank estimator -------------------------------------------
 
     def build_frozen(self, k_f: int, seed: int = 0) -> FrozenSVD:
-        """Exact rank-k_f truncated SVD of the held G^T; ``seed`` is unused.
+        """Exact rank-k_f truncated SVD of G from the held C; ``seed`` is unused.
 
-        Costs no PDE solve once G^T is held, else the n_y adjoint solves
-        that build it.
+        Costs no PDE solve once C is held (after the z step or a z cache
+        hit), else the n_y adjoint solves that build G^T.
         """
         if k_f > self.rank_bound:
             raise ConfigError(f"k_f = {k_f} exceeds min(n_y, n) = {self.rank_bound}")
-        return FrozenSVD.from_dense(self.Gt.T, k_f)
+        return FrozenSVD.from_gram(self.C, k_f)
 
     def objective_grad_frozen(self, w, frozen: FrozenSVD):
         """Objective and gradient from the frozen SVD; zero PDE solves.
@@ -417,14 +448,13 @@ class DesignProblem:
         """Posterior-to-prior KL divergence for the design w and data y_obs.
 
         :func:`kl_divergence` of the spectrum of the estimator ``method`` and
-        the prior-precision norm of the MAP point, which the inverse module
-        computes unless a ``theta_post`` is supplied.
+        the prior-precision norm of the MAP point: the norm of a supplied
+        ``theta_post``, else the estimator's :meth:`Estimator.map_norm_sq`.
         """
-        lam = self.estimator(method, k=k, cfg=cfg, seed=seed).spectrum(w)
+        est = self.estimator(method, k=k, cfg=cfg, seed=seed)
+        lam = est.spectrum(w)
         if theta_post is None:
-            from .inverse import map_estimate
-
-            theta_post = map_estimate(self, w, y_obs, tol=tol).theta_post
+            return kl_divergence(lam, est.map_norm_sq(w, y_obs, tol))
         return kl_divergence(lam, self.G.prior.weighted_norm_sq(theta_post))
 
     # -- dense reference and estimator objects ----------------------------------
@@ -468,59 +498,81 @@ class DesignProblem:
 
 
 class DenseReference:
-    """Exact J, gradient and spectrum by materializing G (n <= DENSE_GUARD).
+    """Exact J, gradient, spectrum and MAP norm from C = G G^T (n_y <= DENSE_GUARD).
 
-    G is read from the design's held G^T when n_y <= n, else materialized
-    with n forward unit probes; afterwards every evaluation is dense linear
-    algebra with no PDE solves.
+    With S = W^{1/2} and B = I + S C S (n_y x n_y), Sylvester's identity gives
+    log det(I + H(w)) = log det(B), the nonzero eigenvalues of H(w) are those
+    of S C S, and Woodbury gives dJ/dw_j = sigma_j^{-2} sum over sensor j's
+    rows r of [C - C S B^{-1} S C]_rr.  C is the design's held copy, so every
+    evaluation is n_y x n_y algebra with no PDE solve; G itself (``G_dense``,
+    ``hessian``) is read from the held G^T only when asked for.
     """
 
     def __init__(self, design: DesignProblem):
-        n = design.G.n
-        if n > DENSE_GUARD:
-            raise ConfigError(f"dense reference refused for n = {n} > {DENSE_GUARD}")
+        if not design.dense_allowed:
+            raise ConfigError(f"dense reference refused for n_y = {design.G.n_y} > {DENSE_GUARD}")
         self.design = design
-        self.G_dense = design.Gt.T if design.G.n_y <= n else design.G.apply(np.eye(n))
-        self.n = n
+        self.n = design.G.n
+        design.C  # form C here, not in the first evaluation
+
+    @property
+    def C(self) -> np.ndarray:
+        return self.design.C
+
+    @property
+    def G_dense(self) -> np.ndarray:
+        return self.design.Gt.T
+
+    def _row_scale(self, w) -> np.ndarray:
+        """The diagonal of S = W^{1/2} over the time-major observation rows."""
+        w = check_design_weights(w, self.design.n_s)
+        return np.sqrt(weighted_diag(w, self.design.noise.sigma, self.design.n_t))
+
+    def _factor(self, w):
+        """(S, Cholesky factor of B = I + S C S)."""
+        s = self._row_scale(w)
+        return s, sla.cho_factor(np.eye(len(s)) + s[:, None] * self.C * s)
 
     def hessian(self, w) -> np.ndarray:
-        w = check_design_weights(w, self.design.n_s)
-        dw = weighted_diag(w, self.design.noise.sigma, self.design.n_t)
-        Gw = np.sqrt(dw)[:, None] * self.G_dense
+        Gw = self._row_scale(w)[:, None] * self.G_dense
         return Gw.T @ Gw
 
     def spectrum(self, w) -> np.ndarray:
-        return np.clip(np.linalg.eigvalsh(self.hessian(w))[::-1], 0.0, None)
+        """The n eigenvalues of H(w), descending: those of S C S, zero-padded or cut to n."""
+        s = self._row_scale(w)
+        mu = np.clip(np.linalg.eigvalsh(s[:, None] * self.C * s)[::-1][: self.n], 0.0, None)
+        return np.pad(mu, (0, self.n - len(mu)))
 
     def z_norms(self) -> np.ndarray:
-        """Spectral norms ||dH/dw_j||_2 (via the thin factor, exact)."""
-        blocks = sensor_blocks(self.G_dense, self.design.n_s, self.design.n_t)
-        out = np.empty(self.design.n_s)
-        for j in range(self.design.n_s):
-            s = np.linalg.svd(blocks[:, j, :], compute_uv=False)
-            out[j] = s[0] ** 2 / self.design.noise.sigma[j] ** 2
-        return out
+        """Spectral norms ||dH/dw_j||_2 = lam_max(C_jj) / sigma_j^2, C_jj sensor j's n_t x n_t block of C."""
+        n_s = self.design.n_s
+        top = [np.linalg.eigvalsh(self.C[j::n_s, j::n_s])[-1] for j in range(n_s)]
+        return np.array(top) / self.design.noise.sigma**2
 
     def evaluate(self, w):
-        """(J, grad, spectrum) for one design, all exact."""
-        w = check_design_weights(w, self.design.n_s)
-        H = self.hessian(w)
-        lam = np.clip(np.linalg.eigvalsh(H)[::-1], 0.0, None)
+        """(J, grad, spectrum) for one design, all exact; J sums the spectrum."""
+        lam = self.spectrum(w)
         J = float(np.sum(np.log1p(lam)))
-        S = np.eye(self.n) + H
-        X = np.linalg.solve(S, self.G_dense.T)  # (n, n_y)
-        diag_proj = np.einsum("yn,ny->y", self.G_dense, X)
+        s, cf = self._factor(w)
+        CS = self.C * s
+        X = sla.cho_solve(cf, CS.T)  # B^{-1} S C
+        diag_proj = np.diag(self.C) - np.einsum("ra,ar->r", CS, X)
         per_sensor = sensor_blocks(diag_proj, self.design.n_s, self.design.n_t).sum(axis=0)
-        grad = per_sensor / self.design.noise.sigma**2
-        return J, grad, lam
+        return J, per_sensor / self.design.noise.sigma**2, lam
+
+    def _map_coefficients(self, w, y_obs: np.ndarray) -> np.ndarray:
+        """S u with u = B^{-1} S y, so the whitened MAP point is x = G^T S u."""
+        s, cf = self._factor(w)
+        return s * sla.cho_solve(cf, s * y_obs)
+
+    def map_norm_sq(self, w, y_obs: np.ndarray) -> float:
+        """||x||^2 = (S u)^T C (S u) of the whitened MAP point."""
+        su = self._map_coefficients(w, y_obs)
+        return float(su @ self.C @ su)
 
     def theta_post(self, w, y_obs: np.ndarray) -> np.ndarray:
-        """Dense MAP point through the whitened normal equations."""
-        w = check_design_weights(w, self.design.n_s)
-        dw = weighted_diag(w, self.design.noise.sigma, self.design.n_t)
-        b = self.G_dense.T @ (dw * y_obs)
-        x = np.linalg.solve(np.eye(self.n) + self.hessian(w), b)
-        return self.design.G.field_from_whitened(x)
+        """MAP point L^{-1} R x, x = G^T S u (the Woodbury form of the normal equations)."""
+        return self.design.G.field_from_whitened(self.design.Gt @ self._map_coefficients(w, y_obs))
 
 
 # -- estimator objects ---------------------------------------------------------
@@ -558,6 +610,13 @@ class Estimator:
 
     def objective(self, w) -> float:
         return float(np.sum(np.log1p(self.spectrum(w))))
+
+    def map_norm_sq(self, w, y_obs: np.ndarray, tol: float = 1e-8) -> float:
+        """Prior-precision norm of the MAP point, by matrix-free CG to ``tol``."""
+        from .inverse import map_estimate
+
+        theta_post = map_estimate(self.design, w, y_obs, tol=tol).theta_post
+        return self.design.G.prior.weighted_norm_sq(theta_post)
 
 
 class EigEstimator(Estimator):
@@ -622,6 +681,10 @@ class DenseEstimator(Estimator):
 
     def spectrum(self, w) -> np.ndarray:
         return self.ref.spectrum(w)
+
+    def map_norm_sq(self, w, y_obs: np.ndarray, tol: float = 1e-8) -> float:
+        """Exact, from C with no PDE solve; ``tol`` is unused."""
+        return self.ref.map_norm_sq(w, y_obs)
 
 
 def config_hash_bytes(payload: str) -> bytes:

@@ -18,6 +18,9 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, ConvergenceError
 
+#: Largest square matrix a dense path may hold: n here, n_y for ``oed``'s exact reference.
+DENSE_GUARD = 600
+
 
 @dataclass(frozen=True)
 class SketchConfig:
@@ -138,7 +141,7 @@ def exact_eigs(op, k: int, rtol: float = 1e-8, seed: int = 0, maxiter: int | Non
 
     Uses implicitly restarted Lanczos (ARPACK) with a deterministic start
     vector; falls back to a dense eigensolve when k is too close to n (only
-    allowed for n <= ``oed.DENSE_GUARD``).  Each returned pair satisfies
+    allowed for n <= DENSE_GUARD).  Each returned pair satisfies
     ||op u - lam u|| <= rtol * lam_max, verified explicitly; otherwise a
     :class:`ConvergenceError` carrying the residuals is raised.
     """
@@ -154,8 +157,6 @@ def exact_eigs(op, k: int, rtol: float = 1e-8, seed: int = 0, maxiter: int | Non
         return LowRankEig(U=U, lam=np.zeros(k))
 
     if k > n - 2 or n <= 16:
-        from .oed import DENSE_GUARD
-
         if n > DENSE_GUARD:
             raise ConfigError(f"dense eigensolve fallback refused for n = {n} > {DENSE_GUARD}")
         A = op if isinstance(op, np.ndarray) else apply_operator(op, np.eye(n))

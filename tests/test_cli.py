@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from oed_dopt import oed
-from oed_dopt.accounting import count_solves
-from oed_dopt.cli import main
+from oed_dopt.accounting import count_solves, solve_counter
+from oed_dopt.cli import _sketch_config, main
 from oed_dopt.config import ExperimentConfig
 from oed_dopt.errors import ConfigError
+from oed_dopt.optimize import random_binary_designs
+from oed_dopt.problem import build_problem
 
 SMALL = {
     "mesh": {"nx": 6},
@@ -331,6 +333,79 @@ def test_cli_eig_k_above_rank_bound_exits_2(tmp_path):
     weights = write_weights(out, 1.0)
     assert main(["oed", "--config", cfg_path, "--out", out]) == 2
     assert main(["evaluate", "--config", cfg_path, "--weights", weights, "--out", out]) == 2
+
+
+@pytest.mark.parametrize(
+    "header, row",
+    [
+        (["sensor_id", "x", "y", "weight", "active"], ["0", "0", "0", "1.0", "1.0"]),
+        (["sensor_id", "x", "y", "active"], ["0", "0", "0", "1"]),
+        (["sensor_id", "x", "y", "weight", "active"], ["x", "0", "0", "1.0", "1"]),
+        (["sensor_id", "x", "y", "weight", "active"], ["0", "0", "0", "1.0", "2"]),
+        (["sensor_id", "x", "y", "weight", "active"], ["0", "0", "0", "nan", "1"]),
+    ],
+    ids=["active-float", "no-weight-column", "sensor-id-text", "active-2", "weight-nan"],
+)
+def test_cli_malformed_weights_exit_2(tmp_path, header, row):
+    """A malformed weights.csv is a configuration error for both readers, never a traceback."""
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "bad")
+    weights = write_weights(out, 1.0)
+    with open(weights, "w") as f:
+        f.write(",".join(header) + "\n" + ",".join(row) + "\n")
+    for command in ("evaluate", "compare-random"):
+        assert main([command, "--config", cfg_path, "--weights", weights, "--out", out]) == 2, command
+
+
+def test_cli_warm_cache_compare_random_spends_only_synthesis(tmp_path):
+    """After oed has written the z cache (with C), compare-random's J and KL cost 0
+    solves: it spends only the forward solves of the noise scale and the data."""
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "warm")
+    assert main(["oed", "--config", cfg_path, "--out", out]) == 0
+    weights = os.path.join(out, "weights.csv")
+    with count_solves() as synth:
+        problem = build_problem(ExperimentConfig.from_dict(SMALL))
+        problem.design
+        problem.synthesize()
+    assert synth.delta.adjoint == 0 and synth.delta.forward > 0
+    argv = ["compare-random", "--config", cfg_path, "--weights", weights, "--n-designs", "20", "--out", out]
+    assert main(argv) == 0
+    assert solve_counter.snapshot() == synth.delta  # main() resets the tally on entry
+
+
+def test_cli_compare_random_above_guard_sketches(tmp_path, monkeypatch):
+    """Above the n_y guard compare-random takes the sketch plus MAP CG, and each row
+    equals the rand estimator's objective and kl_estimate(..., "rand")."""
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "above")
+    assert main(["oed", "--config", cfg_path, "--out", out]) == 0
+    weights = os.path.join(out, "weights.csv")
+    monkeypatch.setattr(oed, "DENSE_GUARD", 9 * 3 - 1)
+    argv = ["compare-random", "--config", cfg_path, "--weights", weights, "--n-designs", "3", "--out", out]
+    assert main(argv) == 0
+    spent = solve_counter.snapshot()
+    with open(os.path.join(out, "cloud.csv")) as f:
+        rows = [(float(r["neg_J"]), float(r["info_gain_from_data"])) for r in csv.DictReader(f)]
+
+    config = ExperimentConfig.from_dict(SMALL)
+    problem = build_problem(config)
+    design = problem.design
+    assert not design.dense_allowed
+    design.ensure_z()
+    y_obs, _ = problem.synthesize()
+    sk = _sketch_config(config)
+    with open(weights) as f:
+        active = np.array([int(r["active"]) for r in csv.DictReader(f)])
+    randoms = random_binary_designs(design.n_s, int(active.sum()), 3, seed=problem.seeds["designs"])
+    est = design.estimator("rand", cfg=sk)
+    expected = []
+    for wb in [active] + list(randoms):
+        w = wb.astype(float)
+        expected.append((-est.objective(w), design.kl_estimate(w, y_obs, "rand", cfg=sk)))
+    assert rows == pytest.approx(expected, rel=1e-12)
+    # each design's sketch and MAP CG cost forward and adjoint solves
+    assert spent.forward > 4 * sk.l * (sk.q + 1) and spent.adjoint > 4 * sk.l * (sk.q + 1)
 
 
 def test_peclet_warning_fires_on_advection_dominated_config(tmp_path):

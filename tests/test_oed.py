@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import synthetic_design
+from conftest import make_config, synthetic_design
 from oed_dopt.accounting import count_solves
 from oed_dopt.errors import ConfigError
 from oed_dopt.oed import (
@@ -29,6 +29,8 @@ def test_noise_model_validation():
 def test_design_weight_validation():
     with pytest.raises(ConfigError):
         check_design_weights([0.5, 1.2], 2)
+    with pytest.raises(ConfigError):
+        check_design_weights([0.5, np.nan], 2)
     with pytest.raises(ConfigError):
         check_design_weights([0.5], 2)
 
@@ -119,6 +121,29 @@ def test_z_cache_malformed_is_a_miss(tmp_path, small_design, corrupt):
     with count_solves() as c:
         precompute_z(d.G, d.noise, d.n_t, path, h)
     assert c.delta.adjoint == 0
+
+
+def test_z_cache_old_format_is_recomputed(tmp_path, small_design):
+    """A well-formed cache of the previous format (z alone, magic OEDZ0001) is a warned
+    miss, and is rewritten in the current format, with C = G G^T beside z."""
+    import struct
+
+    d = small_design
+    h = config_hash_bytes("payload-a")
+    path = tmp_path / "z.bin"
+    path.write_bytes(b"OEDZ0001" + h + struct.pack("<I", d.n_s) + np.asarray(d.z, dtype="<f8").tobytes())
+    with count_solves() as c, pytest.warns(UserWarning, match="malformed"):
+        z1 = precompute_z(d.G, d.noise, d.n_t, path, h)
+    assert (c.delta.forward, c.delta.adjoint) == (0, d.G.n_y)
+    assert path.read_bytes()[:8] == b"OEDZ0002"
+    with count_solves() as c:
+        z2 = precompute_z(d.G, d.noise, d.n_t, path, h)
+    assert c.delta.total == 0
+    assert np.array_equal(z2.z, z1.z) and np.array_equal(z2.C, z1.C)
+    # a miss and a hit return z and C alike; without a cache file, z and G^T and no C
+    plain = precompute_z(d.G, d.noise, d.n_t)
+    assert z1.Gt is None and z2.Gt is None and plain.C is None
+    assert np.array_equal(z1.C, plain.Gt.T @ plain.Gt)
 
 
 def test_objective_grad_eig_zero_design(small_design):
@@ -274,12 +299,15 @@ def test_ensure_z_takes_held_Gt(tmp_path, small_design):
     path = tmp_path / "z.bin"
     d = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
     with count_solves() as c:
-        d.dense_reference()
+        ref = d.dense_reference()
     assert (c.delta.forward, c.delta.adjoint) == (0, d.G.n_y)
+    held = d.Gt
     with count_solves() as c:
         z = d.ensure_z(path, h)
     assert c.delta.total == 0
-    assert d.Gt is z.Gt
+    assert d.Gt is held
+    # the cache's C is the one copy held, and the dense reference reads it
+    assert d.C is z.C and ref.C is z.C
     assert np.array_equal(z.z, small_design.z)
     # the cache is still written, and a fresh problem reads it
     fresh = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
@@ -398,13 +426,15 @@ def test_build_frozen_is_dense_truncation(small_design):
 
 @pytest.mark.parametrize("first", ["frozen", "dense"])
 def test_held_Gt_is_built_once(tmp_path, small_design, first):
-    """The frozen factor and the dense reference read the z step's G^T; after a
-    z cache hit, whichever comes first builds it with n_y adjoint solves."""
+    """The frozen factor and the dense reference read the z cache's C: after a
+    cache miss or hit both cost 0 solves.  Only G itself needs G^T, which a
+    design served by the cache does not hold: the first ``G_dense`` builds it
+    with n_y adjoint solves, and it is held."""
     readers = {"frozen": lambda d: d.build_frozen(8), "dense": lambda d: d.dense_reference()}
     order = [first] + [name for name in readers if name != first]
     h = config_hash_bytes("payload-a")
     n_y = small_design.G.n_y
-    for cache_hit, first_cost in ((False, 0), (True, n_y)):
+    for cache_hit in (False, True):
         d = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
         d.ensure_z(tmp_path / "z.bin", h)
         spent = []
@@ -412,7 +442,12 @@ def test_held_Gt_is_built_once(tmp_path, small_design, first):
             with count_solves() as c:
                 readers[name](d)
             spent.append((c.delta.forward, c.delta.adjoint))
-        assert spent == [(0, first_cost), (0, 0)], f"cache hit: {cache_hit}"
+        for _ in range(2):
+            with count_solves() as c:
+                d.dense_reference().G_dense
+            spent.append((c.delta.forward, c.delta.adjoint))
+        assert spent == [(0, 0), (0, 0), (0, n_y), (0, 0)], f"cache hit: {cache_hit}"
+        assert d.C is d.ensure_z().C
 
 
 def test_kl_zero_design_is_zero(small_design):
@@ -611,10 +646,13 @@ def test_dense_spectrum_rank_bound(small_design):
 
 
 def test_dense_reference_guard():
-    d = synthetic_design(700, 4, 2, np.ones(8))
+    """The exact reference's limit is n_y, whatever n is; it is refused before any solve."""
+    d = synthetic_design(20, 301, 2, np.ones(20))  # n_y = 602, n = 20
     for build in (d.dense_reference, lambda: d.estimator("dense")):
-        with pytest.raises(ConfigError, match="refused for n = 700 > 600"):
+        with count_solves() as c, pytest.raises(ConfigError, match="refused for n_y = 602 > 600"):
             build()
+        assert c.delta.total == 0
+    assert d._Gt is None and d._C is None
 
 
 def test_nonnegative_objective_all_estimators(small_design):
@@ -651,3 +689,39 @@ def test_synthetic_design_spectrum_construction():
     d = synthetic_design(40, 7, 3, spectrum, seed=1)
     lam = d.dense_reference().evaluate(np.ones(7))[2]
     assert np.allclose(lam[:21], spectrum, rtol=1e-9, atol=1e-12)
+
+
+def test_exact_core_past_dense_n_limit():
+    """At nx = 32 (n = 1,089 > DENSE_GUARD) the exact reference, which needs only
+    n_y = 105 <= DENSE_GUARD, agrees with three independent routes: the full-rank
+    frozen SVD of G, Eig-k at the rank of a 16-sensor binary design, and MAP CG."""
+    from oed_dopt.inverse import map_estimate
+    from oed_dopt.problem import build_problem
+    from oed_dopt.sketch import DENSE_GUARD
+
+    problem = build_problem(
+        make_config(
+            mesh={"nx": 32},
+            pde={"kappa": 0.05, "T": 2.0, "n_steps": 20},
+            sensors={"grid": [7, 5], "margin": [0.2, 0.3]},
+            noise={"pct": 0.3},
+        )
+    )
+    d = problem.design
+    assert d.G.n == 1089 > DENSE_GUARD and d.G.n_y == 105
+    ref = d.dense_reference()
+    rng = np.random.default_rng(32)
+
+    w = rng.uniform(0.1, 1.0, d.n_s)
+    J, g, _ = ref.evaluate(w)
+    J_f, g_f = d.objective_grad_frozen(w, FrozenSVD.from_dense(ref.G_dense, d.rank_bound))
+    assert J_f == pytest.approx(J, rel=1e-10)
+    assert np.linalg.norm(g_f - g) <= 1e-10 * np.linalg.norm(g)
+
+    wb = np.zeros(d.n_s)
+    wb[rng.choice(d.n_s, size=16, replace=False)] = 1.0
+    assert d.objective_eig(wb, d.n_t * 16) == pytest.approx(ref.evaluate(wb)[0], rel=1e-8)
+
+    y_obs, _ = problem.synthesize()
+    theta = map_estimate(d, w, y_obs, tol=1e-10).theta_post
+    assert ref.map_norm_sq(w, y_obs) == pytest.approx(d.G.prior.weighted_norm_sq(theta), rel=1e-8)

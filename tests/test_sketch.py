@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import LinearOperator
 
 from conftest import random_psd
 from oed_dopt.errors import ConfigError
 from oed_dopt.sketch import (
+    DENSE_GUARD,
     LowRankEig,
     SketchConfig,
     SpectrumSplit,
@@ -130,6 +132,22 @@ def test_exact_eigs_zero_operator():
 def test_exact_eigs_bad_k():
     with pytest.raises(ConfigError):
         exact_eigs(np.eye(5), 6)
+
+
+def test_exact_eigs_dense_fallback_guard():
+    """k > n - 2 would take the dense eigensolve, which is refused above n = DENSE_GUARD."""
+    n = DENSE_GUARD + 1
+    d = np.linspace(1.0, 2.0, n)
+    applied = []
+
+    def matmat(X):
+        applied.append(np.shape(X))
+        return d[:, None] * X if np.ndim(X) == 2 else d * X
+
+    op = LinearOperator((n, n), matvec=matmat, matmat=matmat, dtype=float)
+    with pytest.raises(ConfigError, match=f"refused for n = {n} > {DENSE_GUARD}"):
+        exact_eigs(op, n - 1)
+    assert len(applied) == 1  # the start-vector probe only; no n x n identity apply
 
 
 def test_cge_requires_p_at_least_two():
