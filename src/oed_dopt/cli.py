@@ -131,11 +131,13 @@ def cmd_synthesize(config: ExperimentConfig, out_dir: str) -> None:
 
 
 def cmd_oed(config: ExperimentConfig, out_dir: str) -> None:
+    opt = config.opt
+    if opt.penalty not in ("l1", "cont"):
+        raise ConfigError(f"unknown opt.penalty {opt.penalty!r} (expected 'l1' or 'cont')")
     problem = build_problem(config)
     design = _prepare_design(problem, out_dir)
     estimator = _estimator(problem, config)
     dense_ref = design.dense_reference() if design.dense_allowed else None
-    opt = config.opt
     if opt.penalty == "l1":
         result = solve_l1(
             estimator,
@@ -145,7 +147,7 @@ def cmd_oed(config: ExperimentConfig, out_dir: str) -> None:
             threshold_rel=opt.threshold,
             dense_ref=dense_ref,
         )
-    elif opt.penalty == "cont":
+    else:
         schedule = [0.5**i for i in range(1, opt.cont_stages + 1)]
         result = solve_continuation(
             estimator,
@@ -155,8 +157,6 @@ def cmd_oed(config: ExperimentConfig, out_dir: str) -> None:
             max_iters=opt.max_iters,
             dense_ref=dense_ref,
         )
-    else:
-        raise ConfigError(f"unknown opt.penalty {opt.penalty!r} (expected 'l1' or 'cont')")
 
     coords = problem.obs.sensor_coords
     write_csv(
@@ -210,8 +210,8 @@ def cmd_oed(config: ExperimentConfig, out_dir: str) -> None:
 
 def cmd_evaluate(config: ExperimentConfig, weights_file: str, out_dir: str) -> None:
     problem = build_problem(config)
+    w, _ = _read_weights(weights_file, problem.obs.n_s)
     design = _prepare_design(problem, out_dir)
-    w, _ = _read_weights(weights_file, design.n_s)
     est = _estimator(problem, config)
     y_obs, _ = problem.synthesize()
     report = map_estimate(design, w, y_obs, tol=min(config.opt.tol, 1e-8))
@@ -246,11 +246,11 @@ def cmd_compare_random(config: ExperimentConfig, weights_file: str, n_designs: i
     if n_designs < 1:
         raise ConfigError("need at least one random design")
     problem = build_problem(config)
-    design = _prepare_design(problem, out_dir)
-    _, active = _read_weights(weights_file, design.n_s)
+    _, active = _read_weights(weights_file, problem.obs.n_s)
     cardinality = int(active.sum())
     if cardinality == 0:
         raise ConfigError("optimal design has no active sensors; nothing to compare")
+    design = _prepare_design(problem, out_dir)
     y_obs, _ = problem.synthesize()
     sk = _sketch_config(config)
     # J and KL are exact where the dense reference is allowed (0 solves), else

@@ -19,9 +19,10 @@ identity gives log det(I + H(w)) = log det(I + S C S), and the gradient, the
 spectrum and the MAP norm follow from the same small matrix; it serves any n
 once n_y <= DENSE_GUARD (:attr:`DesignProblem.dense_allowed`, the one check of
 that limit).  ``DesignProblem.estimator`` maps a method name to one of these
-four as an :class:`Estimator`.  The z step materializes G^T (n_y adjoint
-solves) once per DesignProblem; C is formed from it once, or read from the z
-cache, and the frozen factor and the dense reference read C with no solve.
+four as an :class:`Estimator`.  The z step (:func:`precompute_z`) is the one
+producer of a DesignProblem's observation-space data: it sweeps G^T once (n_y
+adjoint solves), forms z and C from it and drops it, or reads z and C from the
+z cache; the frozen factor and the dense reference read C with no solve.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import tempfile
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -69,11 +71,10 @@ class NoiseModel:
 
 @dataclass
 class SensorDerivConstants:
-    """z_j = tr(dH/dw_j) >= 0, independent of the design weights."""
+    """z_j = tr(dH/dw_j) >= 0 and C = G G^T (n_y x n_y), both independent of the design weights."""
 
     z: np.ndarray
-    Gt: np.ndarray | None = None  # the (n, n_y) G^T behind z, when no cache file is used
-    C: np.ndarray | None = None  # the (n_y, n_y) C = G G^T, when a cache file is used
+    C: np.ndarray
 
 
 def check_design_weights(w, n_s: int) -> np.ndarray:
@@ -187,20 +188,15 @@ def precompute_z(
     n_t: int,
     cache_path=None,
     config_hash: bytes | None = None,
-    *,
-    Gt: np.ndarray | None = None,
 ) -> SensorDerivConstants:
-    """Design-independent gradient constants from G^T, one adjoint solve per (sensor, time).
+    """Design-independent constants z and C = G G^T, one adjoint solve per (sensor, time).
 
     z_j = sigma_j^{-2} sum_m ||G^T (v_m (x) e_j)||^2, the squared norms of
     sensor j's columns of G^T.  A miss costs n_s * n_t adjoint solves, in
-    one sweep per observation time (:func:`_adjoint_columns`); given a held
-    ``Gt`` it costs none.  Without a cache path it returns G^T with z.  With
-    one, the file (keyed by a 32-byte configuration hash) holds z and
-    C = G G^T, and a hit (no solve) and a miss alike return those two and no
-    G^T, so a design served by the cache holds the n_y x n_y C only; C is
-    formed only when a cache file is written.  A file of another format is a
-    warned miss.
+    one sweep per observation time (:func:`_adjoint_columns`); z and C are
+    formed from that G^T, which is then dropped.  With a cache path, the file
+    (keyed by a 32-byte configuration hash) holds z and C: a hit costs no
+    solve, a miss writes it, and a file of another format is a warned miss.
     """
     n_s = noise.n_s
     if cache_path is not None:
@@ -212,14 +208,12 @@ def precompute_z(
                 return SensorDerivConstants(z=cached[0], C=cached[1])
             warnings.warn("z cache is malformed or does not match configuration; recomputing", stacklevel=2)
 
-    if Gt is None:
-        Gt = _adjoint_columns(G, n_s, n_t)
+    Gt = _adjoint_columns(G, n_s, n_t)
     col_sq = np.einsum("ny,ny->y", Gt, Gt)
     z = sensor_blocks(col_sq, n_s, n_t).sum(axis=0) / noise.sigma**2
-    if cache_path is None:
-        return SensorDerivConstants(z=z, Gt=Gt)
     C = Gt.T @ Gt
-    _zcache_write(cache_path, config_hash, z, C)
+    if cache_path is not None:
+        _zcache_write(cache_path, config_hash, z, C)
     return SensorDerivConstants(z=z, C=C)
 
 
@@ -252,8 +246,8 @@ class DesignProblem:
 
     Wraps the whitened forward map G together with the noise model and the
     observation layout (n_s sensors times n_t observation times, time-major
-    stacking).  All estimators share the precomputed constants z; the frozen
-    factor and the dense reference share the held C = G G^T.
+    stacking).  All estimators share the constants z of the design's one z
+    step; the frozen factor and the dense reference share its C = G G^T.
     """
 
     def __init__(self, G, noise: NoiseModel, n_t: int | None = None):
@@ -266,8 +260,6 @@ class DesignProblem:
         if self.n_s * self.n_t != G.n_y:
             raise ConfigError("n_s * n_t must equal the observation dimension")
         self._z: SensorDerivConstants | None = None
-        self._Gt: np.ndarray | None = None
-        self._C: np.ndarray | None = None
         self._dense: DenseReference | None = None
         self._eig_run: tuple | None = None  # (key, eig, G U) of the last Eig-k solve
         self._sketch_run: tuple | None = None  # (key, T) of the last T-only sketch
@@ -279,30 +271,19 @@ class DesignProblem:
         return min(self.G.n_y, self.G.n)
 
     def ensure_z(self, cache_path=None, config_hash=None) -> SensorDerivConstants:
+        """z and C of the design's one z step, run on the first call of any reader.
+
+        The cache arguments apply to that first step only; a later call
+        returns the held constants whatever it is given.
+        """
         if self._z is None:
-            # a held G^T goes in by keyword only when there is one, so the
-            # five-argument form stays the call on a fresh problem
-            held = {} if self._Gt is None else {"Gt": self._Gt}
-            self._z = precompute_z(self.G, self.noise, self.n_t, cache_path, config_hash, **held)
-            if self._Gt is None:
-                self._Gt = self._z.Gt
-            if self._z.C is not None:
-                self._C = self._z.C  # the cache's copy is the one held
+            self._z = precompute_z(self.G, self.noise, self.n_t, cache_path, config_hash)
         return self._z
 
     @property
-    def Gt(self) -> np.ndarray:
-        """G^T as an (n, n_y) array, held once: the z step's, else n_y adjoint solves."""
-        if self._Gt is None:
-            self._Gt = _adjoint_columns(self.G, self.n_s, self.n_t)
-        return self._Gt
-
-    @property
     def C(self) -> np.ndarray:
-        """C = G G^T as an (n_y, n_y) array, held once: the z cache's, else formed from the held G^T."""
-        if self._C is None:
-            self._C = self.Gt.T @ self.Gt
-        return self._C
+        """C = G G^T as an (n_y, n_y) array, from the design's one z step."""
+        return self.ensure_z().C
 
     @property
     def dense_allowed(self) -> bool:
@@ -404,10 +385,9 @@ class DesignProblem:
     # -- frozen low-rank estimator -------------------------------------------
 
     def build_frozen(self, k_f: int, seed: int = 0) -> FrozenSVD:
-        """Exact rank-k_f truncated SVD of G from the held C; ``seed`` is unused.
+        """Exact rank-k_f truncated SVD of G from C; ``seed`` is unused.
 
-        Costs no PDE solve once C is held (after the z step or a z cache
-        hit), else the n_y adjoint solves that build G^T.
+        Costs no PDE solve once the z step has run, else that step's.
         """
         if k_f > self.rank_bound:
             raise ConfigError(f"k_f = {k_f} exceeds min(n_y, n) = {self.rank_bound}")
@@ -503,9 +483,9 @@ class DenseReference:
     With S = W^{1/2} and B = I + S C S (n_y x n_y), Sylvester's identity gives
     log det(I + H(w)) = log det(B), the nonzero eigenvalues of H(w) are those
     of S C S, and Woodbury gives dJ/dw_j = sigma_j^{-2} sum over sensor j's
-    rows r of [C - C S B^{-1} S C]_rr.  C is the design's held copy, so every
+    rows r of [C - C S B^{-1} S C]_rr.  C is the design's own, so every
     evaluation is n_y x n_y algebra with no PDE solve; G itself (``G_dense``,
-    ``hessian``) is read from the held G^T only when asked for.
+    read by ``hessian``) costs n_y adjoint solves on first use and is held.
     """
 
     def __init__(self, design: DesignProblem):
@@ -513,15 +493,16 @@ class DenseReference:
             raise ConfigError(f"dense reference refused for n_y = {design.G.n_y} > {DENSE_GUARD}")
         self.design = design
         self.n = design.G.n
-        design.C  # form C here, not in the first evaluation
+        design.ensure_z()  # run the z step here, not in the first evaluation
 
     @property
     def C(self) -> np.ndarray:
         return self.design.C
 
-    @property
+    @cached_property
     def G_dense(self) -> np.ndarray:
-        return self.design.Gt.T
+        """G as an (n_y, n) array, by n_y adjoint solves once."""
+        return _adjoint_columns(self.design.G, self.design.n_s, self.design.n_t).T
 
     def _row_scale(self, w) -> np.ndarray:
         """The diagonal of S = W^{1/2} over the time-major observation rows."""
@@ -571,8 +552,9 @@ class DenseReference:
         return float(su @ self.C @ su)
 
     def theta_post(self, w, y_obs: np.ndarray) -> np.ndarray:
-        """MAP point L^{-1} R x, x = G^T S u (the Woodbury form of the normal equations)."""
-        return self.design.G.field_from_whitened(self.design.Gt @ self._map_coefficients(w, y_obs))
+        """MAP point L^{-1} R x, x = G^T S u (the Woodbury form of the normal equations); one adjoint solve."""
+        G = self.design.G
+        return G.field_from_whitened(G.apply_transpose(self._map_coefficients(w, y_obs)))
 
 
 # -- estimator objects ---------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from .accounting import solve_counter
 from .errors import ConfigError
-from .oed import Estimator
+from .oed import Estimator, check_design_weights
 
 DEFAULT_SCHEDULE = tuple(0.5**i for i in range(1, 7))
 NONMONOTONE_WINDOW = 5
@@ -216,7 +216,7 @@ def solve_l1(
     if penalty_gamma < 0:
         raise ConfigError("penalty_gamma must be nonnegative")
     n_s = estimator.n_s
-    w0 = np.full(n_s, 0.5) if w0 is None else check_w0(w0, n_s)
+    w0 = np.full(n_s, 0.5) if w0 is None else check_design_weights(w0, n_s)
     if window is None:
         window = NONMONOTONE_WINDOW if estimator.stochastic else 1
 
@@ -245,15 +245,6 @@ def solve_l1(
     )
 
 
-def check_w0(w0, n_s: int) -> np.ndarray:
-    w0 = np.asarray(w0, dtype=float).ravel()
-    if w0.shape != (n_s,):
-        raise ConfigError(f"w0 must have shape ({n_s},)")
-    if np.any(w0 < 0) or np.any(w0 > 1):
-        raise ConfigError("w0 must lie in [0, 1]")
-    return w0
-
-
 def distance_to_binary(w: np.ndarray) -> float:
     return float(np.max(np.minimum(w, 1.0 - w))) if len(w) else 0.0
 
@@ -278,7 +269,7 @@ def solve_continuation(
     """
     cfg = PenaltyConfig(kind="continuation", gamma=penalty_gamma, schedule=tuple(schedule))
     n_s = estimator.n_s
-    w = np.full(n_s, 0.5) if w0 is None else check_w0(w0, n_s)
+    w = np.full(n_s, 0.5) if w0 is None else check_design_weights(w0, n_s)
     if window is None:
         window = NONMONOTONE_WINDOW if estimator.stochastic else 1
 

@@ -19,6 +19,15 @@ from oed_dopt.problem import build_problem
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402  (perfbench/ is not a package)
+import workloads  # noqa: E402
+
+TINY = {
+    "mesh": {"nx": 4},
+    "pde": {"kappa": 0.05, "T": 1.0, "n_steps": 5},
+    "sensors": {"grid": [2, 2], "margin": [0.25, 0.25]},
+    "obs": {"times": [0.4, 1.0]},
+    "sketch": {"k": 3, "p": 2},
+}
 
 
 def test_trace_patch_points_resolve():
@@ -44,17 +53,23 @@ def test_benchmark_call_forms_bind():
         inspect.signature(fn).bind(*args, **kwargs)
 
 
+@pytest.mark.parametrize("first", ["ensure_z", "dense_reference"])
+def test_z_step_goes_through_desk_z_log(tmp_path, first):
+    """ensure_z calls oed.precompute_z in the five-argument form the desk workload's
+    logging wrapper takes, also when the dense reference is the design's first reader."""
+    desk = workloads.Desk(0, True, None, tmp_path)
+    desk.z_log.append([])
+    design = build_problem(make_config(**TINY)).design
+    with desk.probes():
+        getattr(design, first)()
+        design.ensure_z()
+    assert [existed for existed, _ in desk.z_log[-1]] == [False]
+
+
 @pytest.mark.parametrize("method", ["eig", "rand", "frozen", "dense"])
 def test_cli_estimator_evaluate_returns_J_and_grad(method):
     """perfbench's timed wrapper unpacks exactly (J, grad) from each evaluation."""
-    config = make_config(
-        mesh={"nx": 4},
-        pde={"kappa": 0.05, "T": 1.0, "n_steps": 5},
-        sensors={"grid": [2, 2], "margin": [0.25, 0.25]},
-        obs={"times": [0.4, 1.0]},
-        sketch={"k": 3, "p": 2},
-        opt={"method": method},
-    )
+    config = make_config(**TINY, opt={"method": method})
     problem = build_problem(config)
     est = cli._estimator(problem, config)
     J, grad = est.evaluate(np.ones(problem.design.n_s))

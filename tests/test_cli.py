@@ -357,6 +357,22 @@ def test_cli_malformed_weights_exit_2(tmp_path, header, row):
         assert main([command, "--config", cfg_path, "--weights", weights, "--out", out]) == 2, command
 
 
+@pytest.mark.parametrize("command", ["evaluate", "compare-random", "oed"])
+def test_cli_bad_input_refused_before_z_step(tmp_path, command):
+    """An active flag of 1.0 in weights.csv, or opt.penalty = "l2", exits 2 at 0 solves
+    and leaves no z cache in a fresh output directory."""
+    if command == "oed":
+        argv = ["oed", "--config", write_config(tmp_path, {**SMALL, "opt": {**SMALL["opt"], "penalty": "l2"}})]
+    else:
+        weights = tmp_path / "weights.csv"
+        weights.write_text("sensor_id,x,y,weight,active\n0,0,0,1.0,1.0\n")
+        argv = [command, "--config", write_config(tmp_path), "--weights", str(weights)]
+    out = str(tmp_path / "fresh")
+    assert main(argv + ["--out", out]) == 2
+    assert solve_counter.snapshot().total == 0  # main() resets the tally on entry
+    assert not os.path.exists(os.path.join(out, "z_cache.bin"))
+
+
 def test_cli_warm_cache_compare_random_spends_only_synthesis(tmp_path):
     """After oed has written the z cache (with C), compare-random's J and KL cost 0
     solves: it spends only the forward solves of the noise scale and the data."""

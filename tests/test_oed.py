@@ -10,6 +10,7 @@ from oed_dopt.oed import (
     DesignProblem,
     FrozenSVD,
     NoiseModel,
+    _adjoint_columns,
     check_design_weights,
     config_hash_bytes,
     kl_divergence,
@@ -140,10 +141,9 @@ def test_z_cache_old_format_is_recomputed(tmp_path, small_design):
         z2 = precompute_z(d.G, d.noise, d.n_t, path, h)
     assert c.delta.total == 0
     assert np.array_equal(z2.z, z1.z) and np.array_equal(z2.C, z1.C)
-    # a miss and a hit return z and C alike; without a cache file, z and G^T and no C
+    # with or without a cache file, the z step returns the same z and C
     plain = precompute_z(d.G, d.noise, d.n_t)
-    assert z1.Gt is None and z2.Gt is None and plain.C is None
-    assert np.array_equal(z1.C, plain.Gt.T @ plain.Gt)
+    assert np.array_equal(plain.z, z1.z) and np.array_equal(plain.C, z1.C)
 
 
 def test_objective_grad_eig_zero_design(small_design):
@@ -293,27 +293,49 @@ def test_eig_dense_fallback_matches_separate_run():
         assert_matches_separate_run(d, rng.uniform(0.1, 1.0, d.n_s), k, 0, with_kl=False)
 
 
-def test_ensure_z_takes_held_Gt(tmp_path, small_design):
-    """A G^T already held by the dense reference serves the z step: no solve, one copy."""
+def test_first_reader_runs_the_one_z_step(tmp_path, small_design):
+    """Whichever reader comes first runs the design's one z step (n_y adjoint solves);
+    every later reader and ensure_z cost 0 and share its C.  The cache arguments of
+    ensure_z apply to that first step only."""
     h = config_hash_bytes("payload-a")
-    path = tmp_path / "z.bin"
+    n_y = small_design.G.n_y
+    for first in ("ensure_z", "dense", "frozen"):
+        path = tmp_path / f"{first}.bin"
+        readers = {
+            "ensure_z": lambda d: d.ensure_z(path, h),
+            "dense": lambda d: d.dense_reference(),
+            "frozen": lambda d: d.build_frozen(8),
+        }
+        d = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
+        spent = []
+        for name in [first] + [name for name in readers if name != first] + ["ensure_z"]:
+            with count_solves() as c:
+                readers[name](d)
+            spent.append((c.delta.forward, c.delta.adjoint))
+        assert spent == [(0, n_y), (0, 0), (0, 0), (0, 0)], first
+        assert d.C is d.dense_reference().C
+        assert np.array_equal(d.z, small_design.z)
+        assert path.exists() == (first == "ensure_z")
+
+
+def test_z_step_C_and_dense_G(small_design):
+    """Without a cache file the z step's C is G^T's Gram matrix bit for bit; G itself
+    costs n_y adjoint solves once, and the exact MAP point one adjoint solve."""
     d = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
+    Gt = _adjoint_columns(d.G, d.n_s, d.n_t)
+    assert np.array_equal(d.ensure_z().C, Gt.T @ Gt)
+    ref = d.dense_reference()
+    spent = []
+    for _ in range(2):
+        with count_solves() as c:
+            G_dense = ref.G_dense
+        spent.append((c.delta.forward, c.delta.adjoint))
+    assert spent == [(0, d.G.n_y), (0, 0)]
+    assert np.array_equal(G_dense, Gt.T)
+    rng = np.random.default_rng(30)
     with count_solves() as c:
-        ref = d.dense_reference()
-    assert (c.delta.forward, c.delta.adjoint) == (0, d.G.n_y)
-    held = d.Gt
-    with count_solves() as c:
-        z = d.ensure_z(path, h)
-    assert c.delta.total == 0
-    assert d.Gt is held
-    # the cache's C is the one copy held, and the dense reference reads it
-    assert d.C is z.C and ref.C is z.C
-    assert np.array_equal(z.z, small_design.z)
-    # the cache is still written, and a fresh problem reads it
-    fresh = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
-    with count_solves() as c:
-        assert np.array_equal(fresh.ensure_z(path, h).z, z.z)
-    assert c.delta.total == 0
+        ref.theta_post(rng.uniform(0.2, 1.0, d.n_s), rng.standard_normal(d.G.n_y))
+    assert (c.delta.forward, c.delta.adjoint) == (0, 1)
 
 
 def test_objective_grad_rand_zero_design(small_design):
@@ -427,9 +449,9 @@ def test_build_frozen_is_dense_truncation(small_design):
 @pytest.mark.parametrize("first", ["frozen", "dense"])
 def test_held_Gt_is_built_once(tmp_path, small_design, first):
     """The frozen factor and the dense reference read the z cache's C: after a
-    cache miss or hit both cost 0 solves.  Only G itself needs G^T, which a
-    design served by the cache does not hold: the first ``G_dense`` builds it
-    with n_y adjoint solves, and it is held."""
+    cache miss or hit both cost 0 solves.  Only G itself needs G^T, which no
+    design holds: the first ``G_dense`` builds it with n_y adjoint solves, and
+    the dense reference holds it."""
     readers = {"frozen": lambda d: d.build_frozen(8), "dense": lambda d: d.dense_reference()}
     order = [first] + [name for name in readers if name != first]
     h = config_hash_bytes("payload-a")
@@ -652,7 +674,7 @@ def test_dense_reference_guard():
         with count_solves() as c, pytest.raises(ConfigError, match="refused for n_y = 602 > 600"):
             build()
         assert c.delta.total == 0
-    assert d._Gt is None and d._C is None
+    assert d._z is None
 
 
 def test_nonnegative_objective_all_estimators(small_design):

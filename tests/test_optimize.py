@@ -29,6 +29,29 @@ def test_penalty_config_validation():
     assert PenaltyConfig().schedule == tuple(0.5**i for i in range(1, 7))
 
 
+class CountingQuadratic:
+    """An estimator stand-in that validates no weights and counts its evaluations."""
+
+    name = "counting"
+    stochastic = False
+    n_s = 3
+
+    def __init__(self):
+        self.calls = 0
+
+    def evaluate(self, w):
+        self.calls += 1
+        return -float(np.sum((w - 0.3) ** 2)), -2.0 * (w - 0.3)
+
+
+@pytest.mark.parametrize("solve", [solve_l1, solve_continuation])
+def test_nan_w0_refused_before_any_evaluation(solve):
+    est = CountingQuadratic()
+    with pytest.raises(ConfigError, match="design weights"):
+        solve(est, 0.1, w0=[np.nan, 0.5, 0.5])
+    assert est.calls == 0
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_projection_feasible_and_idempotent(seed):
