@@ -31,7 +31,7 @@ from .errors import ConfigError, NumericalError
 from .fem import export_mesh_csv
 from .inverse import map_estimate
 from .oed import check_design_weights, kl_divergence
-from .optimize import random_binary_designs, solve_continuation, solve_l1, threshold
+from .optimize import check_solve, random_binary_designs, solve_continuation, solve_l1
 from .problem import build_problem
 from .sketch import SketchConfig
 
@@ -132,31 +132,18 @@ def cmd_synthesize(config: ExperimentConfig, out_dir: str) -> None:
 
 def cmd_oed(config: ExperimentConfig, out_dir: str) -> None:
     opt = config.opt
-    if opt.penalty not in ("l1", "cont"):
+    if opt.penalty == "l1":
+        solve, route = solve_l1, {"threshold_rel": opt.threshold}
+    elif opt.penalty == "cont":
+        solve, route = solve_continuation, {"schedule": [0.5**i for i in range(1, opt.cont_stages + 1)]}
+    else:
         raise ConfigError(f"unknown opt.penalty {opt.penalty!r} (expected 'l1' or 'cont')")
+    check_solve(opt.gamma, opt.tol, opt.max_iters, **route)
     problem = build_problem(config)
     design = _prepare_design(problem, out_dir)
     estimator = _estimator(problem, config)
     dense_ref = design.dense_reference() if design.dense_allowed else None
-    if opt.penalty == "l1":
-        result = solve_l1(
-            estimator,
-            opt.gamma,
-            tol=opt.tol,
-            max_iters=opt.max_iters,
-            threshold_rel=opt.threshold,
-            dense_ref=dense_ref,
-        )
-    else:
-        schedule = [0.5**i for i in range(1, opt.cont_stages + 1)]
-        result = solve_continuation(
-            estimator,
-            opt.gamma,
-            schedule=schedule,
-            tol=opt.tol,
-            max_iters=opt.max_iters,
-            dense_ref=dense_ref,
-        )
+    result = solve(estimator, opt.gamma, tol=opt.tol, max_iters=opt.max_iters, dense_ref=dense_ref, **route)
 
     coords = problem.obs.sensor_coords
     write_csv(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,6 +121,35 @@ _SECTIONS = {
     "opt": OptConfig,
     "seeds": SeedsConfig,
 }
+_HINTS = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}
+
+
+def _fits(value, hint) -> bool:
+    """JSON value against a field annotation: float takes an int, list a tuple, X | None takes None; bool is no number."""
+    if typing.get_args(hint):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, {float: (int, float), list: (list, tuple)}.get(hint, hint))
+
+
+def float_array(values, name: str, shape: tuple) -> np.ndarray:
+    """A list field as a float array of ``shape`` (None: any length); text, bools, non-finite
+    values or ragged rows are a ConfigError."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged rows
+        arr = np.asarray(None)
+    if arr.size == 0 and shape[0] is None:
+        return np.zeros((0, *shape[1:]))
+    if (
+        arr.dtype.kind not in "iuf"
+        or arr.ndim != len(shape)
+        or any(s not in (None, d) for s, d in zip(shape, arr.shape))
+        or not np.all(np.isfinite(arr))
+    ):
+        raise ConfigError(f"{name} must be finite numbers of shape {shape}, got {values!r}")
+    return arr.astype(float)
 
 
 @dataclass
@@ -153,6 +183,11 @@ class ExperimentConfig:
             bad = set(payload) - allowed
             if bad:
                 raise ConfigError(f"unknown keys in section {name!r}: {sorted(bad)}")
+            hints = _HINTS[name]
+            for key, value in payload.items():
+                if not _fits(value, hints[key]):
+                    kind = getattr(hints[key], "__name__", hints[key])
+                    raise ConfigError(f"{name}.{key} must be of type {kind}, got {value!r}")
             sections[name] = section_cls(**payload)
         return cls(**sections)
 
@@ -214,17 +249,11 @@ class ExperimentConfig:
     def sensor_coordinates(self) -> np.ndarray:
         s = self.sensors
         if s.coords is not None:
-            coords = np.asarray(s.coords, dtype=float)
-            if coords.ndim != 2 or coords.shape[1] != 2:
-                raise ConfigError("sensors.coords must be a list of [x, y] pairs")
-            return coords
-        try:
-            gx, gy = (int(v) for v in s.grid)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("sensors.grid must be [gx, gy]") from exc
+            return float_array(s.coords, "sensors.coords", (None, 2))
+        gx, gy = (int(v) for v in float_array(s.grid, "sensors.grid", (2,)))
         if gx < 1 or gy < 1:
             raise ConfigError("sensors.grid entries must be >= 1")
-        mx, my = (float(v) for v in s.margin)
+        mx, my = float_array(s.margin, "sensors.margin", (2,))
         if not (0 <= mx < 0.5 and 0 <= my < 0.5):
             raise ConfigError("sensors.margin entries must lie in [0, 0.5)")
         xs = np.linspace(mx, 1.0 - mx, gx)

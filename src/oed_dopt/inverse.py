@@ -23,7 +23,6 @@ from .sketch import LowRankEig
 @dataclass
 class MapSolveReport:
     theta_post: np.ndarray
-    x_whitened: np.ndarray
     iterations: int
     rel_residual: float
     converged: bool
@@ -36,7 +35,6 @@ def map_estimate(
     y_obs: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 500,
-    prior_mean: np.ndarray | None = None,
     record_iterates: bool = False,
 ) -> MapSolveReport:
     """MAP point by matrix-free CG on the whitened normal equations.
@@ -60,10 +58,7 @@ def map_estimate(
     bnorm = float(np.linalg.norm(b))
     iterates = []
     if bnorm == 0.0:
-        theta = design.G.field_from_whitened(x)
-        if prior_mean is not None:
-            theta = theta + prior_mean
-        return MapSolveReport(theta, x, 0, 0.0, True, iterates)
+        return MapSolveReport(design.G.field_from_whitened(x), 0, 0.0, True, iterates)
 
     r = b.copy()
     p = r.copy()
@@ -90,10 +85,7 @@ def map_estimate(
             f"CG stalled at relative residual {rel:.3e} after {it} iterations",
             residuals=rel,
         )
-    theta = design.G.field_from_whitened(x)
-    if prior_mean is not None:
-        theta = theta + prior_mean
-    return MapSolveReport(theta, x, it, rel, converged, iterates)
+    return MapSolveReport(design.G.field_from_whitened(x), it, rel, converged, iterates)
 
 
 def prior_pointwise_variance(G) -> np.ndarray:

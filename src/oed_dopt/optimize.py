@@ -7,14 +7,18 @@ estimator supplying (J, grad) is the randomized one, whose gradient is not the
 exact derivative of its objective, the line search is relaxed with a
 nonmonotone window of 5 iterations.
 
-Two sparsification routes are provided: an l1 penalty followed by relative
-thresholding, and a continuation over the smooth l0 surrogate
-P_eps(w) = sum_i w_i / (w_i + eps) with warm starts and a decreasing schedule
-eps_i = 1/2^i.
+A penalty is one function w -> (P, dP), and one stage minimizes the penalized
+objective for it.  Two sparsification routes are built from stages: an l1
+penalty P = sum_i w_i (one stage) followed by relative thresholding, and a
+continuation over the smooth l0 surrogate P_eps(w) = sum_i w_i / (w_i + eps)
+(one warm-started stage per eps of a decreasing schedule eps_i = 1/2^i)
+followed by rounding.  Both routes check their settings with one validator,
+:func:`check_solve`, before any evaluation.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -30,30 +34,11 @@ NONMONOTONE_WINDOW = 5
 
 
 @dataclass
-class PenaltyConfig:
-    """Sparsifying penalty: kind "l1" or "continuation" with its schedule."""
-
-    kind: str = "l1"
-    gamma: float = 1.0
-    schedule: tuple = DEFAULT_SCHEDULE
-
-    def __post_init__(self):
-        if self.kind not in ("l1", "continuation"):
-            raise ConfigError(f"unknown penalty kind {self.kind!r}")
-        if self.gamma < 0:
-            raise ConfigError("penalty gamma must be nonnegative")
-        eps = np.asarray(self.schedule, dtype=float)
-        if len(eps) == 0 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
-            raise ConfigError("continuation schedule must be positive and strictly decreasing")
-
-
-@dataclass
 class IterationRecord:
     iteration: int
     objective: float  # penalized objective of the accepted iterate
     J: float
     grad_norm: float  # projected-gradient infinity norm
-    step: float
     pde_forward: int
     pde_adjoint: int
     wall_time: float
@@ -69,9 +54,6 @@ class DesignResult:
     stages: list = field(default_factory=list)  # continuation: dicts per stage
     converged: bool = False
     reached_binary: bool = True
-    method: str = ""
-    penalty: str = ""
-    gamma: float = 0.0
 
     @property
     def active_count(self) -> int:
@@ -171,31 +153,63 @@ def threshold(w: np.ndarray, tau_rel: float = 0.03) -> np.ndarray:
     return (w / total >= tau_rel).astype(int)
 
 
-def _make_recorder(history, J_from, grad_from, dense_ref, t_start):
-    # J_from / grad_from strip the penalty terms off the penalized (f, g) so
-    # no extra estimator evaluation (hence no extra PDE solve) is needed.
+def _real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def check_solve(gamma, tol, max_iters, threshold_rel=0.03, schedule=DEFAULT_SCHEDULE) -> None:
+    """The one check of a penalized solve's settings; both solves run it before any evaluation.
+
+    Raises :class:`ConfigError` unless gamma is finite and >= 0, tol finite and > 0, max_iters
+    an int >= 1, threshold_rel in (0, 1], and the schedule positive and strictly decreasing.
+    """
+    if not (_real(gamma) and 0 <= gamma < np.inf):
+        raise ConfigError(f"penalty gamma must be a finite number >= 0, got {gamma!r}")
+    if not (_real(tol) and 0 < tol < np.inf):
+        raise ConfigError(f"tol must be a finite number > 0, got {tol!r}")
+    if not (isinstance(max_iters, numbers.Integral) and _real(max_iters) and max_iters >= 1):
+        raise ConfigError(f"max_iters must be an int >= 1, got {max_iters!r}")
+    if not (_real(threshold_rel) and 0 < threshold_rel <= 1):
+        raise ConfigError(f"threshold must lie in (0, 1], got {threshold_rel!r}")
+    eps = np.asarray(schedule, dtype=float)
+    if eps.ndim != 1 or len(eps) == 0 or not (np.all(np.isfinite(eps) & (eps > 0)) and np.all(np.diff(eps) < 0)):
+        raise ConfigError("continuation schedule must be positive and strictly decreasing")
+
+
+def _stage(estimator, gamma, penalty, w0, tol, max_iters, dense_ref, history, t_start):
+    """One :func:`minimize_box` run of -J(w) + gamma * P(w) from ``w0`` (None: all 0.5), ``penalty(w) -> (P, dP)``.
+
+    Each accepted iterate is appended to ``history``; its J and gradient are
+    the penalized (f, g) with gamma * P and gamma * dP stripped off, so the
+    record costs no extra estimator evaluation (hence no extra PDE solve).
+    """
+
+    def fun(w):
+        J, g = estimator.evaluate(w)
+        P, dP = penalty(w)
+        return -J + gamma * P, -g + gamma * dP
+
     def on_accept(it, w, f, g, step):
         counts = solve_counter.snapshot()
+        P, dP = penalty(w)
         rec = IterationRecord(
             iteration=it,
             objective=f,
-            J=J_from(w, f),
+            J=-(f - gamma * P),
             grad_norm=projected_gradient_norm(w, g),
-            step=step,
             pde_forward=counts.forward,
             pde_adjoint=counts.adjoint,
             wall_time=time.perf_counter() - t_start,
         )
         if dense_ref is not None:
             J_d, g_d, _ = dense_ref.evaluate(w)
-            J_e, g_e = J_from(w, f), grad_from(w, g)
-            rec.J_error_vs_dense = abs(J_e - J_d) / max(abs(J_d), 1e-300)
-            rec.grad_error_vs_dense = float(
-                np.linalg.norm(g_e - g_d) / max(np.linalg.norm(g_d), 1e-300)
-            )
+            rec.J_error_vs_dense = abs(rec.J - J_d) / max(abs(J_d), 1e-300)
+            rec.grad_error_vs_dense = float(np.linalg.norm(gamma * dP - g - g_d) / max(np.linalg.norm(g_d), 1e-300))
         history.append(rec)
 
-    return on_accept
+    w0 = np.full(estimator.n_s, 0.5) if w0 is None else check_design_weights(w0, estimator.n_s)
+    window = NONMONOTONE_WINDOW if estimator.stochastic else 1
+    return minimize_box(fun, w0, tol=tol, max_iters=max_iters, window=window, on_accept=on_accept)
 
 
 def solve_l1(
@@ -204,45 +218,18 @@ def solve_l1(
     w0: np.ndarray | None = None,
     tol: float = 1e-5,
     max_iters: int = 200,
-    window: int | None = None,
     threshold_rel: float = 0.03,
     dense_ref=None,
 ) -> DesignResult:
-    """Minimize -J(w) + gamma * sum(w) over the box, then threshold.
-
-    The inner solver is monotone for deterministic estimators and uses the
-    5-iteration nonmonotone window for the randomized one.
-    """
-    if penalty_gamma < 0:
-        raise ConfigError("penalty_gamma must be nonnegative")
-    n_s = estimator.n_s
-    w0 = np.full(n_s, 0.5) if w0 is None else check_design_weights(w0, n_s)
-    if window is None:
-        window = NONMONOTONE_WINDOW if estimator.stochastic else 1
-
-    def fun(w):
-        J, g = estimator.evaluate(w)
-        return -J + penalty_gamma * float(np.sum(w)), -g + penalty_gamma
-
+    """Minimize -J(w) + gamma * sum(w) over the box in one stage, then threshold."""
+    check_solve(penalty_gamma, tol, max_iters, threshold_rel=threshold_rel)
     history: list[IterationRecord] = []
-    recorder = _make_recorder(
-        history,
-        lambda w, f: -(f - penalty_gamma * float(np.sum(w))),
-        lambda w, g: penalty_gamma - g,
-        dense_ref,
-        time.perf_counter(),
-    )
-    w, f, g, converged, _ = minimize_box(fun, w0, tol=tol, max_iters=max_iters, window=window, on_accept=recorder)
-    binary = threshold(w, threshold_rel)
-    return DesignResult(
-        w_opt=w,
-        binary=binary,
-        history=history,
-        converged=converged,
-        method=estimator.name,
-        penalty="l1",
-        gamma=penalty_gamma,
-    )
+
+    def penalty(w):
+        return float(np.sum(w)), np.ones_like(w)
+
+    w, _, _, converged, _ = _stage(estimator, penalty_gamma, penalty, w0, tol, max_iters, dense_ref, history, time.perf_counter())
+    return DesignResult(w_opt=w, binary=threshold(w, threshold_rel), history=history, converged=converged)
 
 
 def distance_to_binary(w: np.ndarray) -> float:
@@ -256,7 +243,6 @@ def solve_continuation(
     w0: np.ndarray | None = None,
     tol: float = 1e-5,
     max_iters: int = 200,
-    window: int | None = None,
     round_tol: float = 1e-2,
     dense_ref=None,
 ) -> DesignResult:
@@ -267,41 +253,19 @@ def solve_continuation(
     within ``round_tol`` of a bound; failure to reach a binary vector is
     reported via ``reached_binary``, not rounded away.
     """
-    cfg = PenaltyConfig(kind="continuation", gamma=penalty_gamma, schedule=tuple(schedule))
-    n_s = estimator.n_s
-    w = np.full(n_s, 0.5) if w0 is None else check_design_weights(w0, n_s)
-    if window is None:
-        window = NONMONOTONE_WINDOW if estimator.stochastic else 1
-
+    check_solve(penalty_gamma, tol, max_iters, schedule=schedule)
+    w = w0
     history: list[IterationRecord] = []
     stages = []
     t_start = time.perf_counter()
-    for eps in cfg.schedule:
+    for eps in schedule:
 
-        def fun(wv, eps=eps):
-            J, g = estimator.evaluate(wv)
-            pen = float(np.sum(wv / (wv + eps)))
-            gpen = eps / (wv + eps) ** 2
-            return -J + penalty_gamma * pen, -g + penalty_gamma * gpen
+        def penalty(wv, eps=eps):
+            return float(np.sum(wv / (wv + eps))), eps / (wv + eps) ** 2
 
-        recorder = _make_recorder(
-            history,
-            lambda wv, f, eps=eps: -(f - penalty_gamma * float(np.sum(wv / (wv + eps)))),
-            lambda wv, g, eps=eps: penalty_gamma * eps / (wv + eps) ** 2 - g,
-            dense_ref,
-            t_start,
-        )
-        w, f, g, converged, n_it = minimize_box(
-            fun, w, tol=tol, max_iters=max_iters, window=window, on_accept=recorder
-        )
+        w, f, g, converged, n_it = _stage(estimator, penalty_gamma, penalty, w, tol, max_iters, dense_ref, history, t_start)
         stages.append(
-            {
-                "eps": eps,
-                "iterations": n_it,
-                "objective": f,
-                "max_distance_to_binary": distance_to_binary(w),
-                "converged": converged,
-            }
+            dict(eps=eps, iterations=n_it, objective=f, max_distance_to_binary=distance_to_binary(w), converged=converged)
         )
 
     w_final = w.copy()
@@ -314,17 +278,13 @@ def solve_continuation(
             f"away from the bounds (max distance {distance_to_binary(w):.3g})",
             stacklevel=2,
         )
-    binary = (w_final >= 0.5).astype(int)
     return DesignResult(
         w_opt=w_final,
-        binary=binary,
+        binary=(w_final >= 0.5).astype(int),
         history=history,
         stages=stages,
         converged=all(s["converged"] for s in stages),
         reached_binary=reached,
-        method=estimator.name,
-        penalty="continuation",
-        gamma=penalty_gamma,
     )
 
 

@@ -7,7 +7,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, float_array
+from .errors import ConfigError
 from .fem import assemble, build_mesh, mass_factor, warn_if_advection_dominated
 from .oed import DesignProblem, NoiseModel, config_hash_bytes
 from .prior import PriorOperator, WhitenedForwardMap
@@ -47,14 +48,16 @@ class Problem:
         """Per-sensor noise std for the design model.
 
         noise.sigma_rel (default: noise.pct) times the peak clean
-        measurement, identical for all sensors.
+        measurement, identical for all sensors; 0 means noiseless.
         """
-        y_clean = self.forward.apply(self.theta_true)
-        peak = float(np.max(np.abs(y_clean)))
         rel = self.config.noise.sigma_rel
         if rel is None:
             rel = self.config.noise.pct
-        if peak == 0.0 or rel <= 0.0:
+        if not rel >= 0.0:
+            raise ConfigError(f"noise.sigma_rel (default noise.pct) must be >= 0, got {rel!r}")
+        y_clean = self.forward.apply(self.theta_true)
+        peak = float(np.max(np.abs(y_clean)))
+        if peak == 0.0 or rel == 0.0:
             # keep the noise model valid even for noiseless synthetic studies
             return np.full(self.obs.n_s, max(peak, 1.0) * 1e-12)
         return np.full(self.obs.n_s, rel * peak)
@@ -89,7 +92,7 @@ class Problem:
 
 
 def build_problem(config: ExperimentConfig) -> Problem:
-    mesh = build_mesh(config.mesh.nx, config.mesh.holes)
+    mesh = build_mesh(config.mesh.nx, float_array(config.mesh.holes, "mesh.holes", (None, 4)).tolist())
     velocity = VelocityField(amplitude=config.velocity.amplitude, holes=mesh.holes)
     ops = assemble(mesh, velocity)
     warn_if_advection_dominated(abs(config.velocity.amplitude), mesh.h, config.pde.kappa)
@@ -97,7 +100,7 @@ def build_problem(config: ExperimentConfig) -> Problem:
     obs = make_observation_setup(
         mesh,
         config.sensor_coordinates(),
-        config.obs.times,
+        float_array(config.obs.times, "obs.times", (None,)),
         config.pde.T,
         config.pde.n_steps,
     )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import make_config
-from oed_dopt import cli, oed
+from oed_dopt import cli, oed, optimize
 from oed_dopt.problem import build_problem
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -48,9 +48,41 @@ def test_benchmark_call_forms_bind():
         (DP.kl_estimate, ("self", "w", "y"), {"method": "eig", "k": 10, "theta_post": None, "seed": 0}),
         (DP.estimator, ("self", "rand"), {"cfg": None}),
         (DP.estimator, ("self", "frozen"), {"frozen": None}),
+        (optimize.solve_l1, ("est", 0.5), {"w0": None}),
+        (optimize.solve_continuation, ("est", 0.5), {}),
+        # the tracer calls minimize_box(fun, w0, *args, on_accept=..., **kwargs) and
+        # forwards on_accept(it, w, f, g, step)
+        (optimize.minimize_box, ("fun", "w0"), {"on_accept": None}),
     ]
     for fn, args, kwargs in forms:
         inspect.signature(fn).bind(*args, **kwargs)
+    assert optimize.DEFAULT_SCHEDULE
+
+
+class CountingEstimator:
+    """Forwards to an estimator and counts its evaluations."""
+
+    def __init__(self, est):
+        self.est, self.calls = est, 0
+        self.name, self.n_s, self.stochastic = est.name, est.n_s, est.stochastic
+
+    def evaluate(self, w):
+        self.calls += 1
+        return self.est.evaluate(w)
+
+
+@pytest.mark.parametrize("solve", ["solve_l1", "solve_continuation"])
+def test_traced_optimizer_counts_match_solves(solve):
+    """Under perfbench's tracer, optimize.evals equals the estimator's evaluate calls and
+    optimize.accepted equals the accepted iterates: the history less one start per stage."""
+    design = build_problem(make_config(**TINY)).design
+    est = CountingEstimator(design.estimator("dense"))
+    tracer = tracing.Tracer([])
+    with tracer.installed():
+        result = getattr(optimize, solve)(est, 10.0)  # takes line-search trials on TINY
+    stages = max(len(result.stages), 1)
+    assert tracer.counts["optimize.evals"] == est.calls
+    assert tracer.counts["optimize.accepted"] == len(result.history) - stages > 0
 
 
 @pytest.mark.parametrize("first", ["ensure_z", "dense_reference"])

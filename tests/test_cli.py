@@ -1,11 +1,16 @@
 """Configuration handling and the command-line drivers."""
 
 import csv
+import dataclasses
 import json
 import os
+import tempfile
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oed_dopt import oed
 from oed_dopt.accounting import count_solves, solve_counter
@@ -371,6 +376,88 @@ def test_cli_bad_input_refused_before_z_step(tmp_path, command):
     assert main(argv + ["--out", out]) == 2
     assert solve_counter.snapshot().total == 0  # main() resets the tally on entry
     assert not os.path.exists(os.path.join(out, "z_cache.bin"))
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"opt": {"gamma": -1.0}},
+        {"opt": {"gamma": float("nan")}},
+        {"opt": {"gamma": "abc"}},
+        {"opt": {"penalty": "cont", "cont_stages": 0}},
+        {"opt": {"tol": -1.0}},
+        {"opt": {"tol": float("nan")}},
+        {"opt": {"max_iters": 0}},
+        {"opt": {"max_iters": -3}},
+        {"opt": {"max_iters": 2.5}},
+        {"opt": {"threshold": 2.0}},
+        {"opt": {"threshold": float("nan")}},
+        {"mesh": {"nx": "abc"}},
+        {"mesh": {"nx": 3.5}},
+        {"mesh": {"nx": 6, "holes": [[0.25, 0.25, "x", 0.75]]}},
+        {"mesh": {"nx": 6, "holes": [[0.25, 0.25, 0.75]]}},
+        {"pde": {"kappa": "x"}},
+        {"sketch": {"k": "a"}},
+        {"sketch": {"k": 2.5}},
+        {"noise": {"pct": "x"}},
+        {"noise": {"sigma_rel": -1.0}},
+        {"obs": {"times": "abc"}},
+        {"obs": {"times": [0.5, "1.0"]}},
+        {"obs": {"times": [[0.5], [1.0]]}},
+        {"sensors": {"grid": ["3", 3]}},
+        {"sensors": {"grid": [3, 3], "margin": [0.25, None]}},
+        {"sensors": {"coords": [[0.5, "a"]]}},
+        {"sensors": {"coords": [[0.5, 0.5], [0.25]]}},
+    ],
+    ids=lambda o: json.dumps(o),
+)
+def test_cli_bad_config_value_refused_before_any_solve(tmp_path, override):
+    """A wrong-typed or out-of-range config value exits 2 at 0 solves, without a traceback,
+    and leaves no z cache in a fresh output directory."""
+    payload = json.loads(json.dumps(SMALL))
+    for section, values in override.items():
+        payload.setdefault(section, {}).update(values)
+    out = str(tmp_path / "fresh")
+    assert main(["oed", "--config", write_config(tmp_path, payload), "--out", out]) == 2
+    assert solve_counter.snapshot().total == 0  # main() resets the tally on entry
+    assert not os.path.exists(os.path.join(out, "z_cache.bin"))
+
+
+FIELDS = [
+    (section, f.name, f.type)
+    for section, cls in typing.get_type_hints(ExperimentConfig).items()
+    for f in dataclasses.fields(cls)
+]
+_TEXT, _BOOL, _NONE = st.text(max_size=4), st.booleans(), st.none()
+_LIST, _INT, _FLOAT = st.lists(st.integers(0, 3), max_size=2), st.integers(-3, 3), st.floats(-3, 3)
+_WRONG = {
+    "int": [_TEXT, _BOOL, _LIST, _FLOAT],
+    "float": [_TEXT, _BOOL, _LIST],
+    "str": [_BOOL, _LIST, _INT, _FLOAT],
+    "list": [_TEXT, _BOOL, _INT, _FLOAT],
+}
+
+
+def wrong_typed(annotation: str):
+    """Values of another JSON type than ``annotation`` ("int", "list | None", ...) allows."""
+    base = annotation.removesuffix(" | None")
+    return st.one_of(*_WRONG[base], *([] if base != annotation else [_NONE]))
+
+
+@pytest.mark.parametrize("section, key, annotation", FIELDS, ids=[f"{s}.{k}" for s, k, _ in FIELDS])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_cli_wrong_typed_field_exits_2(section, key, annotation, data):
+    """Any config field of the wrong JSON type makes oed exit 2 at 0 solves, raising nothing."""
+    value = data.draw(wrong_typed(annotation), label=f"{section}.{key}")
+    payload = json.loads(json.dumps(SMALL))
+    payload.setdefault(section, {})[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as f:
+            json.dump(payload, f)
+        assert main(["oed", "--config", path, "--out", os.path.join(tmp, "out")]) == 2
+    assert solve_counter.snapshot().total == 0
 
 
 def test_cli_warm_cache_compare_random_spends_only_synthesis(tmp_path):

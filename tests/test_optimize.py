@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oed_dopt.errors import ConfigError
 from oed_dopt.optimize import (
-    PenaltyConfig,
+    DEFAULT_SCHEDULE,
     distance_to_binary,
     minimize_box,
     project_box,
@@ -17,16 +17,6 @@ from oed_dopt.optimize import (
     threshold,
 )
 from oed_dopt.sketch import SketchConfig
-
-
-def test_penalty_config_validation():
-    with pytest.raises(ConfigError):
-        PenaltyConfig(kind="l2")
-    with pytest.raises(ConfigError):
-        PenaltyConfig(gamma=-1.0)
-    with pytest.raises(ConfigError):
-        PenaltyConfig(schedule=(0.5, 0.5))
-    assert PenaltyConfig().schedule == tuple(0.5**i for i in range(1, 7))
 
 
 class CountingQuadratic:
@@ -42,6 +32,36 @@ class CountingQuadratic:
     def evaluate(self, w):
         self.calls += 1
         return -float(np.sum((w - 0.3) ** 2)), -2.0 * (w - 0.3)
+
+
+def test_penalty_config_validation():
+    """Each solve refuses a bad gamma, tol, max_iters, threshold or schedule before any evaluation."""
+    cases = [
+        (solve_l1, -1.0, {}),
+        (solve_l1, np.nan, {}),
+        (solve_l1, np.inf, {}),
+        (solve_l1, "abc", {}),
+        (solve_l1, 0.1, {"tol": -1.0}),
+        (solve_l1, 0.1, {"tol": np.nan}),
+        (solve_l1, 0.1, {"max_iters": 0}),
+        (solve_l1, 0.1, {"max_iters": 2.5}),
+        (solve_l1, 0.1, {"max_iters": True}),
+        (solve_l1, 0.1, {"threshold_rel": 2.0}),
+        (solve_l1, 0.1, {"threshold_rel": np.nan}),
+        (solve_l1, 0.1, {"threshold_rel": 0.0}),
+        (solve_continuation, -1.0, {}),
+        (solve_continuation, 0.1, {"max_iters": -3}),
+        (solve_continuation, 0.1, {"schedule": ()}),
+        (solve_continuation, 0.1, {"schedule": (0.5, 0.5)}),
+        (solve_continuation, 0.1, {"schedule": (0.5, -0.25)}),
+        (solve_continuation, 0.1, {"schedule": (np.nan,)}),
+    ]
+    for solve, gamma, kwargs in cases:
+        est = CountingQuadratic()
+        with pytest.raises(ConfigError):
+            solve(est, gamma, **kwargs)
+        assert est.calls == 0, (solve.__name__, gamma, kwargs)
+    assert DEFAULT_SCHEDULE == tuple(0.5**i for i in range(1, 7))
 
 
 @pytest.mark.parametrize("solve", [solve_l1, solve_continuation])
@@ -184,7 +204,7 @@ def test_estimator_agnostic_agreement(desk_design):
     res_dense = solve_l1(desk_design.estimator("dense"), gamma, max_iters=400)
     res_eig = solve_l1(desk_design.estimator("eig", k=desk_design.rank_bound), gamma, max_iters=400)
     cfg = SketchConfig(k=desk_design.rank_bound, p=5, q=1, seed=11)
-    res_rand = solve_l1(desk_design.estimator("rand", cfg=cfg), gamma, max_iters=400, window=1)
+    res_rand = solve_l1(desk_design.estimator("rand", cfg=cfg), gamma, max_iters=400)
     assert np.max(np.abs(res_eig.w_opt - res_dense.w_opt)) <= 1e-3
     assert np.max(np.abs(res_rand.w_opt - res_dense.w_opt)) <= 1e-3
 
