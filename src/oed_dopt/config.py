@@ -80,6 +80,16 @@ class TrueStateConfig:
         ]
     )
 
+    def __post_init__(self):
+        for bump in self.bumps:
+            keys = isinstance(bump, dict) and set(bump) == {"center", "width", "amplitude"}
+            numbers = keys and all(_fits(bump[key], float) for key in ("width", "amplitude"))
+            if not (numbers and bump["width"] > 0 and np.all(np.isfinite([bump["width"], bump["amplitude"]]))):
+                raise ConfigError(
+                    f"theta_true.bumps entries need exactly a center, a finite width > 0 and amplitude, got {bump!r}"
+                )
+            float_array(bump["center"], "theta_true.bumps center", (2,))
+
 
 @dataclass
 class SketchSection:
@@ -250,9 +260,10 @@ class ExperimentConfig:
         s = self.sensors
         if s.coords is not None:
             return float_array(s.coords, "sensors.coords", (None, 2))
-        gx, gy = (int(v) for v in float_array(s.grid, "sensors.grid", (2,)))
-        if gx < 1 or gy < 1:
-            raise ConfigError("sensors.grid entries must be >= 1")
+        grid = float_array(s.grid, "sensors.grid", (2,))
+        if np.any(grid < 1) or np.any(grid != np.round(grid)):
+            raise ConfigError(f"sensors.grid entries must be integers >= 1, got {s.grid!r}")
+        gx, gy = grid.astype(int)
         mx, my = float_array(s.margin, "sensors.margin", (2,))
         if not (0 <= mx < 0.5 and 0 <= my < 0.5):
             raise ConfigError("sensors.margin entries must lie in [0, 0.5)")

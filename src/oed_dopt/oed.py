@@ -115,6 +115,7 @@ class MisfitHessianOp(LinearOperator):
 
     The last block application keeps its forward images as ``last_images =
     (X, G X)``, so a caller that needs G X for the same X pays no solve.
+    ``rank_bound`` = n_t |supp w| bounds the rank: only active rows of W are nonzero.
     """
 
     def __init__(self, G, w: np.ndarray, noise: NoiseModel, n_t: int):
@@ -122,6 +123,7 @@ class MisfitHessianOp(LinearOperator):
         self.w = check_design_weights(w, noise.n_s)
         self.noise = noise
         self.diag_w = weighted_diag(self.w, noise.sigma, n_t)
+        self.rank_bound = n_t * int(np.count_nonzero(self.w))
         self.last_images = None
         super().__init__(dtype=float, shape=(G.n, G.n))
 
@@ -129,6 +131,7 @@ class MisfitHessianOp(LinearOperator):
         return self.G.apply_transpose(self.diag_w * self.G.apply(np.asarray(x).ravel()))
 
     def _matmat(self, X):
+        self.last_images = None  # release the previous block before this one's solves
         GX = self.G.apply(X)
         self.last_images = (X, GX)
         return self.G.apply_transpose(self.diag_w[:, None] * GX)
@@ -307,15 +310,18 @@ class DesignProblem:
 
     # -- truncated spectral estimator ---------------------------------------
 
-    def _top_eigs(self, w, k: int, seed: int, images: bool = False):
-        """(eig, G U): the top-k eigenpairs of H(w) and, if asked, their forward images.
+    def _top_eigs(self, w, k: int, seed: int):
+        """(eig, G U): the top-k eigenpairs of H(w) and their forward images.
 
         J, the gradient and the KL term of one design share a single
         ``exact_eigs`` run: the last run is kept, keyed by the bytes of w, k
         and the seed, so a repeat costs no solve and returns the same arrays.
-        G U is the residual check's own ``op @ U`` product; only on the
-        dense-fallback and zero-operator branches does it cost k forward
-        solves, once, when ``images`` asks for it.  Otherwise it may be None.
+        G U costs no solve either.  Every branch of the run that applies the
+        operator ends with a block X of orthonormal columns whose span holds
+        U (U itself after ARPACK's residual check, Q on the blocked branch,
+        the identity on the dense fallback), so G U = (G X)(X^T U) from
+        ``op.last_images``.  A run with no block is a zero spectrum, which
+        the gradient does not weight: its X is empty and G U is zeros.
         """
         w = check_design_weights(w, self.n_s)
         if k > self.rank_bound:
@@ -324,13 +330,10 @@ class DesignProblem:
         if self._eig_run is None or self._eig_run[0] != key:
             op = self.misfit_op(w)
             eig = exact_eigs(op, k, seed=seed)
-            X, GU = op.last_images or (None, None)
-            self._eig_run = (key, eig, GU if X is eig.U else None)
-        _, eig, GU = self._eig_run
-        if images and GU is None:
-            GU = self.G.apply(eig.U)  # k forward solves
+            X, GX = op.last_images or (np.zeros((self.G.n, 0)), np.zeros((self.G.n_y, 0)))
+            GU = GX if X is eig.U else GX @ (X.T @ eig.U)
             self._eig_run = (key, eig, GU)
-        return eig, GU
+        return self._eig_run[1:]
 
     def objective_grad_eig(self, w, k: int, seed: int = 0):
         """Objective and gradient from the top-k exact eigenpairs of H(w).
@@ -338,7 +341,7 @@ class DesignProblem:
         Costs one eigensolve per design, shared with :meth:`objective_eig`
         and ``kl_estimate(method="eig")``, and no further solve.
         """
-        eig, GU = self._top_eigs(w, k, seed, images=True)
+        eig, GU = self._top_eigs(w, k, seed)
         J = float(np.sum(np.log1p(eig.lam)))
         return J, self._gradient_from_pairs(eig.lam, GU)
 

@@ -136,21 +136,52 @@ def sketched_logdet(T: np.ndarray) -> float:
     return float(np.sum(np.log1p(np.clip(lam, 0.0, None))))
 
 
+_BLOCK_OVERSAMPLING = 5  # of the blocked branch of exact_eigs: l = max(k, rank bound) + 5
+
+
+def _checked_pairs(U, lam, residual, rtol: float) -> LowRankEig:
+    """The pairs (U, lam) once every column of ``residual`` = op U - U lam is within rtol * lam_max."""
+    residuals = np.linalg.norm(residual, axis=0)
+    lam_max = lam[0] if lam[0] > 0 else 1.0
+    if np.any(residuals > rtol * lam_max):
+        raise ConvergenceError(f"eigenpair residuals exceed {rtol:g} * lam_max", residuals=residuals)
+    return LowRankEig(U=U, lam=lam)
+
+
 def exact_eigs(op, k: int, rtol: float = 1e-8, seed: int = 0, maxiter: int | None = None) -> LowRankEig:
     """Top-k eigenpairs of a symmetric PSD operator.
 
-    Uses implicitly restarted Lanczos (ARPACK) with a deterministic start
-    vector; falls back to a dense eigensolve when k is too close to n (only
-    allowed for n <= DENSE_GUARD).  Each returned pair satisfies
-    ||op u - lam u|| <= rtol * lam_max, verified explicitly; otherwise a
-    :class:`ConvergenceError` carrying the residuals is raised.
+    An operator may declare ``rank_bound`` r (else r = n); r = 0 gives lam = 0
+    with no application.  With l = min(n, max(k, r) + 5), r < n and 2l <= ncv
+    + k + 1 (ncv = min(n, max(2k+1, 20)), scipy ``eigsh``'s Krylov size), one
+    seeded Gaussian block Y = op Omega, Q = qr(Y), op Q and Rayleigh-Ritz give
+    the pairs, exact once l >= rank, at 2l column applications: never more
+    than ARPACK's cheapest run (a probe, ncv matvecs, k residual columns).
+    Otherwise implicitly restarted Lanczos (ARPACK) runs from a deterministic
+    start vector, or a dense eigensolve when k is too close to n (only for n
+    <= DENSE_GUARD).  Each pair must satisfy ||op u - lam u|| <= rtol *
+    lam_max, checked explicitly (from the held op Q on the blocked branch),
+    or a :class:`ConvergenceError` carrying the residuals is raised, also
+    when a declared rank bound understates the rank.
     """
     n = op.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"need 1 <= k <= n, got k = {k}, n = {n}")
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
+    r = min(n, getattr(op, "rank_bound", n))
+    if r == 0:
+        return LowRankEig(U=np.linalg.qr(rng.standard_normal((n, k)))[0], lam=np.zeros(k))
+    l = min(n, max(k, r) + _BLOCK_OVERSAMPLING)
+    if r < n and 2 * l <= min(n, max(2 * k + 1, 20)) + k + 1:
+        # plain QR: Y has rank <= r < l, and its deficient directions get zero Ritz values
+        Q = np.linalg.qr(apply_operator(op, rng.standard_normal((n, l))))[0]
+        HQ = apply_operator(op, Q)
+        lam, V = np.linalg.eigh(Q.T @ HQ)  # reads one triangle: Q^T op Q is symmetric to roundoff
+        lam, V = np.clip(lam[::-1][:k], 0.0, None), V[:, ::-1][:, :k]
+        U = Q @ V
+        return _checked_pairs(U, lam, HQ @ V - U * lam, rtol)
 
+    v0 = rng.standard_normal(n)
     probe = apply_operator(op, v0 / np.linalg.norm(v0))
     if np.linalg.norm(probe) == 0.0:
         U = np.linalg.qr(rng.standard_normal((n, k)))[0]
@@ -175,14 +206,7 @@ def exact_eigs(op, k: int, rtol: float = 1e-8, seed: int = 0, maxiter: int | Non
         ) from exc
     order = np.argsort(lam)[::-1]
     lam, U = np.clip(lam[order], 0.0, None), U[:, order]
-
-    residuals = np.linalg.norm(apply_operator(op, U) - U * lam, axis=0)
-    lam_max = lam[0] if lam[0] > 0 else 1.0
-    if np.any(residuals > rtol * lam_max):
-        raise ConvergenceError(
-            f"eigenpair residuals exceed {rtol:g} * lam_max", residuals=residuals
-        )
-    return LowRankEig(U=U, lam=lam)
+    return _checked_pairs(U, lam, apply_operator(op, U) - U * lam, rtol)
 
 
 def cge_constant(k: int, p: int, n: int) -> float:

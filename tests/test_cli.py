@@ -92,6 +92,9 @@ def test_sensor_grid_and_coords():
     assert cfg2.sensor_coordinates().shape == (2, 2)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({**SMALL, "sensors": {"grid": [0, 3]}}).sensor_coordinates()
+    with pytest.raises(ConfigError, match="integers"):
+        ExperimentConfig.from_dict({**SMALL, "sensors": {"grid": [2.5, 3]}}).sensor_coordinates()
+    assert ExperimentConfig.from_dict({**SMALL, "sensors": {"grid": [3.0, 2]}}).sensor_coordinates().shape == (6, 2)
 
 
 def test_design_noise_scale_override():
@@ -408,6 +411,14 @@ def test_cli_bad_input_refused_before_z_step(tmp_path, command):
         {"sensors": {"grid": [3, 3], "margin": [0.25, None]}},
         {"sensors": {"coords": [[0.5, "a"]]}},
         {"sensors": {"coords": [[0.5, 0.5], [0.25]]}},
+        {"sensors": {"grid": [2.5, 3]}},
+        {"theta_true": {"bumps": [{"center": [0.5, 0.5], "width": "0.1", "amplitude": 1.0}]}},
+        {"theta_true": {"bumps": [{"width": 0.1, "amplitude": 1.0}]}},
+        {"theta_true": {"bumps": [{"center": [0.5], "width": 0.1, "amplitude": 1.0}]}},
+        {"theta_true": {"bumps": [{"center": [0.5, 0.5], "width": 0.0, "amplitude": 1.0}]}},
+        {"theta_true": {"bumps": [{"center": [0.5, 0.5], "width": 0.1}]}},
+        {"theta_true": {"bumps": [0.3]}},
+        {"theta_true": {"bumps": [{"center": [0.5, 0.5], "width": 0.1, "amplitude": 1.0, "widht": 0.2}]}},
     ],
     ids=lambda o: json.dumps(o),
 )

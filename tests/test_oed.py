@@ -1,7 +1,10 @@
 """Misfit-Hessian estimators: z constants, Eig-k, randomized, frozen, KL, dense."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from conftest import make_config, synthetic_design
 from oed_dopt.accounting import count_solves
@@ -147,9 +150,67 @@ def test_z_cache_old_format_is_recomputed(tmp_path, small_design):
 
 
 def test_objective_grad_eig_zero_design(small_design):
-    J, grad = small_design.objective_grad_eig(np.zeros(small_design.n_s), k=5)
+    """H(0) = 0 has rank bound 0: lam = 0 and grad = z, with no probe and no G U."""
+    small_design.ensure_z()
+    with count_solves() as c:
+        J, grad = small_design.objective_grad_eig(np.zeros(small_design.n_s), k=5)
+    assert c.delta.total == 0
     assert J == 0.0
     assert np.allclose(grad, small_design.z, rtol=1e-12)
+
+
+def test_misfit_op_rank_bound_counts_active_sensors(small_design):
+    w = np.zeros(small_design.n_s)
+    w[[1, 4, 7]] = [1.0, 0.3, 1e-9]
+    assert small_design.misfit_op(w).rank_bound == small_design.n_t * 3
+    assert small_design.misfit_op(np.zeros(small_design.n_s)).rank_bound == 0
+
+
+def without_rank_bound(op):
+    """op with no declared rank bound, so exact_eigs takes ARPACK (or its dense fallback)."""
+    return LinearOperator(op.shape, matvec=op.matvec, matmat=op.matmat, dtype=float)
+
+
+@pytest.mark.parametrize("n_active, k", [(2, 8), (3, 8)])
+def test_eig_blocked_branch_on_sparse_binary_design(small_design, n_active, k):
+    """A binary design with r = n_t |supp w| <= k, or r = 9 just above k = 8, takes the
+    blocked branch: exactly 2l forward and 2l adjoint solves, l = max(k, r) + 5, no warning,
+    and J, gradient and spectrum as the exact reference and the ARPACK path give them."""
+    d = fresh_design(small_design)
+    ref = d.dense_reference()
+    w = np.zeros(d.n_s)
+    w[np.random.default_rng(30 + n_active).choice(d.n_s, n_active, replace=False)] = 1.0
+    l = max(k, d.n_t * n_active) + 5
+    with count_solves() as c, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        J, g = d.objective_grad_eig(w, k)
+    assert (c.delta.forward, c.delta.adjoint) == (2 * l, 2 * l)
+    J_ref, g_ref, lam_ref = ref.evaluate(w)
+    assert abs(J_ref - J) == pytest.approx(np.sum(np.log1p(lam_ref[k:])), rel=1e-8, abs=1e-10)
+    lam = d.estimator("eig", k=k).spectrum(w)
+    assert np.allclose(lam, lam_ref[:k], rtol=1e-8, atol=1e-10 * lam_ref[0])
+    if n_active * d.n_t <= k:  # the whole spectrum: J and the gradient are exact
+        assert J == pytest.approx(J_ref, rel=1e-8)
+        assert np.linalg.norm(g - g_ref) <= 1e-8 * np.linalg.norm(g_ref)
+    J_a, g_a, _, lam_a = separate_eig_run(d, w, k, 0, without_rank_bound(d.misfit_op(w)))
+    assert J == pytest.approx(J_a, rel=1e-8)
+    assert np.allclose(lam, lam_a, rtol=1e-8, atol=1e-10 * lam[0])
+    assert np.linalg.norm(g - g_a) <= 1e-8 * np.linalg.norm(g_a)
+
+
+def test_eig_all_positive_design_keeps_arpack(small_design):
+    """r = n_y = 27 makes the block cost 2l = 64 > ncv + k + 1 = 29: ARPACK runs at the
+    30 forward and 30 adjoint solves of the plain operator, and agrees with it."""
+    d = fresh_design(small_design)
+    w = np.random.default_rng(21).uniform(0.2, 1.0, d.n_s)
+    with count_solves() as c:
+        J, g = d.objective_grad_eig(w, 8, seed=3)
+    with count_solves() as c_plain:
+        J_a, g_a, _, _ = separate_eig_run(d, w, 8, 3, without_rank_bound(d.misfit_op(w)))
+    assert (c.delta.forward, c.delta.adjoint) == (30, 30)
+    assert c_plain.delta.adjoint == 30
+    assert J == pytest.approx(J_a, rel=1e-12)
+    assert np.linalg.norm(g - g_a) <= 1e-12 * np.linalg.norm(g_a)
 
 
 def test_objective_grad_eig_full_rank_matches_dense(small_design):
@@ -196,18 +257,19 @@ def fresh_design(d):
     return out
 
 
-def separate_eig_run(d, w, k, seed):
-    """J, gradient and KL spectral term from a separate exact_eigs run plus G.apply(U)."""
-    eig = exact_eigs(d.misfit_op(w), k, seed=seed)
+def separate_eig_run(d, w, k, seed, op=None):
+    """J, gradient, KL spectral term and spectrum from a separate exact_eigs run
+    (of ``op``, default d.misfit_op(w)) plus G.apply(U)."""
+    eig = exact_eigs(d.misfit_op(w) if op is None else op, k, seed=seed)
     lam = eig.lam
     S = (sensor_blocks(d.G.apply(eig.U), d.n_s, d.n_t) ** 2).sum(axis=0)
     grad = d.z - (S @ (lam / (1.0 + lam))) / d.noise.sigma**2
     kl_spectral = 0.5 * float(np.sum(np.log1p(lam)) - np.sum(lam / (1.0 + lam)))
-    return float(np.sum(np.log1p(lam))), grad, kl_spectral
+    return float(np.sum(np.log1p(lam))), grad, kl_spectral, lam
 
 
 def assert_matches_separate_run(d, w, k, seed, with_kl=True):
-    J_ref, g_ref, kl_ref = separate_eig_run(d, w, k, seed)
+    J_ref, g_ref, kl_ref, _ = separate_eig_run(d, w, k, seed)
     J, g = d.objective_grad_eig(w, k, seed=seed)
     assert J == pytest.approx(J_ref, rel=1e-12, abs=1e-300)
     assert d.objective_eig(w, k, seed=seed) == J
@@ -276,11 +338,11 @@ def test_eig_estimates_match_separate_run(small_design):
     rng = np.random.default_rng(23)
     for k, seed in ((4, 0), (11, 5), (d.rank_bound, 1)):
         assert_matches_separate_run(d, rng.uniform(0.1, 1.0, d.n_s), k, seed)
-    # all-zero design: the zero-operator branch, G U by k forward solves
+    # all-zero design: rank bound 0, no probe and no G U
     w0 = np.zeros(d.n_s)
     with count_solves() as c:
         J, g = d.objective_grad_eig(w0, 5)
-    assert (J, c.delta.forward) == (0.0, 5 + 1)  # the probe, then G U
+    assert (J, c.delta.total) == (0.0, 0)
     assert_matches_separate_run(d, w0, 5, 0)
 
 

@@ -1,5 +1,7 @@
 """Subspace iteration, eigen-reconstruction, exact eigensolver, bound formulas."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator
 
 from conftest import random_psd
-from oed_dopt.errors import ConfigError
+from oed_dopt.errors import ConfigError, ConvergenceError
 from oed_dopt.sketch import (
     DENSE_GUARD,
     LowRankEig,
@@ -148,6 +150,75 @@ def test_exact_eigs_dense_fallback_guard():
     with pytest.raises(ConfigError, match=f"refused for n = {n} > {DENSE_GUARD}"):
         exact_eigs(op, n - 1)
     assert len(applied) == 1  # the start-vector probe only; no n x n identity apply
+
+
+class DeclaredRankOp(LinearOperator):
+    """A dense symmetric matrix with a declared ``rank_bound``; records each application's shape."""
+
+    def __init__(self, A, rank_bound):
+        self.A = A
+        self.rank_bound = rank_bound
+        self.applied = []
+        super().__init__(dtype=float, shape=A.shape)
+
+    def _matvec(self, x):
+        self.applied.append(np.shape(x))
+        return self.A @ np.ravel(x)
+
+    def _matmat(self, X):
+        self.applied.append(X.shape)
+        return self.A @ X
+
+
+def low_rank_psd(n, r, rng):
+    Q = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    return (Q * 2.0 ** -np.arange(r, dtype=float)) @ Q.T
+
+
+def test_exact_eigs_blocked_branch_is_exact_and_silent():
+    """rank_bound r = 10, k = 9: l = 15 and 2l = 30 <= ncv + k + 1 = 30, so two
+    applications of one 15-column block give the top pairs, with no warning although
+    the block is rank deficient."""
+    n, r, k = 200, 10, 9
+    op = DeclaredRankOp(low_rank_psd(n, r, np.random.default_rng(8)), r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eig = exact_eigs(op, k, seed=2)
+    assert op.applied == [(n, r + 5), (n, r + 5)]
+    lam_ref = np.sort(np.linalg.eigvalsh(op.A))[::-1][:k]
+    assert np.allclose(eig.lam, lam_ref, rtol=1e-8)
+    res = np.linalg.norm(op.A @ eig.U - eig.U * eig.lam, axis=0)
+    assert np.all(res <= 1e-8 * eig.lam[0])
+    assert np.allclose(eig.U.T @ eig.U, np.eye(k), atol=1e-12)
+
+
+def test_exact_eigs_blocked_branch_selection():
+    """One column fewer in k makes 2l = 30 > ncv + k + 1 = 29, and ARPACK runs
+    (its first application is the one-column probe); no bound, or r = n, keeps ARPACK too."""
+    n, r = 200, 10
+    A = low_rank_psd(n, r, np.random.default_rng(9))
+    for rank_bound, k in ((r, 8), (n, 9)):
+        op = DeclaredRankOp(A, rank_bound)
+        eig = exact_eigs(op, k, seed=2)
+        assert op.applied[0] == (n,)
+        assert np.allclose(eig.lam, np.sort(np.linalg.eigvalsh(A))[::-1][:k], rtol=1e-8)
+
+
+def test_exact_eigs_zero_rank_bound_applies_nothing():
+    op = DeclaredRankOp(np.zeros((30, 30)), 0)
+    eig = exact_eigs(op, 4)
+    assert op.applied == []
+    assert np.array_equal(eig.lam, np.zeros(4))
+    assert np.allclose(eig.U.T @ eig.U, np.eye(4), atol=1e-12)
+
+
+def test_exact_eigs_understated_rank_bound_raises():
+    """A declared rank bound below the true rank fails the residual check, not silently."""
+    rng = np.random.default_rng(10)
+    op = DeclaredRankOp(random_psd(200, rng, decay=rng.uniform(1.0, 2.0, 200)), 10)
+    with pytest.raises(ConvergenceError, match="residuals exceed"):
+        exact_eigs(op, 9)
+    assert len(op.applied) == 2
 
 
 def test_cge_requires_p_at_least_two():
