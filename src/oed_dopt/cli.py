@@ -30,7 +30,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, NumericalError
 from .fem import export_mesh_csv
 from .inverse import map_estimate
-from .oed import check_design_weights, kl_divergence
+from .oed import check_design_weights, check_tol, kl_divergence
 from .optimize import check_solve, random_binary_designs, solve_continuation, solve_l1
 from .problem import build_problem
 from .sketch import SketchConfig
@@ -196,17 +196,18 @@ def cmd_oed(config: ExperimentConfig, out_dir: str) -> None:
 
 
 def cmd_evaluate(config: ExperimentConfig, weights_file: str, out_dir: str) -> None:
+    check_tol(config.opt.tol)
     problem = build_problem(config)
     w, _ = _read_weights(weights_file, problem.obs.n_s)
     design = _prepare_design(problem, out_dir)
     est = _estimator(problem, config)
     y_obs, _ = problem.synthesize()
-    report = map_estimate(design, w, y_obs, tol=min(config.opt.tol, 1e-8))
     sk = _sketch_config(config)
 
     # KL has no frozen form: the frozen method reports the sketch's KL
     kl_est = design.estimator("rand", cfg=sk) if est.name == "frozen" else est
-    lam = kl_est.spectrum(w)
+    lam = kl_est.spectrum(w)  # before the MAP point, so CG starts in an Eig-k run's block
+    report = map_estimate(design, w, y_obs, tol=min(config.opt.tol, 1e-8))
     J = est.objective(w)  # the same sketch or eigensolve as lam, unless frozen
     metrics = {
         "J": J,

@@ -6,6 +6,9 @@ The MAP point solves the whitened normal equations
 
 by plain conjugate gradients; the whitened system is I plus a PSD operator so
 its condition number is 1 + lam_max and no further preconditioning is needed.
+CG starts at the Galerkin solution in the orthonormal block X of the design's
+Eig-k run for w (:meth:`DesignProblem.held_block`) for 2 adjoint solves, else
+at zero for 1; each iteration costs one forward and one adjoint solve.
 Posterior variance and samples use a low-rank eigen-approximation of H(w).
 """
 
@@ -14,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import ConfigError, ConvergenceError
-from .oed import DesignProblem, check_design_weights, weighted_diag
+from .oed import DesignProblem, check_design_weights, check_tol
 from .sketch import LowRankEig
 
 
@@ -39,44 +43,54 @@ def map_estimate(
 ) -> MapSolveReport:
     """MAP point by matrix-free CG on the whitened normal equations.
 
-    Each iteration costs one forward and one adjoint PDE solve.  Raises
-    :class:`ConvergenceError` if the relative residual has not reached
-    ``tol`` within ``max_iter`` iterations.
+    With a block (X, G X) held for w, x0 = X c, c = (I + (GX)^T W GX)^{-1}
+    (GX)^T W y_obs, and one 2-column adjoint call on W [y_obs, y_obs - GX c]
+    gives b and the true residual b - (I + H) x0; else x0 = 0 and b costs 1
+    adjoint solve.  A tol that is not a finite number > 0 is a
+    :class:`ConfigError`; a breakdown (p^T A p <= 0) or a residual above
+    ``tol`` after ``max_iter`` iterations is a :class:`ConvergenceError`.
     """
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
+    check_tol(tol)
     w = check_design_weights(w, design.n_s)
     y_obs = np.asarray(y_obs, dtype=float).ravel()
     if y_obs.shape[0] != design.G.n_y:
         raise ConfigError("y_obs has wrong length")
     op = design.misfit_op(w)
-    dw = weighted_diag(w, design.noise.sigma, design.n_t)
-    b = design.G.apply_transpose(dw * y_obs)
+    dw = op.diag_w
+    held = design.held_block(w)
+    if held is None:
+        x = np.zeros(design.G.n)
+        b = design.G.apply_transpose(dw * y_obs)
+        r = b.copy()
+    else:
+        X, GX = held
+        c = sla.cho_solve(sla.cho_factor(np.eye(X.shape[1]) + GX.T @ (dw[:, None] * GX)), GX.T @ (dw * y_obs))
+        x = X @ c
+        b, r = design.G.apply_transpose(dw[:, None] * np.column_stack([y_obs, y_obs - GX @ c])).T
+        r = r - x
 
-    n = design.G.n
-    x = np.zeros(n)
     bnorm = float(np.linalg.norm(b))
     iterates = []
     if bnorm == 0.0:
-        return MapSolveReport(design.G.field_from_whitened(x), 0, 0.0, True, iterates)
+        return MapSolveReport(design.G.field_from_whitened(np.zeros(design.G.n)), 0, 0.0, True, iterates)
 
-    r = b.copy()
     p = r.copy()
     rs = float(r @ r)
-    converged = False
+    converged = bool(np.sqrt(rs) <= tol * bnorm)
     it = 0
-    for it in range(1, max_iter + 1):
+    while not converged and it < max_iter:
+        it += 1
         Ap = p + op.matvec(p)
-        alpha = rs / float(p @ Ap)
+        pAp = float(p @ Ap)
+        if not pAp > 0.0:  # breakdown: I + H is SPD and r != 0 here, so p is 0 or not finite
+            break
+        alpha = rs / pAp
         x += alpha * p
         r -= alpha * Ap
         if record_iterates:
             iterates.append(x.copy())
         rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= tol * bnorm:
-            converged = True
-            rs = rs_new
-            break
+        converged = bool(np.sqrt(rs_new) <= tol * bnorm)
         p = r + (rs_new / rs) * p
         rs = rs_new
     rel = float(np.sqrt(rs) / bnorm)

@@ -28,6 +28,7 @@ z cache; the frozen factor and the dense reference read C with no solve.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import os
 import struct
 import tempfile
@@ -84,6 +85,11 @@ def check_design_weights(w, n_s: int) -> np.ndarray:
     if not np.all((w >= 0) & (w <= 1)):
         raise ConfigError("design weights must lie in [0, 1]")
     return w
+
+
+def check_tol(tol) -> None:
+    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0 < tol < np.inf):
+        raise ConfigError(f"tol must be a finite number > 0, got {tol!r}")
 
 
 def weighted_diag(w: np.ndarray, sigma: np.ndarray, n_t: int) -> np.ndarray:
@@ -264,7 +270,7 @@ class DesignProblem:
             raise ConfigError("n_s * n_t must equal the observation dimension")
         self._z: SensorDerivConstants | None = None
         self._dense: DenseReference | None = None
-        self._eig_run: tuple | None = None  # (key, eig, G U) of the last Eig-k solve
+        self._eig_run: tuple | None = None  # (key, eig, G U, X, G X) of the last Eig-k solve
         self._sketch_run: tuple | None = None  # (key, T) of the last T-only sketch
 
     # -- constants ---------------------------------------------------------
@@ -313,15 +319,15 @@ class DesignProblem:
     def _top_eigs(self, w, k: int, seed: int):
         """(eig, G U): the top-k eigenpairs of H(w) and their forward images.
 
-        J, the gradient and the KL term of one design share a single
-        ``exact_eigs`` run: the last run is kept, keyed by the bytes of w, k
-        and the seed, so a repeat costs no solve and returns the same arrays.
-        G U costs no solve either.  Every branch of the run that applies the
-        operator ends with a block X of orthonormal columns whose span holds
-        U (U itself after ARPACK's residual check, Q on the blocked branch,
-        the identity on the dense fallback), so G U = (G X)(X^T U) from
-        ``op.last_images``.  A run with no block is a zero spectrum, which
-        the gradient does not weight: its X is empty and G U is zeros.
+        J, the gradient, the KL term and the MAP start of one design share a
+        single ``exact_eigs`` run: the last run is kept, keyed by the bytes of
+        w, k and the seed, so a repeat costs no solve and returns the same
+        arrays.  Every branch of the run that applies the operator ends with
+        a block X of orthonormal columns whose span holds U (U itself after
+        ARPACK's residual check, Q on the blocked branch, the identity on the
+        dense fallback); the memo keeps (X, G X) from ``op.last_images``, and
+        G U = (G X)(X^T U) costs no solve.  A run with no block is a zero
+        spectrum, which the gradient does not weight: X is empty, G U zeros.
         """
         w = check_design_weights(w, self.n_s)
         if k > self.rank_bound:
@@ -332,8 +338,15 @@ class DesignProblem:
             eig = exact_eigs(op, k, seed=seed)
             X, GX = op.last_images or (np.zeros((self.G.n, 0)), np.zeros((self.G.n_y, 0)))
             GU = GX if X is eig.U else GX @ (X.T @ eig.U)
-            self._eig_run = (key, eig, GU)
-        return self._eig_run[1:]
+            self._eig_run = (key, eig, GU, X, GX)
+        return self._eig_run[1:3]
+
+    def held_block(self, w):
+        """(X, G X) of the last Eig-k run, any k and seed, if it ran for w's bytes and applied a block; else None."""
+        run = self._eig_run
+        if run is None or run[0][0] != check_design_weights(w, self.n_s).tobytes() or run[3].shape[1] == 0:
+            return None
+        return run[3:]
 
     def objective_grad_eig(self, w, k: int, seed: int = 0):
         """Objective and gradient from the top-k exact eigenpairs of H(w).
@@ -432,8 +445,10 @@ class DesignProblem:
 
         :func:`kl_divergence` of the spectrum of the estimator ``method`` and
         the prior-precision norm of the MAP point: the norm of a supplied
-        ``theta_post``, else the estimator's :meth:`Estimator.map_norm_sq`.
+        ``theta_post``, else the estimator's :meth:`Estimator.map_norm_sq`,
+        read after the spectrum so that an Eig-k CG starts in the run's block.
         """
+        check_tol(tol)
         est = self.estimator(method, k=k, cfg=cfg, seed=seed)
         lam = est.spectrum(w)
         if theta_post is None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .accounting import solve_counter
 from .errors import ConfigError
-from .oed import Estimator, check_design_weights
+from .oed import Estimator, check_design_weights, check_tol
 
 DEFAULT_SCHEDULE = tuple(0.5**i for i in range(1, 7))
 NONMONOTONE_WINDOW = 5
@@ -165,8 +165,7 @@ def check_solve(gamma, tol, max_iters, threshold_rel=0.03, schedule=DEFAULT_SCHE
     """
     if not (_real(gamma) and 0 <= gamma < np.inf):
         raise ConfigError(f"penalty gamma must be a finite number >= 0, got {gamma!r}")
-    if not (_real(tol) and 0 < tol < np.inf):
-        raise ConfigError(f"tol must be a finite number > 0, got {tol!r}")
+    check_tol(tol)
     if not (isinstance(max_iters, numbers.Integral) and _real(max_iters) and max_iters >= 1):
         raise ConfigError(f"max_iters must be an int >= 1, got {max_iters!r}")
     if not (_real(threshold_rel) and 0 < threshold_rel <= 1):

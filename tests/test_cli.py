@@ -333,6 +333,29 @@ def test_cli_evaluate_rand_sketches_once(tmp_path, monkeypatch):
     assert len(sketches) == 1
 
 
+@pytest.mark.parametrize("method", ["eig", "rand"])
+def test_cli_evaluate_map_reads_the_eig_block(tmp_path, monkeypatch, method):
+    """An Eig-k evaluate runs its eigensolve before the MAP point, whose CG then
+    starts at the Galerkin solution in the held block: 0 iterations and fewer
+    solves than with no block held.  The rand path holds none and keeps its solves."""
+    cfg_path = write_config(tmp_path, {**SMALL, "opt": {**SMALL["opt"], "method": method, "eig_k": 27}})
+
+    def run(name):
+        out = str(tmp_path / name)
+        assert main(["evaluate", "--config", cfg_path, "--weights", write_weights(out, 1.0), "--out", out]) == 0
+        with open(os.path.join(out, "metrics.json")) as f:
+            return solve_counter.snapshot().total, json.load(f)["map_cg_iterations"]
+
+    solves, iterations = run("held")
+    monkeypatch.setattr(oed.DesignProblem, "held_block", lambda self, w: None)
+    cold_solves, cold_iterations = run("cold")
+    assert cold_iterations > 0
+    if method == "eig":
+        assert iterations == 0 and solves < cold_solves
+    else:
+        assert (solves, iterations) == (cold_solves, cold_iterations)
+
+
 def test_cli_eig_k_above_rank_bound_exits_2(tmp_path):
     """oed and evaluate refuse an Eig-k rank above min(n_y, n) = 27 alike."""
     payload = {**SMALL, "opt": {**SMALL["opt"], "method": "eig", "eig_k": 28}}
@@ -377,6 +400,17 @@ def test_cli_bad_input_refused_before_z_step(tmp_path, command):
         argv = [command, "--config", write_config(tmp_path), "--weights", str(weights)]
     out = str(tmp_path / "fresh")
     assert main(argv + ["--out", out]) == 2
+    assert solve_counter.snapshot().total == 0  # main() resets the tally on entry
+    assert not os.path.exists(os.path.join(out, "z_cache.bin"))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0])
+def test_cli_evaluate_bad_tol_exits_2_before_any_solve(tmp_path, tol):
+    """evaluate refuses an opt.tol that is not a finite number > 0 at 0 solves; a NaN
+    tol used to run the MAP CG into a ZeroDivisionError traceback."""
+    cfg_path = write_config(tmp_path, {**SMALL, "opt": {**SMALL["opt"], "tol": tol}})
+    out = str(tmp_path / "fresh")
+    assert main(["evaluate", "--config", cfg_path, "--weights", write_weights(out, 1.0), "--out", out]) == 2
     assert solve_counter.snapshot().total == 0  # main() resets the tally on entry
     assert not os.path.exists(os.path.join(out, "z_cache.bin"))
 

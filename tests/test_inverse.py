@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oed_dopt.accounting import count_solves
 from oed_dopt.config import ExperimentConfig
 from oed_dopt.errors import ConfigError, ConvergenceError
 from oed_dopt.inverse import (
@@ -21,6 +22,15 @@ from oed_dopt.sketch import LowRankEig, exact_eigs
 def y_obs(small_design):
     rng = np.random.default_rng(0)
     return rng.standard_normal(small_design.G.n_y) * small_design.noise.sigma[0]
+
+
+def fresh(d):
+    """A DesignProblem over d's map that holds no Eig-k run."""
+    return DesignProblem(d.G, d.noise, n_t=d.n_t)
+
+
+def binary(n_s, active):
+    return np.isin(np.arange(n_s), active).astype(float)
 
 
 def test_map_zero_design_returns_prior_mean(small_design, y_obs):
@@ -66,17 +76,98 @@ def test_map_validation(small_design):
         map_estimate(small_design, np.ones(small_design.n_s), np.zeros(small_design.G.n_y), tol=-1.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0])
+def test_map_and_kl_refuse_a_bad_tol_before_any_solve(desk_design, tol):
+    """A tol that is not a finite number > 0 is a ConfigError at 0 solves; a NaN tol
+    used to run CG past convergence into a ZeroDivisionError."""
+    d, w, y = desk_design, np.ones(desk_design.n_s), np.ones(desk_design.G.n_y)
+    calls = (lambda: map_estimate(d, w, y, tol=tol), lambda: d.kl_estimate(w, y, "eig", k=10, tol=tol))
+    for call in calls:
+        with count_solves() as c, pytest.raises(ConfigError, match="tol"):
+            call()
+        assert c.delta.total == 0
+
+
+def test_map_breakdown_raises_convergence_error(small_design):
+    """p^T A p that is not > 0 before the residual meets tol (here a NaN datum) is a
+    breakdown: ConvergenceError at the first iteration, not 500 NaN iterations."""
+    y = np.ones(small_design.G.n_y)
+    y[3] = np.nan
+    with count_solves() as c, pytest.raises(ConvergenceError):
+        map_estimate(fresh(small_design), np.ones(small_design.n_s), y)
+    assert (c.delta.forward, c.delta.adjoint) == (1, 2)
+
+
 def test_cg_energy_error_monotone(small_design, y_obs):
     """The operator-energy-norm error is nonincreasing across CG iterates."""
     ref = small_design.dense_reference()
     w = np.full(small_design.n_s, 0.7)
-    rep = map_estimate(small_design, w, y_obs, tol=1e-10, record_iterates=True)
+    rep = map_estimate(fresh(small_design), w, y_obs, tol=1e-10, record_iterates=True)
     A = np.eye(small_design.G.n) + ref.hessian(w)
     dw = weighted_diag(w, small_design.noise.sigma, small_design.n_t)
     b = ref.G_dense.T @ (dw * y_obs)
     x_star = np.linalg.solve(A, b)
     errors = [np.sqrt((x - x_star) @ (A @ (x - x_star))) for x in rep.iterates]
+    assert len(errors) >= 2  # a held Eig-k block for w would leave nothing to compare
     assert all(e2 <= e1 + 1e-9 * errors[0] for e1, e2 in zip(errors, errors[1:]))
+
+
+def test_map_from_blocked_eig_run_costs_two_adjoint_solves(small_design, y_obs):
+    """After a blocked Eig-k run (span Q holds range H(w)) the Galerkin start is the
+    MAP point: 0 forward + 2 adjoint solves, 0 iterations, exact to roundoff."""
+    d, w = fresh(small_design), binary(small_design.n_s, [0, 4, 8])
+    with count_solves() as eig_cost:
+        d.objective_grad_eig(w, 9)
+    assert eig_cost.delta.forward == 2 * (9 + 5)  # the blocked branch
+    with count_solves() as c:
+        rep = map_estimate(d, w, y_obs)
+    assert (c.delta.forward, c.delta.adjoint, rep.iterations) == (0, 2, 0)
+    ref = small_design.dense_reference()
+    theta_ref = ref.theta_post(w, y_obs)
+    assert np.linalg.norm(rep.theta_post - theta_ref) <= 1e-10 * np.linalg.norm(theta_ref)
+    assert d.G.prior.weighted_norm_sq(rep.theta_post) == pytest.approx(ref.map_norm_sq(w, y_obs), rel=1e-10)
+
+
+@pytest.mark.parametrize("case", ["blocked", "arpack"])
+def test_map_warm_start_iterates_to_tol(desk_design, case):
+    """From a held block whose Galerkin residual is above tol (a tol of 1e-12 after the
+    blocked branch, an ARPACK block of 40 top eigenvectors), CG iterates from x0: fewer
+    iterations than from zero, each at 1 forward + 1 adjoint solve, the same answer."""
+    rng = np.random.default_rng(7)
+    d = fresh(desk_design)
+    w = binary(d.n_s, rng.choice(d.n_s, 16, replace=False)) if case == "blocked" else rng.uniform(0.1, 1.0, d.n_s)
+    y = rng.standard_normal(d.G.n_y) * d.noise.sigma[0]
+    cold = map_estimate(d, w, y, tol=1e-12)
+    d.objective_grad_eig(w, 40)
+    with count_solves() as c:
+        rep = map_estimate(d, w, y, tol=1e-12)
+    assert 1 <= rep.iterations < cold.iterations and rep.rel_residual <= 1e-12
+    assert (c.delta.forward, c.delta.adjoint) == (rep.iterations, rep.iterations + 2)
+    theta_ref = desk_design.dense_reference().theta_post(w, y)
+    for theta in (rep.theta_post, cold.theta_post):
+        assert np.linalg.norm(theta - theta_ref) <= 1e-8 * np.linalg.norm(theta_ref)
+
+
+def test_map_ignores_a_block_held_for_other_weights(small_design, y_obs):
+    """A run held for other weights, or for a w since changed in place, leaves the
+    cold start: the same solves, iterations and bytes as a design that holds no run."""
+
+    def solve(d, w):
+        with count_solves() as c:
+            rep = map_estimate(d, w, y_obs)
+        return c.delta, rep.iterations, rep.theta_post
+
+    d = fresh(small_design)
+    w = binary(d.n_s, [0, 4, 8])
+    d.objective_grad_eig(binary(d.n_s, [1, 3, 5]), 9)
+    other = solve(d, w)
+    d.objective_grad_eig(w, 9)
+    w[2] = 1.0  # changed in place after the run
+    in_place = solve(d, w)
+    for got, cold in ((other, solve(fresh(d), binary(d.n_s, [0, 4, 8]))), (in_place, solve(fresh(d), w))):
+        assert got[:2] == cold[:2] and got[1] > 0
+        assert got[0].adjoint == got[0].forward + 1
+        assert np.array_equal(got[2], cold[2])
 
 
 def test_prior_variance_matches_dense(small_problem):

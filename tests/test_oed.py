@@ -355,6 +355,35 @@ def test_eig_dense_fallback_matches_separate_run():
         assert_matches_separate_run(d, rng.uniform(0.1, 1.0, d.n_s), k, 0, with_kl=False)
 
 
+@pytest.mark.parametrize("branch", ["blocked", "arpack", "dense"])
+def test_held_block_is_the_last_runs_block(small_design, branch):
+    """held_block(w) is the (X, G X) the last Eig-k run for w's bytes applied last:
+    Q, U or I, orthonormal and spanning U.  It is None before a run, for other
+    weights, for w changed in place and for a run that applied no block."""
+    if branch == "dense":  # k > n - 2
+        d = synthetic_design(20, 5, 4, 2.0 ** -np.arange(1, 21, dtype=float), seed=3)
+        w, k = np.full(d.n_s, 0.5), 19
+    else:
+        d = fresh_design(small_design)
+        w, k = np.full(d.n_s, 0.5), 6
+        if branch == "blocked":  # rank bound 9: l = 14 columns
+            w, k = np.isin(np.arange(d.n_s), [0, 4, 8]).astype(float), 9
+    assert d.held_block(w) is None
+    d.objective_grad_eig(w, k, seed=2)
+    eig = d._top_eigs(w, k, 2)[0]
+    X, GX = d.held_block(w.copy())
+    expected_cols = {"blocked": k + 5, "arpack": k, "dense": d.G.n}[branch]
+    assert X.shape == (d.G.n, expected_cols)
+    assert (X is eig.U) == (branch == "arpack")
+    assert np.allclose(X.T @ X, np.eye(expected_cols), atol=1e-12)
+    assert np.linalg.norm(GX - d.G.apply(X)) <= 1e-12 * np.linalg.norm(GX)
+    assert np.linalg.norm(eig.U - X @ (X.T @ eig.U)) <= 1e-10
+    w[0] = 0.25  # changed in place
+    assert d.held_block(w) is None
+    d.objective_grad_eig(np.zeros(d.n_s), k)  # no block applied
+    assert d.held_block(np.zeros(d.n_s)) is None
+
+
 def test_first_reader_runs_the_one_z_step(tmp_path, small_design):
     """Whichever reader comes first runs the design's one z step (n_y adjoint solves);
     every later reader and ensure_z cost 0 and share its C.  The cache arguments of
