@@ -162,6 +162,7 @@ def cmd_oed(config: ExperimentConfig, out_dir: str) -> None:
         "wall_time",
         "pde_forward",
         "pde_adjoint",
+        "n_evals",
         "J_error_vs_dense",
         "grad_error_vs_dense",
     ]
@@ -177,6 +178,7 @@ def cmd_oed(config: ExperimentConfig, out_dir: str) -> None:
                 r.wall_time,
                 r.pde_forward,
                 r.pde_adjoint,
+                r.n_evals,
                 "" if r.J_error_vs_dense is None else r.J_error_vs_dense,
                 "" if r.grad_error_vs_dense is None else r.grad_error_vs_dense,
             ]

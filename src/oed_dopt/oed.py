@@ -596,7 +596,6 @@ class Estimator:
     """
 
     name = "base"
-    stochastic = False
 
     def __init__(self, design: DesignProblem):
         self.design = design
@@ -639,7 +638,6 @@ class RandEstimator(Estimator):
     the objective seen by the optimizer is a deterministic function."""
 
     name = "rand"
-    stochastic = True
 
     def __init__(self, design, cfg: SketchConfig):
         super().__init__(design)

@@ -1,11 +1,11 @@
 """Sparsified design optimization over the box [0,1]^{n_s}.
 
-Minimizes -J(w) + gamma * P(w) with a projected quasi-Newton descent:
-Barzilai-Borwein secant step lengths (the memory-one secant approximation),
-box projection, and Armijo backtracking along the projected path.  When the
-estimator supplying (J, grad) is the randomized one, whose gradient is not the
-exact derivative of its objective, the line search is relaxed with a
-nonmonotone window of 5 iterations.
+Minimizes -J(w) + gamma * P(w) with a monotone projected L-BFGS descent
+(two-metric projection, Bertsekas 1982): the last few secant pairs shape the
+step on the coordinates free to move, box projection keeps every iterate
+feasible, and Armijo backtracking along the projected path accepts a step only
+when it lowers the objective.  A line search ends when its trial move falls
+below the tolerance; one failure drops the secant pairs, a second ends the run.
 
 A penalty is one function w -> (P, dP), and one stage minimizes the penalized
 objective for it.  Two sparsification routes are built from stages: an l1
@@ -30,7 +30,7 @@ from .errors import ConfigError
 from .oed import Estimator, check_design_weights, check_tol
 
 DEFAULT_SCHEDULE = tuple(0.5**i for i in range(1, 7))
-NONMONOTONE_WINDOW = 5
+LBFGS_MEMORY = 8  # secant pairs held by minimize_box
 
 
 @dataclass
@@ -42,6 +42,7 @@ class IterationRecord:
     pde_forward: int
     pde_adjoint: int
     wall_time: float
+    n_evals: int  # estimator evaluations so far, line-search trials included
     J_error_vs_dense: float | None = None
     grad_error_vs_dense: float | None = None
 
@@ -68,79 +69,74 @@ def projected_gradient_norm(w: np.ndarray, g: np.ndarray) -> float:
     return float(np.max(np.abs(w - project_box(w - g)))) if len(w) else 0.0
 
 
-def minimize_box(
-    fun,
-    w0: np.ndarray,
-    tol: float = 1e-5,
-    max_iters: int = 200,
-    window: int = 1,
-    on_accept=None,
-):
-    """Projected BB-secant descent of fun(w) -> (f, grad) over [0,1]^m.
-
-    Every iterate is feasible by projection.  A step is accepted when it
-    satisfies the Armijo condition against the maximum of the last ``window``
-    accepted objective values (window 1 = monotone descent).  Terminates when
-    the projected-gradient infinity norm drops below ``tol`` or after
-    ``max_iters`` accepted iterations.
-    """
-    if window < 1:
-        raise ConfigError("window must be >= 1")
+def minimize_box(fun, w0: np.ndarray, tol: float = 1e-5, max_iters: int = 200, on_accept=None):
+    """Monotone projected L-BFGS descent of fun(w) -> (f, grad) over [0,1]^m, stopping when the
+    projected-gradient infinity norm drops to ``tol`` or after ``max_iters`` accepted iterations.
+    A failed :func:`_line_search` drops the secant pairs and retries once; a second ends the run."""
     w = project_box(np.asarray(w0, dtype=float).copy())
     f, g = fun(w)
-    recent = [f]
-    alpha = 1.0 / max(np.max(np.abs(g)), 1e-12)
     converged = projected_gradient_norm(w, g) <= tol
+    on_accept = on_accept or (lambda *record: None)
+    on_accept(0, w, f, g, 0.0)
+    pairs: list = []
     n_iters = 0
-    if on_accept is not None:
-        on_accept(0, w, f, g, 0.0)
-    c1 = 1e-4
-    reset_used = False
-    for it in range(1, max_iters + 1):
-        if converged:
+    while not converged and n_iters < max_iters:
+        step = _line_search(fun, w, f, g, _direction(w, g, pairs), tol)
+        if step is None and pairs:
+            pairs.clear()
+            step = _line_search(fun, w, f, g, _direction(w, g, pairs), tol)
+        if step is None:
             break
-        d = project_box(w - alpha * g) - w
-        slope = float(g @ d)
-        if slope >= 0.0:
-            # secant scaling turned uphill; fall back to a plain projected
-            # gradient direction
-            alpha = 1.0 / max(np.max(np.abs(g)), 1e-12)
-            d = project_box(w - alpha * g) - w
-            slope = float(g @ d)
-            if slope >= 0.0:
-                converged = projected_gradient_norm(w, g) <= tol
-                break
-        f_ref = max(recent[-window:])
-        t = 1.0
-        accepted = False
-        for _ in range(30):
-            w_try = w + t * d
-            f_try, g_try = fun(w_try)
-            if f_try <= f_ref + c1 * t * slope:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            if not reset_used:
-                # rejected secant step; retry once from a safeguarded length
-                alpha = 1.0 / max(np.max(np.abs(g)), 1e-12)
-                reset_used = True
-                continue
-            # line search cannot improve on the reference value; stop here
-            break
-        reset_used = False
-        s = w_try - w
-        y = g_try - g
-        sy = float(s @ y)
-        ss = float(s @ s)
-        alpha = min(max(ss / sy, 1e-10), 1e10) if sy > 1e-18 else min(alpha * 2.0, 1e10)
-        w, f, g = w_try, f_try, g_try
-        recent.append(f)
-        n_iters = it
+        s, y = step[0] - w, step[2] - g
+        if s @ y > np.finfo(float).eps * (y @ y):
+            pairs = pairs[1 - LBFGS_MEMORY :] + [(s, y)]
+        w, f, g, t = step
+        n_iters += 1
         converged = projected_gradient_norm(w, g) <= tol
-        if on_accept is not None:
-            on_accept(it, w, f, g, t)
+        on_accept(n_iters, w, f, g, t)
     return w, f, g, converged, n_iters
+
+
+def _direction(w, g, pairs):
+    """Two-metric direction: the L-BFGS two-loop recursion on the free coordinates, scaled by
+    s.y / y.y of the newest pair with positive curvature there (1/max|g| with none).  A coordinate
+    at a bound whose gradient points outward is fixed: the projection cancels its scaled gradient.
+    """
+    free = ~(((w <= 0.0) & (g > 0.0)) | ((w >= 1.0) & (g < 0.0)))
+    held = [(s[free], y[free]) for s, y in pairs]
+    held = [(s, y, 1.0 / (s @ y)) for s, y in held if s @ y > 0.0]
+    scale = 1.0 / (held[-1][2] * (held[-1][1] @ held[-1][1])) if held else 1.0 / max(np.max(np.abs(g)), 1e-12)
+    q = g[free].copy()
+    alphas = []
+    for s, y, rho in reversed(held):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    q *= scale
+    for (s, y, rho), a in zip(held, reversed(alphas)):
+        q += (a - rho * (y @ q)) * s
+    d = -scale * g
+    d[free] = -q
+    return d
+
+
+def _line_search(fun, w, f, g, d, tol):
+    """Backtrack along w(t) = P(w + t d) from t = 1: (w, f, g, t) of the first trial with
+    f(w(t)) <= f + 1e-4 g.(w(t) - w).  None for a non-finite d, or once the move is below ``tol``
+    in the infinity norm.  A trial that is not a first-order descent is halved unevaluated."""
+    if not np.isfinite(d).all():
+        return None
+    t = 1.0
+    while True:
+        w_try = project_box(w + t * d)
+        move = w_try - w
+        if np.max(np.abs(move), initial=0.0) < tol:
+            return None
+        slope = float(g @ move)
+        if slope < 0.0:
+            f_try, g_try = fun(w_try)
+            if f_try <= f + 1e-4 * slope:
+                return w_try, f_try, g_try, t
+        t *= 0.5
 
 
 def threshold(w: np.ndarray, tau_rel: float = 0.03) -> np.ndarray:
@@ -182,8 +178,11 @@ def _stage(estimator, gamma, penalty, w0, tol, max_iters, dense_ref, history, t_
     the penalized (f, g) with gamma * P and gamma * dP stripped off, so the
     record costs no extra estimator evaluation (hence no extra PDE solve).
     """
+    n_evals = history[-1].n_evals if history else 0
 
     def fun(w):
+        nonlocal n_evals
+        n_evals += 1
         J, g = estimator.evaluate(w)
         P, dP = penalty(w)
         return -J + gamma * P, -g + gamma * dP
@@ -199,6 +198,7 @@ def _stage(estimator, gamma, penalty, w0, tol, max_iters, dense_ref, history, t_
             pde_forward=counts.forward,
             pde_adjoint=counts.adjoint,
             wall_time=time.perf_counter() - t_start,
+            n_evals=n_evals,
         )
         if dense_ref is not None:
             J_d, g_d, _ = dense_ref.evaluate(w)
@@ -207,8 +207,7 @@ def _stage(estimator, gamma, penalty, w0, tol, max_iters, dense_ref, history, t_
         history.append(rec)
 
     w0 = np.full(estimator.n_s, 0.5) if w0 is None else check_design_weights(w0, estimator.n_s)
-    window = NONMONOTONE_WINDOW if estimator.stochastic else 1
-    return minimize_box(fun, w0, tol=tol, max_iters=max_iters, window=window, on_accept=on_accept)
+    return minimize_box(fun, w0, tol=tol, max_iters=max_iters, on_accept=on_accept)
 
 
 def solve_l1(

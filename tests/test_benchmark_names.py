@@ -64,7 +64,7 @@ class CountingEstimator:
 
     def __init__(self, est):
         self.est, self.calls = est, 0
-        self.name, self.n_s, self.stochastic = est.name, est.n_s, est.stochastic
+        self.name, self.n_s = est.name, est.n_s
 
     def evaluate(self, w):
         self.calls += 1

@@ -163,6 +163,9 @@ def test_cli_pipeline_and_determinism(tmp_path):
     assert drop_column(os.path.join(out1, "iterations.csv"), "wall_time") == drop_column(
         os.path.join(out2, "iterations.csv"), "wall_time"
     )
+    with open(os.path.join(out1, "iterations.csv")) as f:
+        n_evals = [int(r["n_evals"]) for r in csv.DictReader(f)]
+    assert n_evals[0] == 1 and all(b > a for a, b in zip(n_evals, n_evals[1:]))
 
     weights = os.path.join(out1, "weights.csv")
     assert main(["evaluate", "--config", cfg_path, "--weights", weights, "--out", out1]) == 0

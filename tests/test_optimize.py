@@ -1,10 +1,16 @@
 """Box-constrained design optimization, thresholding, and continuation."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oed_dopt
 from oed_dopt.errors import ConfigError
 from oed_dopt.optimize import (
     DEFAULT_SCHEDULE,
@@ -23,7 +29,6 @@ class CountingQuadratic:
     """An estimator stand-in that validates no weights and counts its evaluations."""
 
     name = "counting"
-    stochastic = False
     n_s = 3
 
     def __init__(self):
@@ -108,6 +113,98 @@ def test_minimize_box_monotone_descent():
     accepted = []
     minimize_box(fun, np.full(6, 0.5), tol=1e-9, on_accept=lambda it, w, f, g, t: accepted.append(f))
     assert all(f2 <= f1 + 1e-12 for f1, f2 in zip(accepted, accepted[1:]))
+
+
+@pytest.mark.parametrize(
+    "start, rot",
+    [
+        # starts at the minimizer of f, where the biased gradient points uphill: no pair is held
+        (np.array([0.3, 0.6, 0.45]), 0.0),
+        # approach the biased stationary point and fail there with secant pairs held
+        (np.full(3, 0.9), 0.5),
+        (np.full(3, 0.5), 1.0),
+    ],
+)
+def test_failed_line_search_stops_at_tol_move(start, rot):
+    """On f = sum(e^4 + e^2), e = w - c, with a gradient biased by a constant and by a rotation
+    of e (no derivative), Armijo fails near the optimum.  A failed search evaluates trials only
+    while the move is at least tol, at most ceil(log2(|d|_inf / tol)) + 1 of them, and after one
+    retry the run ends unconverged without raising."""
+    c, bias, tol = np.array([0.3, 0.6, 0.45]), np.array([0.02, -0.01, 0.015]), 1e-5
+    trials, accepted = [], []
+
+    def fun(w):
+        trials.append(w.copy())
+        e = w - c
+        return float(np.sum(e**4 + e**2)), 4 * e**3 + 2 * e + bias + rot * np.roll(e, 1)
+
+    converged = minimize_box(fun, start, tol=tol, on_accept=lambda it, w, *_: accepted.append((len(trials), w)))[3]
+    assert not converged
+    n, w_last = accepted[-1]
+    searches = []  # trial moves after the last accepted iterate; a search's moves shrink as t halves
+    for move in (np.max(np.abs(x - w_last)) for x in trials[n:]):
+        if not searches or move > searches[-1][-1]:
+            searches.append([])
+        searches[-1].append(move)
+    assert 1 <= len(searches) <= 2
+    for moves in searches:
+        assert len(moves) <= math.ceil(math.log2(moves[0] / tol)) + 1
+        assert min(moves) >= tol
+
+
+def test_nan_gradient_ends_the_run():
+    """A non-finite gradient fails the line search at once: one evaluation, no hang, unconverged."""
+    calls = []
+
+    def fun(w):
+        calls.append(1)
+        return float(w @ w), np.full(len(w), np.nan)
+
+    _, _, _, converged, n_iters = minimize_box(fun, np.full(3, 0.5))
+    assert (converged, n_iters, len(calls)) == (False, 0, 1)
+
+
+def test_desk_rand_l1_evaluations_and_design(desk_design):
+    """The rand estimator's l1 solve on desk: a pinned evaluation count and binary design, and
+    a history whose n_evals rises strictly to the estimator's evaluate count."""
+    est = desk_design.estimator("rand", cfg=SketchConfig(k=40, p=5, q=1, seed=1))
+    calls = []
+    evaluate = est.evaluate
+    est.evaluate = lambda w: calls.append(1) or evaluate(w)
+    res = solve_l1(est, penalty_gamma=0.6)
+    n_evals = [r.n_evals for r in res.history]
+    assert res.converged
+    assert "".join(map(str, res.binary)) == "10101111000000101010100000011110101"
+    assert len(calls) == 21
+    assert n_evals[0] == 1 and all(b > a for a, b in zip(n_evals, n_evals[1:]))
+    assert n_evals[-1] == len(calls)
+
+
+def test_cli_solve_does_not_import_scipy_optimize():
+    """Importing scipy.optimize costs about 10 MiB of peak RSS; the CLI and a solve must not."""
+    code = """
+import sys
+from oed_dopt import cli
+from oed_dopt.config import ExperimentConfig
+from oed_dopt.optimize import solve_l1
+from oed_dopt.problem import build_problem
+
+config = ExperimentConfig.from_dict({
+    "mesh": {"nx": 4},
+    "pde": {"kappa": 0.05, "T": 1.0, "n_steps": 5},
+    "sensors": {"grid": [2, 2], "margin": [0.25, 0.25]},
+    "obs": {"times": [0.4, 1.0]},
+    "sketch": {"k": 6, "p": 2},
+})
+problem = build_problem(config)
+assert solve_l1(cli._estimator(problem, config), 0.5).converged
+print("scipy.optimize" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(oed_dopt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_threshold_rules():
