@@ -57,13 +57,12 @@ def main(argv=None) -> int:
 
     metrics = {}
     for name in results["change"][0]["metrics"]:
-        if name.split("/")[-1] not in better:
-            continue
-        sign = 1.0 if better[name.split("/")[-1]] == "lower" else -1.0
-        base = [r["metrics"][name] for r in results["parent"]]
-        new = [r["metrics"][name] for r in results["change"]]
+        direction = better[name.split("/")[-1]]
+        sign = 1.0 if direction == "lower" else -1.0
+        base = [r["metrics"][name]["value"] for r in results["parent"]]
+        new = [r["metrics"][name]["value"] for r in results["change"]]
         metrics[name] = {
-            "better": better[name.split("/")[-1]],
+            "better": direction,
             "parent": summary(base),
             "change": summary(new),
             "change_wins": sum(sign * (b - n) > 0 for b, n in zip(base, new)),

@@ -89,7 +89,7 @@ def minimize_box(fun, w0: np.ndarray, tol: float = 1e-5, max_iters: int = 200, o
             break
         s, y = step[0] - w, step[2] - g
         if s @ y > np.finfo(float).eps * (y @ y):
-            pairs = pairs[1 - LBFGS_MEMORY :] + [(s, y)]
+            pairs = (pairs + [(s, y)])[-LBFGS_MEMORY:]
         w, f, g, t = step
         n_iters += 1
         converged = projected_gradient_norm(w, g) <= tol
@@ -105,7 +105,7 @@ def _direction(w, g, pairs):
     free = ~(((w <= 0.0) & (g > 0.0)) | ((w >= 1.0) & (g < 0.0)))
     held = [(s[free], y[free]) for s, y in pairs]
     held = [(s, y, 1.0 / (s @ y)) for s, y in held if s @ y > 0.0]
-    scale = 1.0 / (held[-1][2] * (held[-1][1] @ held[-1][1])) if held else 1.0 / max(np.max(np.abs(g)), 1e-12)
+    scale = (held[-1][0] @ held[-1][1]) / (held[-1][1] @ held[-1][1]) if held else 1.0 / max(np.max(np.abs(g)), 1e-12)
     q = g[free].copy()
     alphas = []
     for s, y, rho in reversed(held):
