@@ -5,7 +5,9 @@ Runs ``python3 perfbench/run.py --workload all --seed S`` in two checkouts, once
 seed, alternating which checkout runs first, and writes one JSON file: per
 ``workload/metric``, each side's runs, median and quartiles, and how many pairs the
 change won (ties count for neither side), with the direction taken from
-BENCHMARK.json.
+BENCHMARK.json.  The file is rewritten after every pair.  A run that prints no
+result line counts as failed (``failed`` null, ``correct`` false) and keeps its
+exit code; a metric is summarized over the pairs in which both sides report it.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . --seeds 31-40 --out BENCH_11.json
 """
@@ -22,9 +24,15 @@ import numpy as np
 
 
 def run(tree: Path, seed: int) -> dict:
+    """The run's result line, with its exit code; a run that prints none is a failed run."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", "all", "--seed", str(seed)]
-    out = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, cwd=tree).stdout.strip().splitlines()
-    return json.loads(out[-1])
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, cwd=tree)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {"correct": False, "failed": None, "metrics": {}}
+    return {**result, "exit_code": proc.returncode}
 
 
 def commit(tree: Path) -> str:
@@ -48,38 +56,53 @@ def main(argv=None) -> int:
     with open(trees["change"] / "BENCHMARK.json") as f:
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
 
+    seeds = list(range(first, last + 1))
+    commits = {side: commit(tree) for side, tree in trees.items()}
     results = {"parent": [], "change": []}
-    for i, seed in enumerate(range(first, last + 1)):
+    for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             results[side].append(run(trees[side], seed))
-            print(f"seed {seed} {side}: failed {results[side][-1]['failed']}", file=sys.stderr, flush=True)
+            r = results[side][-1]
+            print(f"seed {seed} {side}: exit {r['exit_code']}, failed {r['failed']}", file=sys.stderr, flush=True)
+        write_record(args.out, seeds[: i + 1], commits, results, better)
+    return 0
 
+
+def write_record(out: Path, seeds: list, commits: dict, results: dict, better: dict) -> None:
+    """Summarize the pairs run so far; a metric counts the pairs in which both sides report it."""
     metrics = {}
-    for name in results["change"][0]["metrics"]:
+    names = sorted({name for rs in results.values() for r in rs for name in r["metrics"]})
+    for name in names:
         direction = better[name.split("/")[-1]]
         sign = 1.0 if direction == "lower" else -1.0
-        base = [r["metrics"][name]["value"] for r in results["parent"]]
-        new = [r["metrics"][name]["value"] for r in results["change"]]
+        pairs = [
+            (b["metrics"][name]["value"], n["metrics"][name]["value"])
+            for b, n in zip(results["parent"], results["change"])
+            if name in b["metrics"] and name in n["metrics"]
+        ]
+        if not pairs:
+            continue
+        base, new = (list(side) for side in zip(*pairs))
         metrics[name] = {
             "better": direction,
             "parent": summary(base),
             "change": summary(new),
-            "change_wins": sum(sign * (b - n) > 0 for b, n in zip(base, new)),
-            "pairs": len(base),
+            "change_wins": sum(sign * (b - n) > 0 for b, n in pairs),
+            "pairs": len(pairs),
         }
     record = {
         "command": "python3 perfbench/run.py --workload all --seed S",
-        "seeds": list(range(first, last + 1)),
+        "seeds": seeds,
         "order": "parent first on even pair index, change first on odd",
-        "commits": {side: commit(tree) for side, tree in trees.items()},
+        "commits": commits,
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()},
+        "exit_codes": {side: [r["exit_code"] for r in rs] for side, rs in results.items()},
         "failed": {side: [r["failed"] for r in rs] for side, rs in results.items()},
         "correct": {side: all(r["correct"] for r in rs) for side, rs in results.items()},
         "metrics": metrics,
     }
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
-    return 0
+    out.write_text(json.dumps(record, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -154,6 +154,10 @@ def cmd_oed(config: ExperimentConfig, out_dir: str) -> None:
             for j in range(design.n_s)
         ],
     )
+    write_json(
+        os.path.join(out_dir, "result.json"),
+        {"converged": bool(result.converged), "reached_binary": bool(result.reached_binary)},
+    )
     header = [
         "iter",
         "objective",

@@ -1,4 +1,4 @@
-"""MAP estimation, posterior pointwise variance, and posterior sampling.
+"""MAP estimation by matrix-free conjugate gradients.
 
 The MAP point solves the whitened normal equations
 
@@ -9,7 +9,6 @@ its condition number is 1 + lam_max and no further preconditioning is needed.
 CG starts at the Galerkin solution in the orthonormal block X of the design's
 Eig-k run for w (:meth:`DesignProblem.held_block`) for 2 adjoint solves, else
 at zero for 1; each iteration costs one forward and one adjoint solve.
-Posterior variance and samples use a low-rank eigen-approximation of H(w).
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import scipy.linalg as sla
 
 from .errors import ConfigError, ConvergenceError
 from .oed import DesignProblem, check_design_weights, check_tol
-from .sketch import LowRankEig
 
 
 @dataclass
@@ -100,54 +98,3 @@ def map_estimate(
             residuals=rel,
         )
     return MapSolveReport(design.G.field_from_whitened(x), it, rel, converged, iterates)
-
-
-def prior_pointwise_variance(G) -> np.ndarray:
-    """Nodal prior variance diag(L^{-1} M L^{-1}) = rowsum((L^{-1} R)^2).
-
-    R is applied to identity column blocks, so the working set is n x 256.
-    """
-    n = G.n
-    prior = G.prior
-    out = np.zeros(n)
-    block = 256
-    for start in range(0, n, block):
-        width = min(block, n - start)
-        E = np.zeros((n, width))
-        E[start + np.arange(width), np.arange(width)] = 1.0
-        X = prior.solve_L(prior.mass.apply_R(E))
-        out += np.sum(X * X, axis=1)
-    return out
-
-
-def posterior_pointwise_variance(G, lr: LowRankEig) -> np.ndarray:
-    """Nodal posterior variance from a low-rank eigen-approximation of H(w).
-
-    v_post = v_prior - sum_m [lam_m/(1+lam_m)] (L^{-1} R u_m)_i^2, floored
-    at zero.
-    """
-    v_pr = prior_pointwise_variance(G)
-    if lr.rank == 0:
-        return v_pr
-    W = G.field_from_whitened(lr.U)  # (n, r)
-    D = lr.lam / (1.0 + lr.lam)
-    corr = (W * W) @ D
-    return np.clip(v_pr - corr, 0.0, None)
-
-
-def half_power_update(lr: LowRankEig, xi: np.ndarray) -> np.ndarray:
-    """(I + U diag(lam) U^T)^{-1/2} xi via the low-rank update formula."""
-    xi = np.asarray(xi, dtype=float)
-    coeff = 1.0 - 1.0 / np.sqrt(1.0 + lr.lam)
-    inner = lr.U.T @ xi
-    return xi - lr.U @ ((coeff * inner.T).T)
-
-
-def sample_posterior(G, lr: LowRankEig, theta_post: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Posterior draw theta_post + L^{-1} R (I + U diag(lam) U^T)^{-1/2} xi.
-
-    Accepts a matrix of stacked standard-normal columns.
-    """
-    t = half_power_update(lr, xi)
-    fields = G.field_from_whitened(t)
-    return (fields.T + np.asarray(theta_post, dtype=float)).T

@@ -117,11 +117,14 @@ class MatrixWhitenedMap:
 
 
 class MisfitHessianOp(LinearOperator):
-    """x -> G^T (W (G x)), symmetric PSD, one forward + one adjoint solve per column.
+    """x -> G^T (W (G x)) = B^T B x, B = W^{1/2} G (n_y rows); symmetric PSD.
 
-    The last block application keeps its forward images as ``last_images =
-    (X, G X)``, so a caller that needs G X for the same X pays no solve.
-    ``rank_bound`` = n_t |supp w| bounds the rank: only active rows of W are nonzero.
+    A column costs one forward solve in G and one adjoint solve in G^T, so B X
+    (:meth:`factor`) costs one forward and B^T Y (:meth:`factor_t`) one
+    adjoint solve per column.  The last forward block keeps its images as
+    ``last_images = (X, G X)``, so a caller that needs G X for the same X pays
+    no solve.  ``rank_bound`` = n_t |supp w| bounds the rank: only active rows
+    of W are nonzero.
     """
 
     def __init__(self, G, w: np.ndarray, noise: NoiseModel, n_t: int):
@@ -130,17 +133,29 @@ class MisfitHessianOp(LinearOperator):
         self.noise = noise
         self.diag_w = weighted_diag(self.w, noise.sigma, n_t)
         self.rank_bound = n_t * int(np.count_nonzero(self.w))
+        self.factor_rows = G.n_y
         self.last_images = None
         super().__init__(dtype=float, shape=(G.n, G.n))
 
     def _matvec(self, x):
         return self.G.apply_transpose(self.diag_w * self.G.apply(np.asarray(x).ravel()))
 
-    def _matmat(self, X):
+    def _images(self, X):
         self.last_images = None  # release the previous block before this one's solves
         GX = self.G.apply(X)
         self.last_images = (X, GX)
-        return self.G.apply_transpose(self.diag_w[:, None] * GX)
+        return GX
+
+    def _matmat(self, X):
+        return self.G.apply_transpose(self.diag_w[:, None] * self._images(X))
+
+    def factor(self, X):
+        """B X = W^{1/2} G X."""
+        return np.sqrt(self.diag_w)[:, None] * self._images(X)
+
+    def factor_t(self, Y):
+        """B^T Y = G^T W^{1/2} Y."""
+        return self.G.apply_transpose(np.sqrt(self.diag_w)[:, None] * Y)
 
 
 def _zcache_write(path, config_hash: bytes, z: np.ndarray, C: np.ndarray) -> None:

@@ -151,18 +151,22 @@ def _checked_pairs(U, lam, residual, rtol: float) -> LowRankEig:
 def exact_eigs(op, k: int, rtol: float = 1e-8, seed: int = 0, maxiter: int | None = None) -> LowRankEig:
     """Top-k eigenpairs of a symmetric PSD operator.
 
-    An operator may declare ``rank_bound`` r (else r = n); r = 0 gives lam = 0
-    with no application.  With l = min(n, max(k, r) + 5), r < n and 2l <= ncv
-    + k + 1 (ncv = min(n, max(2k+1, 20)), scipy ``eigsh``'s Krylov size), one
-    seeded Gaussian block Y = op Omega, Q = qr(Y), op Q and Rayleigh-Ritz give
-    the pairs, exact once l >= rank, at 2l column applications: never more
-    than ARPACK's cheapest run (a probe, ncv matvecs, k residual columns).
-    Otherwise implicitly restarted Lanczos (ARPACK) runs from a deterministic
-    start vector, or a dense eigensolve when k is too close to n (only for n
-    <= DENSE_GUARD).  Each pair must satisfy ||op u - lam u|| <= rtol *
-    lam_max, checked explicitly (from the held op Q on the blocked branch),
-    or a :class:`ConvergenceError` carrying the residuals is raised, also
-    when a declared rank bound understates the rank.
+    An operator may declare ``rank_bound`` r (else r = n) together with its
+    factor B, op = B^T B: ``factor(X)`` = B X, ``factor_t(Y)`` = B^T Y, B with
+    ``factor_rows`` rows.  r = 0 gives lam = 0 with no application.  With l =
+    min(n, max(k, r) + 5), ncv = min(n, max(2k+1, 20)) (scipy ``eigsh``'s
+    Krylov size), r < n and 2l + k <= 2(ncv + k + 1), the range is sketched
+    from the factor: Q = qr(B^T Psi) for a seeded Gaussian Psi with l columns,
+    B Q, and Rayleigh-Ritz on (BQ)^T (BQ).  range(B^T) = range(op) has
+    dimension <= r < l, so the pairs are exact; they cost l + k applications
+    of B^T and l of B, never more than ARPACK's cheapest run (a probe, ncv
+    matvecs, k residual columns) at one B and one B^T per matvec.  Otherwise
+    implicitly restarted Lanczos (ARPACK) runs from a deterministic start
+    vector, or a dense eigensolve when k is too close to n (only for n <=
+    DENSE_GUARD).  Each pair must satisfy ||op u - lam u|| <= rtol * lam_max,
+    checked explicitly (op U = B^T (BQ V) on the blocked branch), or a
+    :class:`ConvergenceError` carrying the residuals is raised, also when a
+    declared rank bound understates the rank.
     """
     n = op.shape[0]
     if not 1 <= k <= n:
@@ -172,14 +176,14 @@ def exact_eigs(op, k: int, rtol: float = 1e-8, seed: int = 0, maxiter: int | Non
     if r == 0:
         return LowRankEig(U=np.linalg.qr(rng.standard_normal((n, k)))[0], lam=np.zeros(k))
     l = min(n, max(k, r) + _BLOCK_OVERSAMPLING)
-    if r < n and 2 * l <= min(n, max(2 * k + 1, 20)) + k + 1:
-        # plain QR: Y has rank <= r < l, and its deficient directions get zero Ritz values
-        Q = np.linalg.qr(apply_operator(op, rng.standard_normal((n, l))))[0]
-        HQ = apply_operator(op, Q)
-        lam, V = np.linalg.eigh(Q.T @ HQ)  # reads one triangle: Q^T op Q is symmetric to roundoff
+    if r < n and 2 * l + k <= 2 * (min(n, max(2 * k + 1, 20)) + k + 1):
+        # plain QR: B^T Psi has rank <= r < l, and its deficient directions get zero Ritz values
+        Q = np.linalg.qr(op.factor_t(rng.standard_normal((op.factor_rows, l))))[0]
+        BQ = op.factor(Q)
+        lam, V = np.linalg.eigh(BQ.T @ BQ)
         lam, V = np.clip(lam[::-1][:k], 0.0, None), V[:, ::-1][:, :k]
         U = Q @ V
-        return _checked_pairs(U, lam, HQ @ V - U * lam, rtol)
+        return _checked_pairs(U, lam, op.factor_t(BQ @ V) - U * lam, rtol)
 
     v0 = rng.standard_normal(n)
     probe = apply_operator(op, v0 / np.linalg.norm(v0))

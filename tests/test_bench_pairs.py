@@ -1,0 +1,46 @@
+"""scripts/bench_pairs.py on stand-in checkouts whose benchmark prints a fixed result line or nothing."""
+
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import bench_pairs  # noqa: E402  (scripts/ is not a package)
+
+RUN_PY = """import json, shutil, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if {crash_seed} == seed:
+    shutil.copy({out!r}, "snapshot.json")  # what the pairs before this one left
+    sys.exit(3)
+print("a report line")
+print(json.dumps({{"correct": True, "attempted": 1, "failed": 0,
+                   "metrics": {{"w/session_s": {{"value": {value} + seed, "unit": "s"}}}}}}))
+"""
+
+
+def checkout(root: Path, value: float, crash_seed: int, out: Path) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(RUN_PY.format(crash_seed=crash_seed, out=str(out), value=value))
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "session_s", "better": "lower"}]}))
+    return root
+
+
+def test_a_run_without_result_line_is_recorded_and_earlier_pairs_are_kept(tmp_path):
+    """The change's run on seed 2 exits 3 and prints nothing: the record keeps its exit
+    code as a failed run, the metric counts the one complete pair, and the file written
+    after pair 1 was already on disk when pair 2 ran."""
+    out = tmp_path / "pairs.json"
+    parent = checkout(tmp_path / "parent", 2.0, -1, out)
+    change = checkout(tmp_path / "change", 1.0, 2, out)
+    argv = ["--parent", str(parent), "--change", str(change), "--seeds", "1-3", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    record = json.loads(out.read_text())
+    assert record["seeds"] == [1, 2, 3]
+    assert record["exit_codes"] == {"parent": [0, 0, 0], "change": [0, 3, 0]}
+    assert record["failed"] == {"parent": [0, 0, 0], "change": [0, None, 0]}
+    assert record["correct"] == {"parent": True, "change": False}
+    metric = record["metrics"]["w/session_s"]
+    assert (metric["pairs"], metric["change_wins"]) == (2, 2)
+    assert metric["parent"]["runs"] == [3.0, 5.0] and metric["change"]["runs"] == [2.0, 4.0]
+    snapshot = json.loads((change / "snapshot.json").read_text())
+    assert snapshot["seeds"] == [1] and snapshot["metrics"]["w/session_s"]["pairs"] == 1

@@ -159,6 +159,9 @@ def test_cli_pipeline_and_determinism(tmp_path):
     assert main(["oed", "--config", cfg_path, "--out", out2]) == 0
     assert read_bytes(os.path.join(out1, "weights.csv")) == read_bytes(os.path.join(out2, "weights.csv"))
     assert read_bytes(os.path.join(out1, "z_cache.bin")) == read_bytes(os.path.join(out2, "z_cache.bin"))
+    assert read_bytes(os.path.join(out1, "result.json")) == read_bytes(os.path.join(out2, "result.json"))
+    with open(os.path.join(out1, "result.json")) as f:
+        assert json.load(f) == {"converged": True, "reached_binary": True}
     # iteration logs are identical apart from wall-clock timing
     assert drop_column(os.path.join(out1, "iterations.csv"), "wall_time") == drop_column(
         os.path.join(out2, "iterations.csv"), "wall_time"
@@ -181,6 +184,27 @@ def test_cli_pipeline_and_determinism(tmp_path):
         rows = list(csv.DictReader(f))
     assert len(rows) == 13
     assert rows[0]["design_id"] == "0"
+
+
+def test_cli_oed_records_an_unconverged_solve(tmp_path):
+    """On the 4-sensor TINY rand config (sketch k 3, p 2) the truncated sketch's gradient
+    at w0 is no descent direction, so the first line search fails: oed still exits 0 and
+    writes weights.csv, and result.json says the solve did not converge."""
+    payload = {
+        "mesh": {"nx": 4},
+        "pde": {"kappa": 0.05, "T": 1.0, "n_steps": 5},
+        "sensors": {"grid": [2, 2], "margin": [0.25, 0.25]},
+        "obs": {"times": [0.4, 1.0]},
+        "noise": {"pct": 0.1},
+        "sketch": {"k": 3, "p": 2},
+        "opt": {"method": "rand", "penalty": "l1"},
+    }
+    out = str(tmp_path / "tiny")
+    assert main(["oed", "--config", write_config(tmp_path, payload, name="tiny.json"), "--out", out]) == 0
+    with open(os.path.join(out, "result.json")) as f:
+        assert json.load(f) == {"converged": False, "reached_binary": True}
+    with open(os.path.join(out, "weights.csv")) as f:
+        assert [float(r["weight"]) for r in csv.DictReader(f)] == [0.5] * 4  # w0, never moved
 
 
 def test_cli_seed_override_changes_noise(tmp_path):

@@ -174,8 +174,10 @@ def without_rank_bound(op):
 @pytest.mark.parametrize("n_active, k", [(2, 8), (3, 8)])
 def test_eig_blocked_branch_on_sparse_binary_design(small_design, n_active, k):
     """A binary design with r = n_t |supp w| <= k, or r = 9 just above k = 8, takes the
-    blocked branch: exactly 2l forward and 2l adjoint solves, l = max(k, r) + 5, no warning,
-    and J, gradient and spectrum as the exact reference and the ARPACK path give them."""
+    blocked branch: exactly l forward and l + k adjoint solves, l = max(k, r) + 5 (B^T on
+    the Gaussian block, B on Q, B^T on the k Ritz vectors of the residual check), no
+    warning, and J, gradient and spectrum as the exact reference and the ARPACK path give
+    them."""
     d = fresh_design(small_design)
     ref = d.dense_reference()
     w = np.zeros(d.n_s)
@@ -184,7 +186,7 @@ def test_eig_blocked_branch_on_sparse_binary_design(small_design, n_active, k):
     with count_solves() as c, warnings.catch_warnings():
         warnings.simplefilter("error")
         J, g = d.objective_grad_eig(w, k)
-    assert (c.delta.forward, c.delta.adjoint) == (2 * l, 2 * l)
+    assert (c.delta.forward, c.delta.adjoint) == (l, l + k)
     J_ref, g_ref, lam_ref = ref.evaluate(w)
     assert abs(J_ref - J) == pytest.approx(np.sum(np.log1p(lam_ref[k:])), rel=1e-8, abs=1e-10)
     lam = d.estimator("eig", k=k).spectrum(w)
@@ -199,7 +201,7 @@ def test_eig_blocked_branch_on_sparse_binary_design(small_design, n_active, k):
 
 
 def test_eig_all_positive_design_keeps_arpack(small_design):
-    """r = n_y = 27 makes the block cost 2l = 64 > ncv + k + 1 = 29: ARPACK runs at the
+    """r = n_y = 27 makes the block cost 2l + k = 72 > 2(ncv + k + 1) = 58: ARPACK runs at the
     30 forward and 30 adjoint solves of the plain operator, and agrees with it."""
     d = fresh_design(small_design)
     w = np.random.default_rng(21).uniform(0.2, 1.0, d.n_s)
@@ -804,15 +806,12 @@ def test_synthetic_design_spectrum_construction():
     assert np.allclose(lam[:21], spectrum, rtol=1e-9, atol=1e-12)
 
 
-def test_exact_core_past_dense_n_limit():
-    """At nx = 32 (n = 1,089 > DENSE_GUARD) the exact reference, which needs only
-    n_y = 105 <= DENSE_GUARD, agrees with three independent routes: the full-rank
-    frozen SVD of G, Eig-k at the rank of a 16-sensor binary design, and MAP CG."""
-    from oed_dopt.inverse import map_estimate
+@pytest.fixture(scope="module")
+def nx32_problem():
+    """The desk sensor layout at nx = 32: n = 1,089 > DENSE_GUARD, n_y = 105."""
     from oed_dopt.problem import build_problem
-    from oed_dopt.sketch import DENSE_GUARD
 
-    problem = build_problem(
+    return build_problem(
         make_config(
             mesh={"nx": 32},
             pde={"kappa": 0.05, "T": 2.0, "n_steps": 20},
@@ -820,6 +819,16 @@ def test_exact_core_past_dense_n_limit():
             noise={"pct": 0.3},
         )
     )
+
+
+def test_exact_core_past_dense_n_limit(nx32_problem):
+    """At nx = 32 (n = 1,089 > DENSE_GUARD) the exact reference, which needs only
+    n_y = 105 <= DENSE_GUARD, agrees with three independent routes: the full-rank
+    frozen SVD of G, Eig-k at the rank of a 16-sensor binary design, and MAP CG."""
+    from oed_dopt.inverse import map_estimate
+    from oed_dopt.sketch import DENSE_GUARD
+
+    problem = nx32_problem
     d = problem.design
     assert d.G.n == 1089 > DENSE_GUARD and d.G.n_y == 105
     ref = d.dense_reference()
@@ -838,3 +847,35 @@ def test_exact_core_past_dense_n_limit():
     y_obs, _ = problem.synthesize()
     theta = map_estimate(d, w, y_obs, tol=1e-10).theta_post
     assert ref.map_norm_sq(w, y_obs) == pytest.approx(d.G.prior.weighted_norm_sq(theta), rel=1e-8)
+
+
+def test_eig_k_at_nx32_against_exact_core(nx32_problem):
+    """Eig-k (k = 40) on a 16-sensor binary design at nx = 32 (r = 48, l = 53) takes the
+    factored block: exactly l forward and l + k adjoint solves.  Its top-k spectrum matches
+    the exact core's to rtol 1e-8 above roundoff (the spectrum spans 17 decades, and both
+    sides hold each eigenvalue to about eps * lam_max), its J error is within the
+    truncation oracle plus the residual check's k * rtol * lam_max and equals the
+    discarded tail, and the MAP point starts in the held block and stops there: 0 forward
+    + 2 adjoint solves, 0 CG iterations."""
+    from oed_dopt.inverse import map_estimate
+
+    d, k, rtol = nx32_problem.design, 40, 1e-8
+    ref = d.dense_reference()
+    w = np.zeros(d.n_s)
+    w[np.random.default_rng(320).choice(d.n_s, size=16, replace=False)] = 1.0
+    l = max(k, d.n_t * 16) + 5
+    with count_solves() as c:
+        J, _ = d.objective_grad_eig(w, k)
+    assert (c.delta.forward, c.delta.adjoint) == (l, l + k)
+    J_ref, _, lam_ref = ref.evaluate(w)
+    lam = d.estimator("eig", k=k).spectrum(w)
+    assert np.allclose(lam, lam_ref[:k], rtol=rtol, atol=1e-12 * lam_ref[0])
+    split = SpectrumSplit.from_spectrum(lam_ref, k)
+    assert abs(J_ref - J) <= error_bounds(split, None, "frozen") + k * rtol * lam_ref[0]
+    assert abs(J_ref - J) == pytest.approx(np.sum(np.log1p(split.lam2)), rel=1e-8, abs=1e-10)
+
+    y_obs, _ = nx32_problem.synthesize()
+    with count_solves() as c:
+        rep = map_estimate(d, w, y_obs)
+    assert (c.delta.forward, c.delta.adjoint, rep.iterations) == (0, 2, 0)
+    assert d.G.prior.weighted_norm_sq(rep.theta_post) == pytest.approx(ref.map_norm_sq(w, y_obs), rel=1e-8)

@@ -153,38 +153,51 @@ def test_exact_eigs_dense_fallback_guard():
 
 
 class DeclaredRankOp(LinearOperator):
-    """A dense symmetric matrix with a declared ``rank_bound``; records each application's shape."""
+    """A = B^T B with a declared ``rank_bound`` and its factor B; records each application
+    as (kind, shape), kind "A" for A, "B" for B and "Bt" for B^T."""
 
-    def __init__(self, A, rank_bound):
-        self.A = A
+    def __init__(self, B, rank_bound):
+        self.B = B
+        self.A = B.T @ B
         self.rank_bound = rank_bound
+        self.factor_rows = B.shape[0]
         self.applied = []
-        super().__init__(dtype=float, shape=A.shape)
+        super().__init__(dtype=float, shape=self.A.shape)
 
     def _matvec(self, x):
-        self.applied.append(np.shape(x))
+        self.applied.append(("A", np.shape(x)))
         return self.A @ np.ravel(x)
 
     def _matmat(self, X):
-        self.applied.append(X.shape)
+        self.applied.append(("A", X.shape))
         return self.A @ X
 
+    def factor(self, X):
+        self.applied.append(("B", X.shape))
+        return self.B @ X
 
-def low_rank_psd(n, r, rng):
+    def factor_t(self, Y):
+        self.applied.append(("Bt", Y.shape))
+        return self.B.T @ Y
+
+
+def low_rank_factor(n, r, rng):
+    """B (r x n) of the rank-r PSD matrix B^T B with eigenvalues 2^-i, i < r."""
     Q = np.linalg.qr(rng.standard_normal((n, r)))[0]
-    return (Q * 2.0 ** -np.arange(r, dtype=float)) @ Q.T
+    return (Q * 2.0 ** (-0.5 * np.arange(r, dtype=float))).T
 
 
 def test_exact_eigs_blocked_branch_is_exact_and_silent():
-    """rank_bound r = 10, k = 9: l = 15 and 2l = 30 <= ncv + k + 1 = 30, so two
-    applications of one 15-column block give the top pairs, with no warning although
-    the block is rank deficient."""
+    """rank_bound r = 10, k = 9: l = 15 and 2l + k = 39 <= 2(ncv + k + 1) = 60, so the
+    range is sketched from the factor: B^T on r x 15 Gaussian columns, B on Q, and B^T
+    on the k kept Ritz vectors for the residual check; no warning although the block is
+    rank deficient."""
     n, r, k = 200, 10, 9
-    op = DeclaredRankOp(low_rank_psd(n, r, np.random.default_rng(8)), r)
+    op = DeclaredRankOp(low_rank_factor(n, r, np.random.default_rng(8)), r)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         eig = exact_eigs(op, k, seed=2)
-    assert op.applied == [(n, r + 5), (n, r + 5)]
+    assert op.applied == [("Bt", (r, r + 5)), ("B", (n, r + 5)), ("Bt", (r, k))]
     lam_ref = np.sort(np.linalg.eigvalsh(op.A))[::-1][:k]
     assert np.allclose(eig.lam, lam_ref, rtol=1e-8)
     res = np.linalg.norm(op.A @ eig.U - eig.U * eig.lam, axis=0)
@@ -193,15 +206,17 @@ def test_exact_eigs_blocked_branch_is_exact_and_silent():
 
 
 def test_exact_eigs_blocked_branch_selection():
-    """One column fewer in k makes 2l = 30 > ncv + k + 1 = 29, and ARPACK runs
-    (its first application is the one-column probe); no bound, or r = n, keeps ARPACK too."""
-    n, r = 200, 10
-    A = low_rank_psd(n, r, np.random.default_rng(9))
-    for rank_bound, k in ((r, 8), (n, 9)):
-        op = DeclaredRankOp(A, rank_bound)
+    """r = 20 gives l = 25 for k <= 20 and ncv = 20 for k <= 9.  k = 8 costs 2l + k = 58
+    = 2(ncv + k + 1) and takes the factored block; one column fewer in k makes 57 > 56,
+    and ARPACK runs (its first application is the one-column probe); r = n keeps ARPACK
+    too."""
+    n, r = 200, 20
+    B = low_rank_factor(n, r, np.random.default_rng(9))
+    for rank_bound, k, first in ((r, 8, ("Bt", (r, r + 5))), (r, 7, ("A", (n,))), (n, 8, ("A", (n,)))):
+        op = DeclaredRankOp(B, rank_bound)
         eig = exact_eigs(op, k, seed=2)
-        assert op.applied[0] == (n,)
-        assert np.allclose(eig.lam, np.sort(np.linalg.eigvalsh(A))[::-1][:k], rtol=1e-8)
+        assert op.applied[0] == first
+        assert np.allclose(eig.lam, np.sort(np.linalg.eigvalsh(op.A))[::-1][:k], rtol=1e-8)
 
 
 def test_exact_eigs_zero_rank_bound_applies_nothing():
@@ -215,10 +230,11 @@ def test_exact_eigs_zero_rank_bound_applies_nothing():
 def test_exact_eigs_understated_rank_bound_raises():
     """A declared rank bound below the true rank fails the residual check, not silently."""
     rng = np.random.default_rng(10)
-    op = DeclaredRankOp(random_psd(200, rng, decay=rng.uniform(1.0, 2.0, 200)), 10)
+    A = random_psd(200, rng, decay=rng.uniform(1.0, 2.0, 200))
+    op = DeclaredRankOp(np.linalg.cholesky(A).T, 10)
     with pytest.raises(ConvergenceError, match="residuals exceed"):
         exact_eigs(op, 9)
-    assert len(op.applied) == 2
+    assert [kind for kind, _ in op.applied] == ["Bt", "B", "Bt"]
 
 
 def test_cge_requires_p_at_least_two():
