@@ -1,9 +1,9 @@
 """Global PDE-solve tally.
 
-Every forward sweep and every adjoint sweep of the transport solver counts as
-one PDE solve, matching how costs are usually reported for this problem class.
-The counter is a process-global atomic tally so that cost assertions can wrap
-any code path.
+The unit is one PDE solve per column of F or F^T that a transport call yields,
+as costs are usually reported for this problem class (``sensor_adjoints``
+yields n_t columns per probe from one sweep).  The counter is a process-global
+atomic tally so that cost assertions can wrap any code path.
 """
 
 from __future__ import annotations

@@ -20,9 +20,10 @@ spectrum and the MAP norm follow from the same small matrix; it serves any n
 once n_y <= DENSE_GUARD (:attr:`DesignProblem.dense_allowed`, the one check of
 that limit).  ``DesignProblem.estimator`` maps a method name to one of these
 four as an :class:`Estimator`.  The z step (:func:`precompute_z`) is the one
-producer of a DesignProblem's observation-space data: it sweeps G^T once (n_y
-adjoint solves), forms z and C from it and drops it, or reads z and C from the
-z cache; the frozen factor and the dense reference read C with no solve.
+producer of a DesignProblem's observation-space data: it forms G^T by one
+reverse sweep of the n_s sensor probes (n_y adjoint solves), forms z and C
+from it and drops it, or reads z and C from the z cache; the frozen factor
+and the dense reference read C with no solve.
 """
 
 from __future__ import annotations
@@ -102,29 +103,16 @@ def sensor_blocks(Y: np.ndarray, n_s: int, n_t: int) -> np.ndarray:
     return Y.reshape(n_t, n_s, *Y.shape[1:])
 
 
-class MatrixWhitenedMap:
-    """Plain-matrix stand-in for the whitened forward map (tests, synthetics)."""
-
-    def __init__(self, G: np.ndarray):
-        self.G = np.asarray(G, dtype=float)
-        self.n_y, self.n = self.G.shape
-
-    def apply(self, x):
-        return self.G @ x
-
-    def apply_transpose(self, y):
-        return self.G.T @ y
-
-
 class MisfitHessianOp(LinearOperator):
     """x -> G^T (W (G x)) = B^T B x, B = W^{1/2} G (n_y rows); symmetric PSD.
 
-    A column costs one forward solve in G and one adjoint solve in G^T, so B X
-    (:meth:`factor`) costs one forward and B^T Y (:meth:`factor_t`) one
-    adjoint solve per column.  The last forward block keeps its images as
-    ``last_images = (X, G X)``, so a caller that needs G X for the same X pays
-    no solve.  ``rank_bound`` = n_t |supp w| bounds the rank: only active rows
-    of W are nonzero.
+    A column of op X costs one forward and one adjoint solve, and of B X
+    (:meth:`factor`) one forward solve; the last forward block is kept as
+    ``last_images = (X, G X)``, so G X for the same X costs no solve.
+    ``rank_bound`` = r = n_t |supp w| bounds the rank: only the r active rows
+    of W are nonzero.  :meth:`factor_t` forms those r columns of B^T on its
+    first call by one ``G.sensor_adjoints`` sweep (r adjoint solves) and
+    keeps them for this op, one design; B^T Y is then a product.
     """
 
     def __init__(self, G, w: np.ndarray, noise: NoiseModel, n_t: int):
@@ -135,6 +123,7 @@ class MisfitHessianOp(LinearOperator):
         self.rank_bound = n_t * int(np.count_nonzero(self.w))
         self.factor_rows = G.n_y
         self.last_images = None
+        self._active_Bt = None  # (active rows of B, B^T on those rows) once factor_t has run
         super().__init__(dtype=float, shape=(G.n, G.n))
 
     def _matvec(self, x):
@@ -154,8 +143,12 @@ class MisfitHessianOp(LinearOperator):
         return np.sqrt(self.diag_w)[:, None] * self._images(X)
 
     def factor_t(self, Y):
-        """B^T Y = G^T W^{1/2} Y."""
-        return self.G.apply_transpose(np.sqrt(self.diag_w)[:, None] * Y)
+        """B^T Y = G^T W^{1/2} Y; only Y's active rows are read."""
+        if self._active_Bt is None:
+            rows = np.flatnonzero(self.diag_w)  # time-major, as sensor_adjoints orders its columns
+            self._active_Bt = (rows, self.G.sensor_adjoints(np.flatnonzero(self.w)) * np.sqrt(self.diag_w[rows]))
+        rows, Bt = self._active_Bt
+        return Bt @ Y[rows]
 
 
 def _zcache_write(path, config_hash: bytes, z: np.ndarray, C: np.ndarray) -> None:
@@ -190,22 +183,6 @@ def _zcache_read(path, config_hash: bytes, n_s: int, n_y: int):
     return np.array(z), np.array(C).reshape(n_y, n_y)
 
 
-def _adjoint_columns(G, n_s: int, n_t: int) -> np.ndarray:
-    """G^T as an (n, n_y) array by n_y unit probes, one adjoint solve each.
-
-    The probes go in n_t blocks of n_s, one block per observation time, so
-    each block's reverse sweep starts at its own time instead of the last.
-    """
-    n_y = n_s * n_t
-    Gt = np.empty((G.n, n_y))
-    for m in range(n_t):
-        rows = slice(m * n_s, (m + 1) * n_s)
-        probes = np.zeros((n_y, n_s))
-        probes[rows] = np.eye(n_s)
-        Gt[:, rows] = G.apply_transpose(probes)
-    return Gt
-
-
 def precompute_z(
     G,
     noise: NoiseModel,
@@ -216,8 +193,8 @@ def precompute_z(
     """Design-independent constants z and C = G G^T, one adjoint solve per (sensor, time).
 
     z_j = sigma_j^{-2} sum_m ||G^T (v_m (x) e_j)||^2, the squared norms of
-    sensor j's columns of G^T.  A miss costs n_s * n_t adjoint solves, in
-    one sweep per observation time (:func:`_adjoint_columns`); z and C are
+    sensor j's columns of G^T.  A miss costs n_s * n_t adjoint solves (one
+    reverse sweep of the n_s probes, ``G.sensor_adjoints``); z and C are
     formed from that G^T, which is then dropped.  With a cache path, the file
     (keyed by a 32-byte configuration hash) holds z and C: a hit costs no
     solve, a miss writes it, and a file of another format is a warned miss.
@@ -232,7 +209,7 @@ def precompute_z(
                 return SensorDerivConstants(z=cached[0], C=cached[1])
             warnings.warn("z cache is malformed or does not match configuration; recomputing", stacklevel=2)
 
-    Gt = _adjoint_columns(G, n_s, n_t)
+    Gt = G.sensor_adjoints(np.arange(n_s))
     col_sq = np.einsum("ny,ny->y", Gt, Gt)
     z = sensor_blocks(col_sq, n_s, n_t).sum(axis=0) / noise.sigma**2
     C = Gt.T @ Gt
@@ -251,12 +228,6 @@ class FrozenSVD:
     @property
     def k(self) -> int:
         return len(self.s)
-
-    @classmethod
-    def from_dense(cls, G_dense: np.ndarray, k_f: int) -> "FrozenSVD":
-        """Exact rank-k_f truncation of a dense (n_y, n) G."""
-        U, s, _ = np.linalg.svd(np.asarray(G_dense, dtype=float), full_matrices=False)
-        return cls(U=U[:, :k_f], s=s[:k_f])
 
     @classmethod
     def from_gram(cls, C: np.ndarray, k_f: int) -> "FrozenSVD":
@@ -517,8 +488,8 @@ class DenseReference:
     log det(I + H(w)) = log det(B), the nonzero eigenvalues of H(w) are those
     of S C S, and Woodbury gives dJ/dw_j = sigma_j^{-2} sum over sensor j's
     rows r of [C - C S B^{-1} S C]_rr.  C is the design's own, so every
-    evaluation is n_y x n_y algebra with no PDE solve; G itself (``G_dense``,
-    read by ``hessian``) costs n_y adjoint solves on first use and is held.
+    evaluation is n_y x n_y algebra with no PDE solve; G itself (``G_dense``)
+    costs n_y adjoint solves on first use and is held.
     """
 
     def __init__(self, design: DesignProblem):
@@ -535,7 +506,7 @@ class DenseReference:
     @cached_property
     def G_dense(self) -> np.ndarray:
         """G as an (n_y, n) array, by n_y adjoint solves once."""
-        return _adjoint_columns(self.design.G, self.design.n_s, self.design.n_t).T
+        return self.design.G.sensor_adjoints(np.arange(self.design.n_s)).T
 
     def _row_scale(self, w) -> np.ndarray:
         """The diagonal of S = W^{1/2} over the time-major observation rows."""
@@ -546,10 +517,6 @@ class DenseReference:
         """(S, Cholesky factor of B = I + S C S)."""
         s = self._row_scale(w)
         return s, sla.cho_factor(np.eye(len(s)) + s[:, None] * self.C * s)
-
-    def hessian(self, w) -> np.ndarray:
-        Gw = self._row_scale(w)[:, None] * self.G_dense
-        return Gw.T @ Gw
 
     def spectrum(self, w) -> np.ndarray:
         """The n eigenvalues of H(w), descending: those of S C S, zero-padded or cut to n."""

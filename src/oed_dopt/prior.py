@@ -89,6 +89,15 @@ class WhitenedForwardMap:
             raise ConfigError(f"expected leading dimension {self.n_y}, got {y.shape[0]}")
         return self.prior.mass.apply_Rt(self.prior.solve_Lt(self.forward.apply_transpose(y)))
 
+    def sensor_adjoints(self, sensors) -> np.ndarray:
+        """G^T on unit probes, as :meth:`ForwardMap.sensor_adjoints`; whitened in place, block by block."""
+        Gt = self.forward.sensor_adjoints(sensors)
+        ns = Gt.shape[1] // self.obs.n_t
+        for i in range(self.obs.n_t if ns else 0):
+            cols = slice(i * ns, (i + 1) * ns)
+            Gt[:, cols] = self.prior.mass.apply_Rt(self.prior.solve_Lt(Gt[:, cols]))
+        return Gt
+
     def field_from_whitened(self, x: np.ndarray) -> np.ndarray:
         """Map a whitened-coordinate vector to a nodal field: L^{-1} R x."""
         return self.prior.solve_L(self.prior.mass.apply_R(np.asarray(x, dtype=float)))

@@ -158,14 +158,17 @@ def exact_eigs(op, k: int, rtol: float = 1e-8, seed: int = 0, maxiter: int | Non
     Krylov size), r < n and 2l + k <= 2(ncv + k + 1), the range is sketched
     from the factor: Q = qr(B^T Psi) for a seeded Gaussian Psi with l columns,
     B Q, and Rayleigh-Ritz on (BQ)^T (BQ).  range(B^T) = range(op) has
-    dimension <= r < l, so the pairs are exact; they cost l + k applications
-    of B^T and l of B, never more than ARPACK's cheapest run (a probe, ncv
-    matvecs, k residual columns) at one B and one B^T per matvec.  Otherwise
-    implicitly restarted Lanczos (ARPACK) runs from a deterministic start
-    vector, or a dense eigensolve when k is too close to n (only for n <=
-    DENSE_GUARD).  Each pair must satisfy ||op u - lam u|| <= rtol * lam_max,
-    checked explicitly (op U = B^T (BQ V) on the blocked branch), or a
-    :class:`ConvergenceError` carrying the residuals is raised, also when a
+    dimension <= r < l, so the pairs are exact.  The rule prices the block at
+    l columns of B and l + k of B^T, never more than ARPACK's cheapest run (a
+    probe, ncv matvecs, k residual columns) at one B and one B^T per matvec.
+    It is kept as is, though ``oed.MisfitHessianOp``'s block costs l forward
+    + r adjoint solves (B^T is r columns formed once): no design changes
+    branch (``test_eig_all_positive_design_keeps_arpack`` stays at 30 + 30).
+    Otherwise ARPACK's implicitly restarted Lanczos runs from a deterministic
+    start vector, or a dense eigensolve when k is too close to n (n <=
+    DENSE_GUARD only).  Each pair must satisfy ||op u - lam u|| <= rtol *
+    lam_max, checked explicitly (op U = B^T (BQ V) on the blocked branch), or
+    a :class:`ConvergenceError` carrying the residuals is raised, also when a
     declared rank bound understates the rank.
     """
     n = op.shape[0]

@@ -239,6 +239,27 @@ class ForwardMap:
         solve_counter.add_adjoint(ncols)
         return G[:, 0] if single else G
 
+    def sensor_adjoints(self, sensors) -> np.ndarray:
+        """F^T on the unit probes of ``sensors`` at every observation time: (n, n_t |sensors|), time-major.
+
+        The reverse step is time-invariant, so a probe's adjoint at step m is the
+        probe after m reverse steps: one sweep to the last observation step records
+        every time's block.  Each column counts one adjoint solve, as in apply_transpose.
+        """
+        sensors = np.asarray(sensors, dtype=int).ravel()
+        obs, ns = self.obs, len(sensors)
+        out = np.empty((self.n, obs.n_t * ns))
+        X = np.zeros((self.n, ns))
+        X[obs.sensor_nodes[sensors], np.arange(ns)] = 1.0
+        done = 0
+        for i, step in enumerate(obs.obs_steps if ns else ()):
+            for _ in range(done, step):
+                X = self.M @ _solve_by_width(self._lu_t, self._lu, X)
+            done = step
+            out[:, i * ns : (i + 1) * ns] = X
+        solve_counter.add_adjoint(obs.n_t * ns)
+        return out
+
     def solve_with_trajectory(self, theta0: np.ndarray):
         """Forward solve returning (snapshots, y); snapshots is (n_steps+1, n)."""
         theta0 = np.asarray(theta0, dtype=float).ravel()

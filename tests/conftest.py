@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oed_dopt.config import ExperimentConfig
-from oed_dopt.oed import DesignProblem, NoiseModel
+from oed_dopt.oed import DesignProblem, FrozenSVD, NoiseModel
 from oed_dopt.problem import build_problem
 
 warnings.filterwarnings("ignore", message="sketch subspace is numerically rank deficient")
@@ -125,6 +125,29 @@ def dense_G_matrix(problem):
     return F @ np.linalg.solve(L, R)
 
 
+def unit_probe_adjoints(F, sensors):
+    """F^T on the unit probes of ``sensors``, one apply_transpose per observation time, time-major."""
+    sensors = np.asarray(sensors, dtype=int)
+    blocks = []
+    for i in range(F.obs.n_t):
+        probes = np.zeros((F.n_y, len(sensors)))
+        probes[i * F.obs.n_s + sensors, np.arange(len(sensors))] = 1.0
+        blocks.append(F.apply_transpose(probes))
+    return np.hstack(blocks)
+
+
+def dense_hessian(ref, w):
+    """H(w) = G^T W G as an (n, n) array from the dense reference's G."""
+    Gw = ref._row_scale(w)[:, None] * ref.G_dense
+    return Gw.T @ Gw
+
+
+def frozen_from_dense(G_dense, k_f):
+    """Exact rank-k_f truncation of a dense (n_y, n) G, by its SVD."""
+    U, s, _ = np.linalg.svd(np.asarray(G_dense, dtype=float), full_matrices=False)
+    return FrozenSVD(U=U[:, :k_f], s=s[:k_f])
+
+
 def random_psd(n, rng, decay=None):
     """Random PSD matrix, optionally with prescribed eigenvalue decay."""
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
@@ -135,6 +158,27 @@ def random_psd(n, rng, decay=None):
     return (Q * lam) @ Q.T
 
 
+class MatrixWhitenedMap:
+    """Plain-matrix stand-in for the whitened forward map G (n_y x n, time-major rows)."""
+
+    def __init__(self, G: np.ndarray, n_t: int):
+        self.G = np.asarray(G, dtype=float)
+        self.n_y, self.n = self.G.shape
+        self.n_t = n_t
+
+    def apply(self, x):
+        return self.G @ x
+
+    def apply_transpose(self, y):
+        return self.G.T @ y
+
+    def sensor_adjoints(self, sensors):
+        """The columns of G^T at the given sensors, time-major (block i: every sensor at time i)."""
+        n_s = self.n_y // self.n_t
+        rows = (np.arange(self.n_t)[:, None] * n_s + np.asarray(sensors, dtype=int).ravel()).ravel()
+        return self.G[rows].T
+
+
 def synthetic_design(n, n_s, n_t, spectrum, seed=0, sigma=1.0):
     """Design problem over a synthetic dense G with a prescribed spectrum.
 
@@ -142,12 +186,10 @@ def synthetic_design(n, n_s, n_t, spectrum, seed=0, sigma=1.0):
     misfit Hessian at w = 1 (with unit sigma) has exactly ``spectrum`` as its
     eigenvalues.
     """
-    from oed_dopt.oed import DesignProblem, MatrixWhitenedMap, NoiseModel
-
     n_y = n_s * n_t
     r = min(len(spectrum), n_y, n)
     rng = np.random.default_rng(seed)
     U = np.linalg.qr(rng.standard_normal((n_y, r)))[0]
     V = np.linalg.qr(rng.standard_normal((n, r)))[0]
     G = (U * np.sqrt(np.asarray(spectrum[:r], dtype=float))) @ V.T
-    return DesignProblem(MatrixWhitenedMap(G), NoiseModel(np.full(n_s, sigma)), n_t=n_t)
+    return DesignProblem(MatrixWhitenedMap(G, n_t), NoiseModel(np.full(n_s, sigma)), n_t=n_t)

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import make_config, random_psd, synthetic_design
+from conftest import dense_hessian, frozen_from_dense, make_config, random_psd, synthetic_design
 from oed_dopt.accounting import count_solves
 from oed_dopt.bench import error_vs_rank_sweep, mesh_refinement_sweep
 from oed_dopt.config import ExperimentConfig
-from oed_dopt.oed import DesignProblem, FrozenSVD, NoiseModel, weighted_diag
+from oed_dopt.oed import DesignProblem, NoiseModel, weighted_diag
 from oed_dopt.optimize import random_binary_designs, solve_continuation, solve_l1
 from oed_dopt.problem import build_problem
 from oed_dopt.sketch import SketchConfig, SpectrumSplit, error_bounds, subspace_iteration
@@ -132,7 +132,7 @@ def test_criterion_04_expected_information_gain_monte_carlo():
     P = np.linalg.solve(L, R)  # fields from whitened prior draws
     F_dense = np.column_stack([p.forward.apply(np.eye(n)[:, i]) for i in range(n)])
     dw = weighted_diag(w, design.noise.sigma, design.n_t)
-    S = np.eye(n) + ref.hessian(w)
+    S = np.eye(n) + dense_hessian(ref, w)
     cho = sla.cho_factor(S)
 
     rng = np.random.default_rng(104)
@@ -203,7 +203,7 @@ def test_criterion_05_expectation_bound_oracles(synthetic_instance):
     Gd = ref.G_dense
     s_vals = np.linalg.svd(Gd, compute_uv=False)
     k_f = 10
-    frozen = FrozenSVD.from_dense(Gd, k_f)
+    frozen = frozen_from_dense(Gd, k_f)
     b_frozen = error_bounds(
         SpectrumSplit(lam1=s_vals[:k_f] ** 2, lam2=s_vals[k_f:] ** 2, n=len(s_vals)), None, "frozen"
     )
@@ -224,7 +224,7 @@ def test_criterion_06_interlacing_and_lemmas(synthetic_instance):
     ref = design.dense_reference()
     w = np.ones(design.n_s)
     lam_true = ref.evaluate(w)[2]
-    H = ref.hessian(w)
+    H = dense_hessian(ref, w)
     for s in range(100):
         _, T = subspace_iteration(H, SketchConfig(k=10, p=5, q=1, seed=700 + s))
         lam_T = np.sort(np.linalg.eigvalsh(T))[::-1]

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator
 
-from conftest import make_config, synthetic_design
+from conftest import dense_hessian, frozen_from_dense, make_config, synthetic_design, unit_probe_adjoints
 from oed_dopt.accounting import count_solves
 from oed_dopt.errors import ConfigError
 from oed_dopt.oed import (
     DesignProblem,
-    FrozenSVD,
     NoiseModel,
-    _adjoint_columns,
     check_design_weights,
     config_hash_bytes,
     kl_divergence,
@@ -48,7 +46,7 @@ def test_misfit_op_matches_dense(small_design):
     ref = small_design.dense_reference()
     rng = np.random.default_rng(0)
     w = rng.uniform(0, 1, small_design.n_s)
-    H = ref.hessian(w)
+    H = dense_hessian(ref, w)
     op = small_design.misfit_op(w)
     x = rng.standard_normal(small_design.G.n)
     assert np.allclose(op.matvec(x), H @ x, rtol=1e-9)
@@ -166,6 +164,31 @@ def test_misfit_op_rank_bound_counts_active_sensors(small_design):
     assert small_design.misfit_op(np.zeros(small_design.n_s)).rank_bound == 0
 
 
+def test_misfit_op_factor_t_from_one_sensor_sweep(small_design):
+    """B^T Y matches G^T (W^{1/2} Y) for random Y with nonzero inactive rows; its first
+    call sweeps the active sensors at r adjoint solves, later calls are free, and op X
+    still costs one forward and one adjoint solve per column of X."""
+    d = small_design
+    rng = np.random.default_rng(40)
+    w = np.zeros(d.n_s)
+    w[[1, 4, 7]] = [1.0, 0.3, 1e-9]
+    op = d.misfit_op(w)
+    r = op.rank_bound
+    spent = []
+    for width in (6, 1, 3):
+        Y = rng.standard_normal((d.G.n_y, width))
+        with count_solves() as c:
+            BtY = op.factor_t(Y)
+        spent.append((c.delta.forward, c.delta.adjoint))
+        expect = d.G.apply_transpose(np.sqrt(op.diag_w)[:, None] * Y)
+        assert np.linalg.norm(BtY - expect) <= 1e-12 * np.linalg.norm(expect)
+    assert spent == [(0, r), (0, 0), (0, 0)]
+    for m in (1, 4):
+        with count_solves() as c:
+            op.matmat(rng.standard_normal((d.G.n, m)))
+        assert (c.delta.forward, c.delta.adjoint) == (m, m)
+
+
 def without_rank_bound(op):
     """op with no declared rank bound, so exact_eigs takes ARPACK (or its dense fallback)."""
     return LinearOperator(op.shape, matvec=op.matvec, matmat=op.matmat, dtype=float)
@@ -174,19 +197,21 @@ def without_rank_bound(op):
 @pytest.mark.parametrize("n_active, k", [(2, 8), (3, 8)])
 def test_eig_blocked_branch_on_sparse_binary_design(small_design, n_active, k):
     """A binary design with r = n_t |supp w| <= k, or r = 9 just above k = 8, takes the
-    blocked branch: exactly l forward and l + k adjoint solves, l = max(k, r) + 5 (B^T on
-    the Gaussian block, B on Q, B^T on the k Ritz vectors of the residual check), no
+    blocked branch: exactly l forward and r adjoint solves, l = max(k, r) + 5 (B on Q, and
+    one sensor sweep for the r nonzero columns of B^T, which then serve B^T on the
+    Gaussian block and on the k Ritz vectors of the residual check at no solve), no
     warning, and J, gradient and spectrum as the exact reference and the ARPACK path give
     them."""
     d = fresh_design(small_design)
     ref = d.dense_reference()
     w = np.zeros(d.n_s)
     w[np.random.default_rng(30 + n_active).choice(d.n_s, n_active, replace=False)] = 1.0
-    l = max(k, d.n_t * n_active) + 5
+    r = d.n_t * n_active
+    l = max(k, r) + 5
     with count_solves() as c, warnings.catch_warnings():
         warnings.simplefilter("error")
         J, g = d.objective_grad_eig(w, k)
-    assert (c.delta.forward, c.delta.adjoint) == (l, l + k)
+    assert (c.delta.forward, c.delta.adjoint) == (l, r)
     J_ref, g_ref, lam_ref = ref.evaluate(w)
     assert abs(J_ref - J) == pytest.approx(np.sum(np.log1p(lam_ref[k:])), rel=1e-8, abs=1e-10)
     lam = d.estimator("eig", k=k).spectrum(w)
@@ -412,10 +437,11 @@ def test_first_reader_runs_the_one_z_step(tmp_path, small_design):
 
 
 def test_z_step_C_and_dense_G(small_design):
-    """Without a cache file the z step's C is G^T's Gram matrix bit for bit; G itself
-    costs n_y adjoint solves once, and the exact MAP point one adjoint solve."""
+    """Without a cache file the z step's C is the Gram matrix of G^T, formed by
+    apply_transpose on unit probes, bit for bit; G itself costs n_y adjoint solves once
+    and equals that G^T transposed, and the exact MAP point costs one adjoint solve."""
     d = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
-    Gt = _adjoint_columns(d.G, d.n_s, d.n_t)
+    Gt = unit_probe_adjoints(d.G, np.arange(d.n_s))
     assert np.array_equal(d.ensure_z().C, Gt.T @ Gt)
     ref = d.dense_reference()
     spent = []
@@ -481,7 +507,7 @@ def test_frozen_truncation_bound_20_designs(small_design):
     Gw = ref.G_dense / small_design.noise.sigma[0]  # uniform sigma
     s = np.linalg.svd(Gw, compute_uv=False)
     k_f = 10
-    frozen = FrozenSVD.from_dense(ref.G_dense, k_f)
+    frozen = frozen_from_dense(ref.G_dense, k_f)
     split = SpectrumSplit(lam1=s[:k_f] ** 2, lam2=s[k_f:] ** 2, n=len(s))
     bound = error_bounds(split, None, "frozen")
     rng = np.random.default_rng(9)
@@ -503,7 +529,7 @@ def test_single_sensor_rank_structure(small_design):
     assert np.sum(lam > 1e-10 * max(lam[0], 1.0)) <= small_design.n_t
     J_eig = small_design.objective_eig(w, k=small_design.n_t)
     assert abs(J_eig - J_ref) <= 1e-8 * abs(J_ref)
-    frozen = FrozenSVD.from_dense(ref.G_dense, small_design.n_t)
+    frozen = frozen_from_dense(ref.G_dense, small_design.n_t)
     J_froz = small_design.objective_grad_frozen(w, frozen)[0]
     assert abs(J_froz - J_ref) > 1e-6 * abs(J_ref)
 
@@ -531,7 +557,7 @@ def test_build_frozen_is_dense_truncation(small_design):
     w = rng.uniform(0.1, 1.0, small_design.n_s)
     for k in (5, 12, small_design.rank_bound):
         J, g = small_design.objective_grad_frozen(w, small_design.build_frozen(k))
-        J_d, g_d = small_design.objective_grad_frozen(w, FrozenSVD.from_dense(ref.G_dense, k))
+        J_d, g_d = small_design.objective_grad_frozen(w, frozen_from_dense(ref.G_dense, k))
         assert J == pytest.approx(J_d, rel=1e-12)
         assert np.linalg.norm(g - g_d) <= 1e-12 * np.linalg.norm(g_d)
     with count_solves() as c, pytest.raises(ConfigError, match="exceeds"):
@@ -836,7 +862,7 @@ def test_exact_core_past_dense_n_limit(nx32_problem):
 
     w = rng.uniform(0.1, 1.0, d.n_s)
     J, g, _ = ref.evaluate(w)
-    J_f, g_f = d.objective_grad_frozen(w, FrozenSVD.from_dense(ref.G_dense, d.rank_bound))
+    J_f, g_f = d.objective_grad_frozen(w, frozen_from_dense(ref.G_dense, d.rank_bound))
     assert J_f == pytest.approx(J, rel=1e-10)
     assert np.linalg.norm(g_f - g) <= 1e-10 * np.linalg.norm(g)
 
@@ -851,7 +877,7 @@ def test_exact_core_past_dense_n_limit(nx32_problem):
 
 def test_eig_k_at_nx32_against_exact_core(nx32_problem):
     """Eig-k (k = 40) on a 16-sensor binary design at nx = 32 (r = 48, l = 53) takes the
-    factored block: exactly l forward and l + k adjoint solves.  Its top-k spectrum matches
+    factored block: exactly l forward and r adjoint solves.  Its top-k spectrum matches
     the exact core's to rtol 1e-8 above roundoff (the spectrum spans 17 decades, and both
     sides hold each eigenvalue to about eps * lam_max), its J error is within the
     truncation oracle plus the residual check's k * rtol * lam_max and equals the
@@ -863,10 +889,11 @@ def test_eig_k_at_nx32_against_exact_core(nx32_problem):
     ref = d.dense_reference()
     w = np.zeros(d.n_s)
     w[np.random.default_rng(320).choice(d.n_s, size=16, replace=False)] = 1.0
-    l = max(k, d.n_t * 16) + 5
+    r = d.n_t * 16
+    l = max(k, r) + 5
     with count_solves() as c:
         J, _ = d.objective_grad_eig(w, k)
-    assert (c.delta.forward, c.delta.adjoint) == (l, l + k)
+    assert (c.delta.forward, c.delta.adjoint) == (l, r) == (53, 48)
     J_ref, _, lam_ref = ref.evaluate(w)
     lam = d.estimator("eig", k=k).spectrum(w)
     assert np.allclose(lam, lam_ref[:k], rtol=rtol, atol=1e-12 * lam_ref[0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_forward_matrix, make_config
+from conftest import dense_forward_matrix, make_config, unit_probe_adjoints
 from oed_dopt.accounting import count_solves
 from oed_dopt.errors import ConfigError
 from oed_dopt.problem import build_problem
@@ -271,3 +271,28 @@ def test_solve_tallies_per_call(path_problem, width):
     with count_solves() as c:
         fwd.solve_with_trajectory(np.ones(fwd.n))
     assert (c.delta.forward, c.delta.adjoint) == (1, 0)
+
+
+@pytest.mark.parametrize("which", ["raw", "whitened"])
+@pytest.mark.parametrize("pick", ["all", "subset", "one"])
+def test_sensor_adjoints_equal_unit_probe_adjoints(path_problem, which, pick):
+    """One reverse sweep of the sensors' probes gives, bit for bit, what apply_transpose
+    gives on the same probes one observation time at a time, at n_t |J| adjoint solves."""
+    F = path_problem.forward if which == "raw" else path_problem.G
+    n_s, n_t = F.obs.n_s, F.obs.n_t
+    sensors = {"all": np.arange(n_s), "subset": np.array([0, 3, n_s - 2]), "one": np.array([n_s // 2])}[pick]
+    oracle = unit_probe_adjoints(F, sensors)
+    with count_solves() as c:
+        Gt = F.sensor_adjoints(sensors)
+    assert (c.delta.forward, c.delta.adjoint) == (0, n_t * len(sensors))
+    assert Gt.shape == (F.n, n_t * len(sensors))
+    assert np.array_equal(Gt, oracle)
+
+
+@pytest.mark.parametrize("which", ["raw", "whitened"])
+def test_sensor_adjoints_of_no_sensor(path_problem, which):
+    F = path_problem.forward if which == "raw" else path_problem.G
+    with count_solves() as c:
+        Gt = F.sensor_adjoints([])
+    assert Gt.shape == (F.n, 0)
+    assert (c.delta.forward, c.delta.adjoint) == (0, 0)
