@@ -20,6 +20,7 @@ if _threads:
 
 import argparse
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -31,7 +32,7 @@ from .errors import ConfigError, NumericalError
 from .fem import export_mesh_csv
 from .inverse import map_estimate
 from .oed import check_design_weights, check_tol, kl_divergence
-from .optimize import check_solve, random_binary_designs, solve_continuation, solve_l1
+from .optimize import IterationRecord, check_solve, random_binary_designs, solve_continuation, solve_l1
 from .problem import build_problem
 from .sketch import SketchConfig
 
@@ -64,7 +65,7 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _read_weights(path, n_s: int):
-    """(weights, active) from a weights.csv; any malformed entry is a :class:`ConfigError`."""
+    """(weights, active) from a weights.csv listing each sensor_id 0..n_s-1 once; else a :class:`ConfigError`."""
     with open(path) as f:
         try:
             rows = [(int(r["sensor_id"]), float(r["weight"]), int(r["active"])) for r in csv.DictReader(f)]
@@ -78,6 +79,8 @@ def _read_weights(path, n_s: int):
         if flag not in (0, 1):
             raise ConfigError(f"weights file active flag {flag} of sensor {i} is not 0 or 1")
         weights[i], active[i] = weight, flag
+    if sorted(i for i, _, _ in rows) != list(range(n_s)):
+        raise ConfigError(f"weights file must list each sensor_id 0..{n_s - 1} exactly once")
     return check_design_weights(weights, n_s), active
 
 
@@ -158,36 +161,10 @@ def cmd_oed(config: ExperimentConfig, out_dir: str) -> None:
         os.path.join(out_dir, "result.json"),
         {"converged": bool(result.converged), "reached_binary": bool(result.reached_binary)},
     )
-    header = [
-        "iter",
-        "objective",
-        "J",
-        "grad_norm",
-        "wall_time",
-        "pde_forward",
-        "pde_adjoint",
-        "n_evals",
-        "J_error_vs_dense",
-        "grad_error_vs_dense",
-    ]
     write_csv(
         os.path.join(out_dir, "iterations.csv"),
-        header,
-        [
-            [
-                r.iteration,
-                r.objective,
-                r.J,
-                r.grad_norm,
-                r.wall_time,
-                r.pde_forward,
-                r.pde_adjoint,
-                r.n_evals,
-                "" if r.J_error_vs_dense is None else r.J_error_vs_dense,
-                "" if r.grad_error_vs_dense is None else r.grad_error_vs_dense,
-            ]
-            for r in result.history
-        ],
+        [f.name for f in dataclasses.fields(IterationRecord)],
+        [["" if v is None else v for v in dataclasses.astuple(r)] for r in result.history],
     )
     if result.stages:
         write_csv(

@@ -199,6 +199,9 @@ class ExperimentConfig:
                     kind = getattr(hints[key], "__name__", hints[key])
                     raise ConfigError(f"{name}.{key} must be of type {kind}, got {value!r}")
             sections[name] = section_cls(**payload)
+        for name, seed in (("seeds.master", sections["seeds"].master), ("sketch.seed", sections["sketch"].seed)):
+            if seed is not None and seed < 0:
+                raise ConfigError(f"{name} must be a non-negative integer, got {seed}")
         return cls(**sections)
 
     @classmethod
@@ -252,9 +255,9 @@ class ExperimentConfig:
         return seeds
 
     def with_master_seed(self, master: int) -> "ExperimentConfig":
-        cfg = ExperimentConfig.from_dict(self.to_dict())
-        cfg.seeds.master = int(master)
-        return cfg
+        data = self.to_dict()
+        data["seeds"]["master"] = int(master)
+        return ExperimentConfig.from_dict(data)
 
     def sensor_coordinates(self) -> np.ndarray:
         s = self.sensors

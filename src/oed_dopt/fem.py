@@ -50,10 +50,6 @@ class Mesh:
         return self.nodes.shape[0]
 
     @property
-    def n_triangles(self) -> int:
-        return self.triangles.shape[0]
-
-    @property
     def h(self) -> float:
         return 1.0 / self.nx
 
@@ -79,7 +75,7 @@ class AssembledOperators:
 
 
 class MassFactor:
-    """Factor R with R R^T = M for the chosen mass treatment.
+    """Products with R, R^T and R^{-1} for a factor R R^T = M of the chosen mass treatment.
 
     mode "lumped" replaces M by its row-sum lumped diagonal (R is the diagonal
     square root); this replacement is used consistently wherever the factor's
@@ -98,7 +94,6 @@ class MassFactor:
             if np.any(lumped <= 0):
                 raise NumericalError("lumped mass has a nonpositive entry; M is not SPD")
             self._diag = np.sqrt(lumped)
-            self.R = sp.diags(self._diag).tocsr()
             self.M = sp.diags(lumped).tocsr()
         else:
             Md = M.toarray()
@@ -107,7 +102,6 @@ class MassFactor:
             except np.linalg.LinAlgError as exc:
                 raise NumericalError("Cholesky factorization failed; M not SPD") from exc
             self._dense_R = C
-            self.R = sp.csr_matrix(C)
             self.M = M
         self.n = n
 
@@ -125,11 +119,6 @@ class MassFactor:
         if self.mode == "lumped":
             return (b.T / self._diag).T
         return sla.solve_triangular(self._dense_R, b, lower=True)
-
-    def solve_Rt(self, b: np.ndarray) -> np.ndarray:
-        if self.mode == "lumped":
-            return (b.T / self._diag).T
-        return sla.solve_triangular(self._dense_R.T, b, lower=False)
 
 
 def _snap_index(coord: float, nx: int, what: str) -> int:
@@ -280,11 +269,6 @@ def assemble(mesh: Mesh, velocity=None) -> AssembledOperators:
         N.eliminate_zeros()
 
     return AssembledOperators(M=M, K=K, N=N, n=n)
-
-
-def mass_factor(M: sp.spmatrix, mode: str = "lumped") -> MassFactor:
-    """Factor the mass matrix; see :class:`MassFactor`."""
-    return MassFactor(M, mode)
 
 
 def export_mesh_csv(mesh: Mesh, nodes_path, triangles_path) -> None:

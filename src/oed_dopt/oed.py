@@ -23,7 +23,7 @@ four as an :class:`Estimator`.  The z step (:func:`precompute_z`) is the one
 producer of a DesignProblem's observation-space data: it forms G^T by one
 reverse sweep of the n_s sensor probes (n_y adjoint solves), forms z and C
 from it and drops it, or reads z and C from the z cache; the frozen factor
-and the dense reference read C with no solve.
+and the dense reference read C with no solve, and no path forms G itself.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import tempfile
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -245,11 +244,9 @@ class DesignProblem:
     step; the frozen factor and the dense reference share its C = G G^T.
     """
 
-    def __init__(self, G, noise: NoiseModel, n_t: int | None = None):
+    def __init__(self, G, noise: NoiseModel, n_t: int):
         self.G = G
         self.noise = noise
-        if n_t is None:
-            n_t = G.obs.n_t
         self.n_t = int(n_t)
         self.n_s = noise.n_s
         if self.n_s * self.n_t != G.n_y:
@@ -488,8 +485,8 @@ class DenseReference:
     log det(I + H(w)) = log det(B), the nonzero eigenvalues of H(w) are those
     of S C S, and Woodbury gives dJ/dw_j = sigma_j^{-2} sum over sensor j's
     rows r of [C - C S B^{-1} S C]_rr.  C is the design's own, so every
-    evaluation is n_y x n_y algebra with no PDE solve; G itself (``G_dense``)
-    costs n_y adjoint solves on first use and is held.
+    evaluation is n_y x n_y algebra with no PDE solve; the nodal MAP point
+    (:meth:`theta_post`) costs one adjoint solve.  Neither G nor G^T is held.
     """
 
     def __init__(self, design: DesignProblem):
@@ -502,11 +499,6 @@ class DenseReference:
     @property
     def C(self) -> np.ndarray:
         return self.design.C
-
-    @cached_property
-    def G_dense(self) -> np.ndarray:
-        """G as an (n_y, n) array, by n_y adjoint solves once."""
-        return self.design.G.sensor_adjoints(np.arange(self.design.n_s)).T
 
     def _row_scale(self, w) -> np.ndarray:
         """The diagonal of S = W^{1/2} over the time-major observation rows."""

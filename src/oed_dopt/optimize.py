@@ -35,13 +35,15 @@ LBFGS_MEMORY = 8  # secant pairs held by minimize_box
 
 @dataclass
 class IterationRecord:
-    iteration: int
+    """One accepted iterate: a row of ``iterations.csv``, its fields in column order."""
+
+    iter: int
     objective: float  # penalized objective of the accepted iterate
     J: float
     grad_norm: float  # projected-gradient infinity norm
+    wall_time: float
     pde_forward: int
     pde_adjoint: int
-    wall_time: float
     n_evals: int  # estimator evaluations so far, line-search trials included
     J_error_vs_dense: float | None = None
     grad_error_vs_dense: float | None = None
@@ -55,10 +57,6 @@ class DesignResult:
     stages: list = field(default_factory=list)  # continuation: dicts per stage
     converged: bool = False
     reached_binary: bool = True
-
-    @property
-    def active_count(self) -> int:
-        return int(np.sum(self.binary))
 
 
 def project_box(w: np.ndarray) -> np.ndarray:
@@ -191,7 +189,7 @@ def _stage(estimator, gamma, penalty, w0, tol, max_iters, dense_ref, history, t_
         counts = solve_counter.snapshot()
         P, dP = penalty(w)
         rec = IterationRecord(
-            iteration=it,
+            iter=it,
             objective=f,
             J=-(f - gamma * P),
             grad_norm=projected_gradient_norm(w, g),

@@ -52,16 +52,6 @@ class PriorOperator:
         z = self.mass.solve_R(self.L @ np.asarray(theta, dtype=float))
         return float(z @ z)
 
-    def sample(self, xi: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:
-        """theta_pr + L^{-1} R xi; nodal covariance L^{-1} M L^{-1}.
-
-        Accepts a matrix of stacked standard-normal columns.
-        """
-        theta = self.solve_L(self.mass.apply_R(np.asarray(xi, dtype=float)))
-        if mean is not None:
-            theta = (theta.T + mean).T
-        return theta
-
 
 class WhitenedForwardMap:
     """G = F L^{-1} R and its exact transpose, the estimators' sole primitive.

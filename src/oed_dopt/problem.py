@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import ExperimentConfig, float_array
 from .errors import ConfigError
-from .fem import assemble, build_mesh, mass_factor, warn_if_advection_dominated
+from .fem import MassFactor, assemble, build_mesh, warn_if_advection_dominated
 from .oed import DesignProblem, NoiseModel, config_hash_bytes
 from .prior import PriorOperator, WhitenedForwardMap
 from .transport import ForwardMap, VelocityField, make_observation_setup, synthesize_data
@@ -96,7 +96,7 @@ def build_problem(config: ExperimentConfig) -> Problem:
     velocity = VelocityField(amplitude=config.velocity.amplitude, holes=mesh.holes)
     ops = assemble(mesh, velocity)
     warn_if_advection_dominated(abs(config.velocity.amplitude), mesh.h, config.pde.kappa)
-    mass = mass_factor(ops.M, config.mass.mode)
+    mass = MassFactor(ops.M, config.mass.mode)
     obs = make_observation_setup(
         mesh,
         config.sensor_coordinates(),

@@ -47,10 +47,6 @@ class LowRankEig:
     U: np.ndarray
     lam: np.ndarray
 
-    @property
-    def rank(self) -> int:
-        return len(self.lam)
-
 
 @dataclass
 class SpectrumSplit:
@@ -79,15 +75,6 @@ class SpectrumSplit:
         return float(self.lam2[0] / self.lam1[-1])
 
 
-def apply_operator(op, X: np.ndarray) -> np.ndarray:
-    """Apply an ndarray or a scipy LinearOperator to stacked columns."""
-    if isinstance(op, np.ndarray):
-        return op @ X
-    if X.ndim == 1:
-        return op.matvec(X)
-    return op.matmat(X)
-
-
 def _orthonormalize(Y: np.ndarray) -> np.ndarray:
     Q, R = np.linalg.qr(Y)
     diag = np.abs(np.diag(R))
@@ -102,7 +89,7 @@ def _orthonormalize(Y: np.ndarray) -> np.ndarray:
 
 
 def subspace_iteration(op, cfg: SketchConfig):
-    """Randomized subspace iteration on a symmetric PSD operator.
+    """Randomized subspace iteration on a symmetric PSD LinearOperator.
 
     Draws a Gaussian n x l test matrix from the seeded generator, applies the
     operator q times with re-orthonormalization after every application, and
@@ -115,10 +102,10 @@ def subspace_iteration(op, cfg: SketchConfig):
     rng = np.random.default_rng(cfg.seed)
     Y = rng.standard_normal((n, cfg.l))
     for _ in range(cfg.q):
-        Y = apply_operator(op, Y)
+        Y = op.matmat(Y)
         Y = _orthonormalize(Y)
     Q = Y
-    T = Q.T @ apply_operator(op, Q)
+    T = Q.T @ op.matmat(Q)
     return Q, 0.5 * (T + T.T)
 
 
@@ -137,39 +124,41 @@ def sketched_logdet(T: np.ndarray) -> float:
 
 
 _BLOCK_OVERSAMPLING = 5  # of the blocked branch of exact_eigs: l = max(k, rank bound) + 5
+_RTOL = 1e-8  # of exact_eigs's residual check
 
 
-def _checked_pairs(U, lam, residual, rtol: float) -> LowRankEig:
-    """The pairs (U, lam) once every column of ``residual`` = op U - U lam is within rtol * lam_max."""
+def _checked_pairs(U, lam, residual) -> LowRankEig:
+    """The pairs (U, lam) once every column of ``residual`` = op U - U lam is within _RTOL * lam_max."""
     residuals = np.linalg.norm(residual, axis=0)
     lam_max = lam[0] if lam[0] > 0 else 1.0
-    if np.any(residuals > rtol * lam_max):
-        raise ConvergenceError(f"eigenpair residuals exceed {rtol:g} * lam_max", residuals=residuals)
+    if np.any(residuals > _RTOL * lam_max):
+        raise ConvergenceError(f"eigenpair residuals exceed {_RTOL:g} * lam_max", residuals=residuals)
     return LowRankEig(U=U, lam=lam)
 
 
-def exact_eigs(op, k: int, rtol: float = 1e-8, seed: int = 0, maxiter: int | None = None) -> LowRankEig:
-    """Top-k eigenpairs of a symmetric PSD operator.
+def exact_eigs(op, k: int, seed: int = 0) -> LowRankEig:
+    """Top-k eigenpairs of a symmetric PSD LinearOperator.
 
-    An operator may declare ``rank_bound`` r (else r = n) together with its
-    factor B, op = B^T B: ``factor(X)`` = B X, ``factor_t(Y)`` = B^T Y, B with
-    ``factor_rows`` rows.  r = 0 gives lam = 0 with no application.  With l =
-    min(n, max(k, r) + 5), ncv = min(n, max(2k+1, 20)) (scipy ``eigsh``'s
-    Krylov size), r < n and 2l + k <= 2(ncv + k + 1), the range is sketched
-    from the factor: Q = qr(B^T Psi) for a seeded Gaussian Psi with l columns,
-    B Q, and Rayleigh-Ritz on (BQ)^T (BQ).  range(B^T) = range(op) has
-    dimension <= r < l, so the pairs are exact.  The rule prices the block at
-    l columns of B and l + k of B^T, never more than ARPACK's cheapest run (a
-    probe, ncv matvecs, k residual columns) at one B and one B^T per matvec.
-    It is kept as is, though ``oed.MisfitHessianOp``'s block costs l forward
-    + r adjoint solves (B^T is r columns formed once): no design changes
-    branch (``test_eig_all_positive_design_keeps_arpack`` stays at 30 + 30).
-    Otherwise ARPACK's implicitly restarted Lanczos runs from a deterministic
-    start vector, or a dense eigensolve when k is too close to n (n <=
-    DENSE_GUARD only).  Each pair must satisfy ||op u - lam u|| <= rtol *
-    lam_max, checked explicitly (op U = B^T (BQ V) on the blocked branch), or
-    a :class:`ConvergenceError` carrying the residuals is raised, also when a
-    declared rank bound understates the rank.
+    ``op`` is applied by ``op.matvec`` to one vector and ``op.matmat`` to a
+    block (scipy's ``op @ X`` would send a one-column block to ``matvec``),
+    or handed to ``eigsh``.  It may declare ``rank_bound`` r (else r = n)
+    together with its factor B, op = B^T B: ``factor(X)`` = B X,
+    ``factor_t(Y)`` = B^T Y, B with ``factor_rows`` rows.  r = 0 gives lam =
+    0 with no application.  With l = min(n, max(k, r) + 5), ncv = min(n,
+    max(2k+1, 20)) (scipy ``eigsh``'s Krylov size), the range is sketched
+    from the factor when r < n and 2l + k <= 2(ncv + k + 1): Q = qr(B^T Psi)
+    for a seeded Gaussian Psi with l columns, B Q, and Rayleigh-Ritz on
+    (BQ)^T (BQ).  range(B^T) = range(op) has dimension <= r < l, so the pairs
+    are exact.  The condition prices the block at l columns of B and l + k of
+    B^T against ARPACK's cheapest run (a probe, ncv matvecs, k residual
+    columns) at one B and one B^T per matvec.  Otherwise ARPACK's implicitly
+    restarted Lanczos runs from a deterministic start vector, or a dense
+    eigensolve of ``op.matmat(I)`` when k is too close to n (n <= DENSE_GUARD
+    only).  Each pair must satisfy ||op u - lam u|| <= rtol * lam_max for
+    the constant rtol = 1e-8 (``_RTOL``), checked explicitly (op U = B^T (BQ
+    V) on the blocked branch), or a :class:`ConvergenceError` carrying the
+    residuals is raised, also when a declared rank bound understates the
+    rank.
     """
     n = op.shape[0]
     if not 1 <= k <= n:
@@ -186,10 +175,10 @@ def exact_eigs(op, k: int, rtol: float = 1e-8, seed: int = 0, maxiter: int | Non
         lam, V = np.linalg.eigh(BQ.T @ BQ)
         lam, V = np.clip(lam[::-1][:k], 0.0, None), V[:, ::-1][:, :k]
         U = Q @ V
-        return _checked_pairs(U, lam, op.factor_t(BQ @ V) - U * lam, rtol)
+        return _checked_pairs(U, lam, op.factor_t(BQ @ V) - U * lam)
 
     v0 = rng.standard_normal(n)
-    probe = apply_operator(op, v0 / np.linalg.norm(v0))
+    probe = op.matvec(v0 / np.linalg.norm(v0))
     if np.linalg.norm(probe) == 0.0:
         U = np.linalg.qr(rng.standard_normal((n, k)))[0]
         return LowRankEig(U=U, lam=np.zeros(k))
@@ -197,14 +186,13 @@ def exact_eigs(op, k: int, rtol: float = 1e-8, seed: int = 0, maxiter: int | Non
     if k > n - 2 or n <= 16:
         if n > DENSE_GUARD:
             raise ConfigError(f"dense eigensolve fallback refused for n = {n} > {DENSE_GUARD}")
-        A = op if isinstance(op, np.ndarray) else apply_operator(op, np.eye(n))
+        A = op.matmat(np.eye(n))
         lam, U = np.linalg.eigh(0.5 * (A + A.T))
         order = np.argsort(lam)[::-1][:k]
         return LowRankEig(U=U[:, order], lam=np.clip(lam[order], 0.0, None))
 
-    A = op if not isinstance(op, np.ndarray) else spla.aslinearoperator(op)
     try:
-        lam, U = spla.eigsh(A, k=k, which="LM", v0=v0, maxiter=maxiter)
+        lam, U = spla.eigsh(op, k=k, which="LM", v0=v0)
     except spla.ArpackNoConvergence as exc:
         got = len(exc.eigenvalues)
         raise ConvergenceError(
@@ -213,7 +201,7 @@ def exact_eigs(op, k: int, rtol: float = 1e-8, seed: int = 0, maxiter: int | Non
         ) from exc
     order = np.argsort(lam)[::-1]
     lam, U = np.clip(lam[order], 0.0, None), U[:, order]
-    return _checked_pairs(U, lam, apply_operator(op, U) - U * lam, rtol)
+    return _checked_pairs(U, lam, op.matmat(U) - U * lam)
 
 
 def cge_constant(k: int, p: int, n: int) -> float:

@@ -103,8 +103,11 @@ def make_observation_setup(
     positive time-grid point, distinct for distinct times.
     """
     sensor_coords = np.atleast_2d(np.asarray(sensor_coords, dtype=float))
+    times = np.atleast_1d(np.asarray(obs_times, dtype=float))
     if sensor_coords.size == 0:
         raise ConfigError("empty candidate sensor set")
+    if times.size == 0:
+        raise ConfigError("empty observation time set")
     if n_steps < 1 or T <= 0:
         raise ConfigError("need n_steps >= 1 and T > 0")
     tree = cKDTree(mesh.nodes)
@@ -113,7 +116,6 @@ def make_observation_setup(
     if len(np.unique(nodes)) != len(nodes):
         raise ConfigError("sensors snap to coincident mesh nodes; refine the mesh or move sensors")
 
-    times = np.atleast_1d(np.asarray(obs_times, dtype=float))
     outside = ~((times > 0) & (times <= T))
     if np.any(outside):
         raise ConfigError(f"observation times {times[outside].tolist()} lie outside (0, T] with T = {T}")

@@ -121,7 +121,7 @@ def dense_G_matrix(problem):
     """Dense whitened map F L^{-1} R via numpy solves (independent route)."""
     F = dense_forward_matrix(problem)
     L = problem.prior.L.toarray()
-    R = problem.mass.R.toarray()
+    R = problem.mass.apply_R(np.eye(problem.G.n))
     return F @ np.linalg.solve(L, R)
 
 
@@ -136,9 +136,14 @@ def unit_probe_adjoints(F, sensors):
     return np.hstack(blocks)
 
 
+def dense_G(design):
+    """The design's whitened map G as an (n_y, n) array: one sensor_adjoints sweep, n_y adjoint solves."""
+    return design.G.sensor_adjoints(np.arange(design.n_s)).T
+
+
 def dense_hessian(ref, w):
-    """H(w) = G^T W G as an (n, n) array from the dense reference's G."""
-    Gw = ref._row_scale(w)[:, None] * ref.G_dense
+    """H(w) = G^T W G as an (n, n) array from :func:`dense_G` of the dense reference's design."""
+    Gw = ref._row_scale(w)[:, None] * dense_G(ref.design)
     return Gw.T @ Gw
 
 

@@ -229,6 +229,8 @@ def test_cli_validation_exit_codes(tmp_path):
     assert main(["synthesize", "--config", missing, "--out", str(tmp_path / "x")]) == 2
 
     cfg_path = write_config(tmp_path)
+    assert main(["synthesize", "--config", cfg_path, "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2
+    assert solve_counter.snapshot().total == 0  # main() resets the tally on entry
     assert (
         main(
             [
@@ -394,23 +396,26 @@ def test_cli_eig_k_above_rank_bound_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "header, row",
+    "header, rows",
     [
-        (["sensor_id", "x", "y", "weight", "active"], ["0", "0", "0", "1.0", "1.0"]),
-        (["sensor_id", "x", "y", "active"], ["0", "0", "0", "1"]),
-        (["sensor_id", "x", "y", "weight", "active"], ["x", "0", "0", "1.0", "1"]),
-        (["sensor_id", "x", "y", "weight", "active"], ["0", "0", "0", "1.0", "2"]),
-        (["sensor_id", "x", "y", "weight", "active"], ["0", "0", "0", "nan", "1"]),
+        (["sensor_id", "x", "y", "weight", "active"], [["0", "0", "0", "1.0", "1.0"]]),
+        (["sensor_id", "x", "y", "active"], [["0", "0", "0", "1"]]),
+        (["sensor_id", "x", "y", "weight", "active"], [["x", "0", "0", "1.0", "1"]]),
+        (["sensor_id", "x", "y", "weight", "active"], [["0", "0", "0", "1.0", "2"]]),
+        (["sensor_id", "x", "y", "weight", "active"], [["0", "0", "0", "nan", "1"]]),
+        (["sensor_id", "x", "y", "weight", "active"], [[str(j), "0", "0", "1.0", "1"] for j in (0, *range(9))]),
+        (["sensor_id", "x", "y", "weight", "active"], [[str(j), "0", "0", "1.0", "1"] for j in range(8)]),
     ],
-    ids=["active-float", "no-weight-column", "sensor-id-text", "active-2", "weight-nan"],
+    ids=["active-float", "no-weight-column", "sensor-id-text", "active-2", "weight-nan", "duplicate-id", "missing-id"],
 )
-def test_cli_malformed_weights_exit_2(tmp_path, header, row):
-    """A malformed weights.csv is a configuration error for both readers, never a traceback."""
+def test_cli_malformed_weights_exit_2(tmp_path, header, rows):
+    """A malformed weights.csv is a configuration error for both readers, never a traceback;
+    it must list each of the 9 sensor ids exactly once."""
     cfg_path = write_config(tmp_path)
     out = str(tmp_path / "bad")
     weights = write_weights(out, 1.0)
     with open(weights, "w") as f:
-        f.write(",".join(header) + "\n" + ",".join(row) + "\n")
+        f.write("".join(",".join(row) + "\n" for row in [header, *rows]))
     for command in ("evaluate", "compare-random"):
         assert main([command, "--config", cfg_path, "--weights", weights, "--out", out]) == 2, command
 
@@ -480,6 +485,9 @@ def test_cli_evaluate_bad_tol_exits_2_before_any_solve(tmp_path, tol):
         {"theta_true": {"bumps": [{"center": [0.5, 0.5], "width": 0.1}]}},
         {"theta_true": {"bumps": [0.3]}},
         {"theta_true": {"bumps": [{"center": [0.5, 0.5], "width": 0.1, "amplitude": 1.0, "widht": 0.2}]}},
+        {"seeds": {"master": -5}},
+        {"sketch": {"seed": -3}},
+        {"obs": {"times": []}},
     ],
     ids=lambda o: json.dumps(o),
 )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator
 
-from conftest import dense_hessian, frozen_from_dense, make_config, synthetic_design, unit_probe_adjoints
+from conftest import dense_G, dense_hessian, frozen_from_dense, make_config, synthetic_design, unit_probe_adjoints
 from oed_dopt.accounting import count_solves
 from oed_dopt.errors import ConfigError
 from oed_dopt.oed import (
@@ -55,7 +55,7 @@ def test_misfit_op_matches_dense(small_design):
 
 def test_z_matches_dense_trace_oracle(small_design):
     d = small_design
-    blocks = sensor_blocks(d.dense_reference().G_dense, d.n_s, d.n_t)
+    blocks = sensor_blocks(dense_G(d), d.n_s, d.n_t)
     # tr(dH/dw_j) with the dense dH/dw_j = G^T E_j G / sigma_j^2
     z_ref = np.array([np.trace(blocks[:, j, :].T @ blocks[:, j, :]) / d.noise.sigma[j] ** 2 for j in range(d.n_s)])
     assert np.allclose(small_design.z, z_ref, rtol=1e-8)
@@ -438,19 +438,16 @@ def test_first_reader_runs_the_one_z_step(tmp_path, small_design):
 
 def test_z_step_C_and_dense_G(small_design):
     """Without a cache file the z step's C is the Gram matrix of G^T, formed by
-    apply_transpose on unit probes, bit for bit; G itself costs n_y adjoint solves once
+    apply_transpose on unit probes, bit for bit; G itself costs n_y adjoint solves
     and equals that G^T transposed, and the exact MAP point costs one adjoint solve."""
     d = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
     Gt = unit_probe_adjoints(d.G, np.arange(d.n_s))
     assert np.array_equal(d.ensure_z().C, Gt.T @ Gt)
     ref = d.dense_reference()
-    spent = []
-    for _ in range(2):
-        with count_solves() as c:
-            G_dense = ref.G_dense
-        spent.append((c.delta.forward, c.delta.adjoint))
-    assert spent == [(0, d.G.n_y), (0, 0)]
-    assert np.array_equal(G_dense, Gt.T)
+    with count_solves() as c:
+        G = dense_G(d)
+    assert (c.delta.forward, c.delta.adjoint) == (0, d.G.n_y)
+    assert np.array_equal(G, Gt.T)
     rng = np.random.default_rng(30)
     with count_solves() as c:
         ref.theta_post(rng.uniform(0.2, 1.0, d.n_s), rng.standard_normal(d.G.n_y))
@@ -504,10 +501,11 @@ def test_frozen_full_rank_exact(small_design):
 def test_frozen_truncation_bound_20_designs(small_design):
     """0 <= J - J_froz <= logdet(I + discarded sigma^2), noise-whitened."""
     ref = small_design.dense_reference()
-    Gw = ref.G_dense / small_design.noise.sigma[0]  # uniform sigma
+    Gd = dense_G(small_design)
+    Gw = Gd / small_design.noise.sigma[0]  # uniform sigma
     s = np.linalg.svd(Gw, compute_uv=False)
     k_f = 10
-    frozen = frozen_from_dense(ref.G_dense, k_f)
+    frozen = frozen_from_dense(Gd, k_f)
     split = SpectrumSplit(lam1=s[:k_f] ** 2, lam2=s[k_f:] ** 2, n=len(s))
     bound = error_bounds(split, None, "frozen")
     rng = np.random.default_rng(9)
@@ -529,7 +527,7 @@ def test_single_sensor_rank_structure(small_design):
     assert np.sum(lam > 1e-10 * max(lam[0], 1.0)) <= small_design.n_t
     J_eig = small_design.objective_eig(w, k=small_design.n_t)
     assert abs(J_eig - J_ref) <= 1e-8 * abs(J_ref)
-    frozen = frozen_from_dense(ref.G_dense, small_design.n_t)
+    frozen = frozen_from_dense(dense_G(small_design), small_design.n_t)
     J_froz = small_design.objective_grad_frozen(w, frozen)[0]
     assert abs(J_froz - J_ref) > 1e-6 * abs(J_ref)
 
@@ -552,12 +550,12 @@ def test_frozen_gradient_is_exact_derivative(small_design):
 
 
 def test_build_frozen_is_dense_truncation(small_design):
-    ref = small_design.dense_reference()
+    Gd = dense_G(small_design)
     rng = np.random.default_rng(20)
     w = rng.uniform(0.1, 1.0, small_design.n_s)
     for k in (5, 12, small_design.rank_bound):
         J, g = small_design.objective_grad_frozen(w, small_design.build_frozen(k))
-        J_d, g_d = small_design.objective_grad_frozen(w, frozen_from_dense(ref.G_dense, k))
+        J_d, g_d = small_design.objective_grad_frozen(w, frozen_from_dense(Gd, k))
         assert J == pytest.approx(J_d, rel=1e-12)
         assert np.linalg.norm(g - g_d) <= 1e-12 * np.linalg.norm(g_d)
     with count_solves() as c, pytest.raises(ConfigError, match="exceeds"):
@@ -569,8 +567,7 @@ def test_build_frozen_is_dense_truncation(small_design):
 def test_held_Gt_is_built_once(tmp_path, small_design, first):
     """The frozen factor and the dense reference read the z cache's C: after a
     cache miss or hit both cost 0 solves.  Only G itself needs G^T, which no
-    design holds: the first ``G_dense`` builds it with n_y adjoint solves, and
-    the dense reference holds it."""
+    design holds: building it costs n_y adjoint solves."""
     readers = {"frozen": lambda d: d.build_frozen(8), "dense": lambda d: d.dense_reference()}
     order = [first] + [name for name in readers if name != first]
     h = config_hash_bytes("payload-a")
@@ -583,11 +580,10 @@ def test_held_Gt_is_built_once(tmp_path, small_design, first):
             with count_solves() as c:
                 readers[name](d)
             spent.append((c.delta.forward, c.delta.adjoint))
-        for _ in range(2):
-            with count_solves() as c:
-                d.dense_reference().G_dense
-            spent.append((c.delta.forward, c.delta.adjoint))
-        assert spent == [(0, 0), (0, 0), (0, n_y), (0, 0)], f"cache hit: {cache_hit}"
+        with count_solves() as c:
+            dense_G(d)
+        spent.append((c.delta.forward, c.delta.adjoint))
+        assert spent == [(0, 0), (0, 0), (0, n_y)], f"cache hit: {cache_hit}"
         assert d.C is d.ensure_z().C
 
 
@@ -862,7 +858,7 @@ def test_exact_core_past_dense_n_limit(nx32_problem):
 
     w = rng.uniform(0.1, 1.0, d.n_s)
     J, g, _ = ref.evaluate(w)
-    J_f, g_f = d.objective_grad_frozen(w, frozen_from_dense(ref.G_dense, d.rank_bound))
+    J_f, g_f = d.objective_grad_frozen(w, frozen_from_dense(dense_G(d), d.rank_bound))
     assert J_f == pytest.approx(J, rel=1e-10)
     assert np.linalg.norm(g_f - g) <= 1e-10 * np.linalg.norm(g)
 

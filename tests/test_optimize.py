@@ -269,7 +269,7 @@ def test_l1_feasibility_and_descent(desk_design):
     objs = [r.objective for r in res.history]
     assert all(f2 <= f1 + 1e-12 for f1, f2 in zip(objs, objs[1:]))
     assert res.converged
-    assert 0 < res.active_count < desk_design.n_s
+    assert 0 < res.binary.sum() < desk_design.n_s
 
 
 def test_l1_matches_scipy_reference(desk_design):
@@ -325,7 +325,7 @@ def test_continuation_reaches_binary_with_monotone_distance(desk_design):
     assert all(d2 <= d1 + 1e-9 for d1, d2 in zip(dists, dists[1:]))
     assert res.reached_binary
     assert dists[-1] <= 1e-2
-    assert 0 < res.active_count < desk_design.n_s
+    assert 0 < res.binary.sum() < desk_design.n_s
     assert set(np.unique(res.w_opt)).issubset({0.0, 1.0})
 
 
@@ -353,7 +353,7 @@ def test_iteration_history_counters_monotone(desk_design):
     res = solve_l1(desk_design.estimator("rand", cfg=cfg), penalty_gamma=0.6, max_iters=25)
     fw = [r.pde_forward for r in res.history]
     assert all(b >= a for a, b in zip(fw, fw[1:]))
-    assert res.history[0].iteration == 0
+    assert res.history[0].iter == 0
 
 
 def test_dense_error_tracking(desk_design):

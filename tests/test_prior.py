@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from conftest import dense_G_matrix, dense_prior_sqrt, make_config
 from oed_dopt.config import ExperimentConfig
 from oed_dopt.errors import ConfigError
-from oed_dopt.fem import assemble, build_mesh, mass_factor
+from oed_dopt.fem import MassFactor, assemble, build_mesh
 from oed_dopt.prior import PriorOperator
 from oed_dopt.problem import build_problem
 
@@ -27,7 +27,7 @@ def tiny_default_prior():
 
 def _prior_with(alpha, beta, nx=4):
     ops = assemble(build_mesh(nx))
-    mass = mass_factor(ops.M, "lumped")
+    mass = MassFactor(ops.M, "lumped")
     return PriorOperator(ops, mass, alpha, beta)
 
 
@@ -110,22 +110,22 @@ def test_prior_weighted_norm_identity_prior():
     assert prior.weighted_norm_sq(theta) == pytest.approx(theta @ (prior.M @ theta), rel=1e-12)
 
 
-def test_sample_zero_noise_returns_mean():
-    prior = _prior_with(2e-3, 0.1)
-    mean = np.linspace(0.0, 1.0, prior.n)
-    assert np.allclose(prior.sample(np.zeros(prior.n), mean=mean), mean)
-    assert np.allclose(prior.sample(np.zeros(prior.n)), 0.0)
+def _whitened_map_nx3():
+    """Whitened map of an nx=3 problem with the prior of ``_prior_with(2e-3, 0.1, nx=3)``;
+    ``field_from_whitened`` maps standard-normal xi to a prior sample L^{-1} R xi."""
+    cfg = make_config(mesh={"nx": 3}, sensors={"grid": [2, 2], "margin": [0.25, 0.25]}, prior={"alpha": 2e-3, "beta": 0.1})
+    return build_problem(cfg).G
 
 
 def test_sample_covariance_matches_dense_oracle():
-    prior = _prior_with(2e-3, 0.1, nx=3)
-    n = prior.n
+    G = _whitened_map_nx3()
+    prior, n = G.prior, G.n
     L = prior.L.toarray()
     M = prior.M.toarray()
     C = np.linalg.solve(L, np.linalg.solve(L, M).T)  # L^{-1} M L^{-1}
     rng = np.random.default_rng(7)
     N = 50_000
-    samples = prior.sample(rng.standard_normal((n, N)))
+    samples = G.field_from_whitened(rng.standard_normal((n, N)))
     emp = (samples @ samples.T) / N
     # CLT band: Var(x_i x_j) = C_ii C_jj + C_ij^2 for Gaussians
     se = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C**2) / N)
@@ -133,11 +133,11 @@ def test_sample_covariance_matches_dense_oracle():
 
 
 def test_sample_whitened_norm_chi_square():
-    prior = _prior_with(2e-3, 0.1, nx=3)
-    n = prior.n
+    G = _whitened_map_nx3()
+    prior, n = G.prior, G.n
     rng = np.random.default_rng(8)
     N = 20_000
-    xs = prior.sample(rng.standard_normal((n, N)))
+    xs = G.field_from_whitened(rng.standard_normal((n, N)))
     vals = np.array([prior.weighted_norm_sq(xs[:, i]) for i in range(N)])
     se = np.sqrt(2.0 * n / N)
     assert abs(vals.mean() - n) <= 5.0 * se
@@ -172,7 +172,7 @@ def test_singular_value_product_bound(tiny_default_prior):
 
     F = dense_forward_matrix(tiny_default_prior)
     L = tiny_default_prior.prior.L.toarray()
-    R = tiny_default_prior.mass.R.toarray()
+    R = tiny_default_prior.mass.apply_R(np.eye(tiny_default_prior.G.n))
     P = np.linalg.solve(L, R)
     G = tiny_default_prior.G.apply_transpose(np.eye(tiny_default_prior.G.n_y)).T
     s_G = np.linalg.svd(G, compute_uv=False)[0]
