@@ -287,10 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    solve_counter.reset()
     try:
         config = _load_config(args)
         os.makedirs(args.out, exist_ok=True)
-        solve_counter.reset()
         if args.command == "synthesize":
             cmd_synthesize(config, args.out)
         elif args.command == "oed":

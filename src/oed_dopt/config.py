@@ -84,7 +84,7 @@ class TrueStateConfig:
         for bump in self.bumps:
             keys = isinstance(bump, dict) and set(bump) == {"center", "width", "amplitude"}
             numbers = keys and all(_fits(bump[key], float) for key in ("width", "amplitude"))
-            if not (numbers and bump["width"] > 0 and np.all(np.isfinite([bump["width"], bump["amplitude"]]))):
+            if not (numbers and bump["width"] > 0):
                 raise ConfigError(
                     f"theta_true.bumps entries need exactly a center, a finite width > 0 and amplitude, got {bump!r}"
                 )
@@ -117,29 +117,15 @@ class SeedsConfig:
     master: int = 20260810
 
 
-_SECTIONS = {
-    "mesh": MeshConfig,
-    "mass": MassConfig,
-    "pde": PdeConfig,
-    "velocity": VelocityConfig,
-    "prior": PriorConfig,
-    "sensors": SensorsConfig,
-    "obs": ObsConfig,
-    "noise": NoiseConfig,
-    "theta_true": TrueStateConfig,
-    "sketch": SketchSection,
-    "opt": OptConfig,
-    "seeds": SeedsConfig,
-}
-_HINTS = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}
-
-
 def _fits(value, hint) -> bool:
-    """JSON value against a field annotation: float takes an int, list a tuple, X | None takes None; bool is no number."""
+    """JSON value against a field annotation: float takes an int, list a tuple, X | None takes None; bool is no
+    number, and NaN or Infinity fits nothing."""
     if typing.get_args(hint):
         return any(_fits(value, h) for h in typing.get_args(hint))
     if isinstance(value, bool):
         return hint is bool
+    if isinstance(value, float) and not np.isfinite(value):
+        return False
     return isinstance(value, {float: (int, float), list: (list, tuple)}.get(hint, hint))
 
 
@@ -274,3 +260,7 @@ class ExperimentConfig:
         ys = np.linspace(my, 1.0 - my, gy)
         X, Y = np.meshgrid(xs, ys)
         return np.column_stack([X.ravel(), Y.ravel()])
+
+
+_SECTIONS = typing.get_type_hints(ExperimentConfig)
+_HINTS = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}

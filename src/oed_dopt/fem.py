@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import ConfigError, NumericalError
+from .sketch import DENSE_GUARD
 
 _ALIGN_TOL = 1e-12
 
@@ -33,17 +34,13 @@ class Mesh:
         Node coordinates in [0, 1]^2.
     triangles : (m, 3) int ndarray
         Node-index triples with positive signed area.
-    boundary : (n,) bool ndarray
-        True for nodes on the outer boundary or on a hole boundary.
-    holes : list of (x0, y0, x1, y1)
-        Rectangles excluded from the domain.
+    nx : int
+        Grid cells per side.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
-    boundary: np.ndarray
-    holes: list = field(default_factory=list)
-    nx: int = 0
+    nx: int
 
     @property
     def n_nodes(self) -> int:
@@ -52,11 +49,6 @@ class Mesh:
     @property
     def h(self) -> float:
         return 1.0 / self.nx
-
-    def area(self) -> float:
-        """Total domain area (1 minus the hole areas)."""
-        cut = sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in self.holes)
-        return 1.0 - cut
 
 
 @dataclass
@@ -80,14 +72,15 @@ class MassFactor:
     mode "lumped" replaces M by its row-sum lumped diagonal (R is the diagonal
     square root); this replacement is used consistently wherever the factor's
     ``M`` attribute is consumed.  mode "cholesky" keeps the consistent M and
-    factors it densely (desk-scale problems only).
+    factors it densely, so it is refused for n > DENSE_GUARD nodes.
     """
 
     def __init__(self, M: sp.spmatrix, mode: str = "lumped"):
         if mode not in ("lumped", "cholesky"):
             raise ConfigError(f"unknown mass mode {mode!r}")
+        if mode == "cholesky" and M.shape[0] > DENSE_GUARD:
+            raise ConfigError(f"mass mode 'cholesky' is dense; refused for n = {M.shape[0]} > {DENSE_GUARD}")
         self.mode = mode
-        n = M.shape[0]
         M = sp.csr_matrix(M)
         if mode == "lumped":
             lumped = np.asarray(M.sum(axis=1)).ravel()
@@ -103,7 +96,6 @@ class MassFactor:
                 raise NumericalError("Cholesky factorization failed; M not SPD") from exc
             self._dense_R = C
             self.M = M
-        self.n = n
 
     def apply_R(self, x: np.ndarray) -> np.ndarray:
         if self.mode == "lumped":
@@ -138,81 +130,33 @@ def build_mesh(nx: int, holes: list | None = None) -> Mesh:
         Cells per side, at least 2.
     holes : list of (x0, y0, x1, y1), optional
         Axis-aligned rectangles strictly inside (0,1)^2 and aligned to the
-        grid.  Cells covered by a hole are dropped; nodes strictly interior
-        to a hole are removed.
+        grid.  Cells covered by a hole are dropped, and so are the nodes
+        that no retained cell touches.
     """
     if nx < 2:
         raise ConfigError(f"nx must be at least 2, got {nx}")
     holes = [tuple(map(float, h)) for h in (holes or [])]
 
-    hole_cells = []  # (i0, i1, j0, j1) cell-index ranges
+    nn = nx + 1
+    open_cells = np.ones((nx, nx), dtype=bool)  # [cj, ci]
     for rect in holes:
         x0, y0, x1, y1 = rect
         if not (0.0 < x0 < x1 < 1.0 and 0.0 < y0 < y1 < 1.0):
             raise ConfigError(f"hole {rect} must be strictly inside (0,1)^2")
-        i0 = _snap_index(x0, nx, "hole")
-        i1 = _snap_index(x1, nx, "hole")
-        j0 = _snap_index(y0, nx, "hole")
-        j1 = _snap_index(y1, nx, "hole")
-        hole_cells.append((i0, i1, j0, j1))
+        i0, i1, j0, j1 = (_snap_index(c, nx, "hole") for c in (x0, x1, y0, y1))
+        open_cells[j0:j1, i0:i1] = False
 
-    def cell_in_hole(ci, cj):
-        return any(i0 <= ci < i1 and j0 <= cj < j1 for i0, i1, j0, j1 in hole_cells)
-
-    def node_in_hole_interior(gi, gj):
-        return any(i0 < gi < i1 and j0 < gj < j1 for i0, i1, j0, j1 in hole_cells)
-
-    nn = nx + 1
-    keep_node = np.ones(nn * nn, dtype=bool)
-    for gj in range(nn):
-        for gi in range(nn):
-            if node_in_hole_interior(gi, gj):
-                keep_node[gj * nn + gi] = False
-
-    new_index = -np.ones(nn * nn, dtype=int)
-    new_index[keep_node] = np.arange(int(keep_node.sum()))
-
+    # lower-left grid node of each open cell, in row order, split along its diagonal
+    cj, ci = np.nonzero(open_cells)
+    a = cj * nn + ci
+    tris = np.column_stack([a, a + 1, a + nn + 1, a, a + nn + 1, a + nn]).reshape(-1, 3)
+    # keep the grid nodes some triangle uses, in grid order: hole interiors and
+    # nodes orphaned between adjacent holes drop out
+    used, triangles = np.unique(tris, return_inverse=True)
     grid = np.arange(nn) / nx
     xs, ys = np.meshgrid(grid, grid)  # row index = y
-    nodes = np.column_stack([xs.ravel(), ys.ravel()])[keep_node]
-
-    tris = []
-    for cj in range(nx):
-        for ci in range(nx):
-            if cell_in_hole(ci, cj):
-                continue
-            a = cj * nn + ci
-            b = cj * nn + ci + 1
-            c = (cj + 1) * nn + ci + 1
-            d = (cj + 1) * nn + ci
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    triangles = new_index[np.asarray(tris, dtype=int)]
-    if np.any(triangles < 0):
-        raise NumericalError("internal error: retained triangle references removed node")
-
-    # every retained node must belong to a triangle (true for grid-aligned holes)
-    used = np.zeros(nodes.shape[0], dtype=bool)
-    used[triangles.ravel()] = True
-    nodes = nodes[used]
-    remap = -np.ones(used.shape[0], dtype=int)
-    remap[used] = np.arange(int(used.sum()))
-    triangles = remap[triangles]
-
-    boundary = np.zeros(nodes.shape[0], dtype=bool)
-    x, y = nodes[:, 0], nodes[:, 1]
-    boundary |= (x < _ALIGN_TOL) | (x > 1 - _ALIGN_TOL)
-    boundary |= (y < _ALIGN_TOL) | (y > 1 - _ALIGN_TOL)
-    for x0, y0, x1, y1 in holes:
-        on_rect = (
-            (np.abs(x - x0) < _ALIGN_TOL) | (np.abs(x - x1) < _ALIGN_TOL)
-        ) & (y >= y0 - _ALIGN_TOL) & (y <= y1 + _ALIGN_TOL)
-        on_rect |= (
-            (np.abs(y - y0) < _ALIGN_TOL) | (np.abs(y - y1) < _ALIGN_TOL)
-        ) & (x >= x0 - _ALIGN_TOL) & (x <= x1 + _ALIGN_TOL)
-        boundary |= on_rect
-
-    return Mesh(nodes=nodes, triangles=triangles, boundary=boundary, holes=holes, nx=nx)
+    nodes = np.column_stack([xs.ravel(), ys.ravel()])[used]
+    return Mesh(nodes=nodes, triangles=triangles.reshape(tris.shape), nx=nx)
 
 
 def triangle_geometry(nodes: np.ndarray, triangles: np.ndarray):
@@ -286,6 +230,8 @@ def export_mesh_csv(mesh: Mesh, nodes_path, triangles_path) -> None:
 
 
 def peclet_number(velocity_amplitude: float, h: float, kappa: float) -> float:
+    if kappa == 0:  # pure advection: unbounded, unless there is no flow either
+        return np.inf if velocity_amplitude else 0.0
     return velocity_amplitude * h / (2.0 * kappa)
 
 

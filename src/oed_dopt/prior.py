@@ -32,12 +32,8 @@ class PriorOperator:
     def __init__(self, ops: AssembledOperators, mass: MassFactor, alpha: float, beta: float):
         if alpha < 0 or beta <= 0:
             raise ConfigError("prior needs alpha >= 0 and beta > 0")
-        self.alpha = alpha
-        self.beta = beta
         self.mass = mass
-        self.M = mass.M
         self.L = (alpha * ops.K + beta * mass.M).tocsc()
-        self.n = ops.n
         self._lu = _factorize(self.L, 0.0, "prior operator")
 
     def solve_L(self, b: np.ndarray) -> np.ndarray:

@@ -35,13 +35,17 @@ class Problem:
     mesh: object
     ops: object
     mass: object
-    velocity: VelocityField
     obs: object
     forward: ForwardMap
     prior: PriorOperator
     G: WhitenedForwardMap
     theta_true: np.ndarray
     seeds: dict
+
+    @cached_property
+    def y_clean(self) -> np.ndarray:
+        """Noise-free observations F theta_true: one forward solve per problem."""
+        return self.forward.apply(self.theta_true)
 
     @cached_property
     def sigma(self) -> np.ndarray:
@@ -55,8 +59,7 @@ class Problem:
             rel = self.config.noise.pct
         if not rel >= 0.0:
             raise ConfigError(f"noise.sigma_rel (default noise.pct) must be >= 0, got {rel!r}")
-        y_clean = self.forward.apply(self.theta_true)
-        peak = float(np.max(np.abs(y_clean)))
+        peak = float(np.max(np.abs(self.y_clean)))
         if peak == 0.0 or rel == 0.0:
             # keep the noise model valid even for noiseless synthetic studies
             return np.full(self.obs.n_s, max(peak, 1.0) * 1e-12)
@@ -68,9 +71,7 @@ class Problem:
 
     def synthesize(self):
         """(y_obs, sigma) with the seeded noise generator."""
-        return synthesize_data(
-            self.forward, self.theta_true, self.config.noise.pct, self.seeds["noise"]
-        )
+        return synthesize_data(self.y_clean, self.obs.n_s, self.config.noise.pct, self.seeds["noise"])
 
     def z_config_hash(self) -> bytes:
         """Hash of the configuration subset that determines z."""
@@ -93,8 +94,7 @@ class Problem:
 
 def build_problem(config: ExperimentConfig) -> Problem:
     mesh = build_mesh(config.mesh.nx, float_array(config.mesh.holes, "mesh.holes", (None, 4)).tolist())
-    velocity = VelocityField(amplitude=config.velocity.amplitude, holes=mesh.holes)
-    ops = assemble(mesh, velocity)
+    ops = assemble(mesh, VelocityField(amplitude=config.velocity.amplitude))
     warn_if_advection_dominated(abs(config.velocity.amplitude), mesh.h, config.pde.kappa)
     mass = MassFactor(ops.M, config.mass.mode)
     obs = make_observation_setup(
@@ -113,7 +113,6 @@ def build_problem(config: ExperimentConfig) -> Problem:
         mesh=mesh,
         ops=ops,
         mass=mass,
-        velocity=velocity,
         obs=obs,
         forward=forward,
         prior=prior,

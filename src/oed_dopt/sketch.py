@@ -226,8 +226,6 @@ def cge_constant(k: int, p: int, n: int) -> float:
     )
 
 
-_RANDOMIZED_KINDS = {"kl_rand", "logdet_rand", "grad_rand_component", "grad_norm_rand"}
-
 BOUND_KINDS = (
     "kl_eig",
     "kl_rand",

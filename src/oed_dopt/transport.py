@@ -14,7 +14,7 @@ observation time t_m, so entry (m, j) sits at position m * n_s + j (0-based).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,24 +32,18 @@ class VelocityField:
 
     Stream function psi(x, y) = (amplitude / pi) sin(pi x) sin(pi y), so
     v = (d psi / dy, -d psi / dx).  The field is analytically divergence
-    free with v . n = 0 on the outer boundary.  Inside holes the field is
-    zeroed; the discrete no-normal-flow condition on hole boundaries is then
-    only approximate.
+    free with v . n = 0 on the outer boundary; on hole boundaries it is not
+    tangential, and assembly samples it only at retained cells' centroids.
     """
 
     amplitude: float = 1.0
-    holes: list = field(default_factory=list)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
         x, y = points[:, 0], points[:, 1]
         vx = self.amplitude * np.sin(np.pi * x) * np.cos(np.pi * y)
         vy = -self.amplitude * np.cos(np.pi * x) * np.sin(np.pi * y)
-        v = np.column_stack([vx, vy])
-        for x0, y0, x1, y1 in self.holes:
-            inside = (x > x0) & (x < x1) & (y > y0) & (y < y1)
-            v[inside] = 0.0
-        return v
+        return np.column_stack([vx, vy])
 
 
 @dataclass
@@ -64,15 +58,13 @@ class ObservationSetup:
         Coordinates of the snapped sensor nodes.
     obs_steps : (n_t,) int ndarray
         Time-step indices (1-based steps of the uniform grid) at which
-        observations are taken, strictly increasing.
-    times : (n_t,) ndarray
-        The snapped observation times obs_steps * dt.
+        observations are taken, strictly increasing; the snapped
+        observation times are obs_steps * dt.
     """
 
     sensor_nodes: np.ndarray
     sensor_coords: np.ndarray
     obs_steps: np.ndarray
-    times: np.ndarray
     n_steps: int
     T: float
 
@@ -131,7 +123,6 @@ def make_observation_setup(
         sensor_nodes=nodes,
         sensor_coords=mesh.nodes[nodes],
         obs_steps=steps,
-        times=steps * dt,
         n_steps=n_steps,
         T=T,
     )
@@ -187,7 +178,6 @@ class ForwardMap:
         if kappa < 0:
             raise ConfigError("kappa must be nonnegative")
         self.obs = obs
-        self.kappa = kappa
         self.M = mass.M  # effective mass matrix (lumped or consistent)
         self.n = ops.n
         dt = obs.dt
@@ -281,19 +271,18 @@ class ForwardMap:
         return traj, y
 
 
-def synthesize_data(forward: ForwardMap, theta_true: np.ndarray, noise_pct: float, rng_seed: int):
-    """Noisy observations of a true initial state.
+def synthesize_data(y_clean: np.ndarray, n_s: int, noise_pct: float, rng_seed: int):
+    """Noisy observations from the clean ones, y_clean = F theta_true.
 
-    The noise standard deviation is identical for every sensor:
-    sigma = noise_pct * max |F theta_true|.  Returns (y_obs, sigma_per_sensor).
+    The noise standard deviation is identical for all n_s sensors:
+    sigma = noise_pct * max |y_clean|.  Returns (y_obs, sigma_per_sensor).
     """
     if not 0.0 <= noise_pct < 1.0:
         raise ConfigError("noise_pct must lie in [0, 1)")
-    y_clean = forward.apply(theta_true)
     peak = np.max(np.abs(y_clean))
     if peak == 0.0:
         raise ConfigError("clean observations are identically zero; noise level undefined")
     sigma = noise_pct * peak
     rng = np.random.default_rng(rng_seed)
     y_obs = y_clean + sigma * rng.standard_normal(y_clean.shape)
-    return y_obs, np.full(forward.obs.n_s, sigma)
+    return y_obs, np.full(n_s, sigma)

@@ -488,6 +488,11 @@ def test_cli_evaluate_bad_tol_exits_2_before_any_solve(tmp_path, tol):
         {"seeds": {"master": -5}},
         {"sketch": {"seed": -3}},
         {"obs": {"times": []}},
+        {"pde": {"kappa": float("nan")}},
+        {"velocity": {"amplitude": float("inf")}},
+        {"prior": {"alpha": float("nan")}},
+        {"noise": {"sigma_rel": float("inf")}},
+        {"mesh": {"nx": 25}, "mass": {"mode": "cholesky"}},
     ],
     ids=lambda o: json.dumps(o),
 )
@@ -594,11 +599,11 @@ def test_cli_compare_random_above_guard_sketches(tmp_path, monkeypatch):
 def test_peclet_warning_fires_on_advection_dominated_config(tmp_path):
     from oed_dopt.problem import build_problem
 
-    cfg = ExperimentConfig.from_dict(
-        {**SMALL, "pde": {"kappa": 0.0005, "T": 2.0, "n_steps": 20}}
-    )
-    with pytest.warns(UserWarning, match="Peclet"):
-        build_problem(cfg)
+    # kappa = 0 (pure advection) has an infinite mesh Peclet number
+    for kappa in (0.0005, 0.0):
+        cfg = ExperimentConfig.from_dict({**SMALL, "pde": {"kappa": kappa, "T": 2.0, "n_steps": 20}})
+        with pytest.warns(UserWarning, match="Peclet"):
+            build_problem(cfg)
 
 
 def test_weights_file_round_trip(tmp_path):

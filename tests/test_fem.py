@@ -40,15 +40,25 @@ def test_structured_counts_nx2():
     assert len(mesh.triangles) == 8
 
 
+def hole_area(holes):
+    return sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in holes)
+
+
+# two holes sharing the edge x = 0.5: the nodes strictly inside that edge
+# belong to no retained cell and must go too
+EDGE_SHARING = [(0.25, 0.25, 0.5, 0.75), (0.5, 0.25, 0.75, 0.75)]
+
+
 def test_hole_removes_expected_cells():
-    holes = [(0.25, 0.25, 0.5, 0.5)]
-    mesh = build_mesh(4, holes)
-    kept = brute_force_retained_cells(4, holes)
-    assert len(mesh.triangles) == 2 * len(kept)
-    assert len(mesh.triangles) == 2 * 16 - 2
-    # the hole interior contains no grid nodes at nx=4, so all 25 remain
-    assert mesh.n_nodes == 25
-    assert mesh.area() == pytest.approx(1.0 - 0.0625)
+    # the single hole's interior contains no grid nodes at nx=4, so all 25
+    # remain; the edge-sharing pair orphans the node (0.5, 0.5)
+    for holes, n_cells, n_nodes in [([(0.25, 0.25, 0.5, 0.5)], 15, 25), (EDGE_SHARING, 12, 24)]:
+        mesh = build_mesh(4, holes)
+        kept = brute_force_retained_cells(4, holes)
+        assert len(mesh.triangles) == 2 * len(kept) == 2 * n_cells
+        assert mesh.n_nodes == n_nodes
+        area, _, _ = triangle_geometry(mesh.nodes, mesh.triangles)
+        assert area.sum() == pytest.approx(1.0 - hole_area(holes))
 
 
 def test_hole_removes_interior_nodes():
@@ -57,6 +67,11 @@ def test_hole_removes_interior_nodes():
     assert len(mesh.triangles) == 2 * len(kept)
     # interior nodes of the hole (3x3 of them) are removed
     assert mesh.n_nodes == 81 - 9
+    # splitting the hole along x = 0.5 leaves the same mesh: the split's
+    # nodes, not interior to either half, belong to no retained cell
+    split = build_mesh(8, EDGE_SHARING)
+    assert np.array_equal(split.nodes, mesh.nodes)
+    assert np.array_equal(split.triangles, mesh.triangles)
 
 
 def test_nx_below_minimum_rejected():
@@ -72,19 +87,20 @@ def test_misaligned_hole_rejected():
 
 
 def test_triangle_areas_positive_and_nodes_used():
-    mesh = build_mesh(5, [(0.2, 0.2, 0.4, 0.6)])
-    area, _, _ = triangle_geometry(mesh.nodes, mesh.triangles)
-    assert np.all(area > 0)
-    used = np.zeros(mesh.n_nodes, dtype=bool)
-    used[mesh.triangles.ravel()] = True
-    assert used.all()
+    for holes in ([(0.2, 0.2, 0.4, 0.6)], [(0.2, 0.2, 0.4, 0.6), (0.4, 0.2, 0.6, 0.6)]):
+        mesh = build_mesh(5, holes)
+        area, _, _ = triangle_geometry(mesh.nodes, mesh.triangles)
+        assert np.all(area > 0)
+        used = np.zeros(mesh.n_nodes, dtype=bool)
+        used[mesh.triangles.ravel()] = True
+        assert used.all()
 
 
-@pytest.mark.parametrize("holes", [[], [(0.25, 0.25, 0.5, 0.75)]])
+@pytest.mark.parametrize("holes", [[], [(0.25, 0.25, 0.5, 0.75)], EDGE_SHARING])
 def test_mass_sum_equals_area(holes):
     mesh = build_mesh(4, holes)
     ops = assemble(mesh)
-    assert ops.M.sum() == pytest.approx(mesh.area(), rel=1e-12)
+    assert ops.M.sum() == pytest.approx(1.0 - hole_area(holes), rel=1e-12)
 
 
 def test_stiffness_annihilates_constants():
@@ -214,8 +230,11 @@ def test_structured_counts_formula(nx):
     mesh = build_mesh(nx)
     assert mesh.n_nodes == (nx + 1) ** 2
     assert len(mesh.triangles) == 2 * nx**2
-    assert mesh.boundary.sum() == 4 * nx
+    on_edge = np.any((mesh.nodes == 0.0) | (mesh.nodes == 1.0), axis=1)
+    assert on_edge.sum() == 4 * nx
 
 
 def test_peclet_number():
     assert peclet_number(1.0, 0.1, 0.01) == pytest.approx(5.0)
+    assert peclet_number(1.0, 0.1, 0.0) == np.inf
+    assert peclet_number(0.0, 0.1, 0.0) == 0.0

@@ -34,18 +34,18 @@ def _prior_with(alpha, beta, nx=4):
 def test_identity_prior_when_L_equals_M():
     prior = _prior_with(0.0, 1.0)
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(prior.n)
-    assert np.allclose(prior.solve_L(prior.M @ v), v, atol=1e-12)
+    v = rng.standard_normal(prior.L.shape[0])
+    assert np.allclose(prior.solve_L(prior.mass.M @ v), v, atol=1e-12)
 
 
 def test_sqrt_composition_equals_covariance():
     prior = _prior_with(3e-3, 0.2)
     L = prior.L.toarray()
-    M = prior.M.toarray()
+    M = prior.mass.M.toarray()
     cov = np.linalg.solve(L, M) @ np.linalg.solve(L, M)
     rng = np.random.default_rng(1)
-    v = rng.standard_normal(prior.n)
-    twice = prior.solve_L(prior.M @ prior.solve_L(prior.M @ v))
+    v = rng.standard_normal(prior.L.shape[0])
+    twice = prior.solve_L(prior.mass.M @ prior.solve_L(prior.mass.M @ v))
     assert np.allclose(twice, cov @ v, rtol=1e-10)
 
 
@@ -54,7 +54,7 @@ def test_sqrt_matches_dense_oracle(tiny_default_prior):
     rng = np.random.default_rng(2)
     v = rng.standard_normal(tiny_default_prior.G.n)
     prior = tiny_default_prior.prior
-    assert np.allclose(prior.solve_L(prior.M @ v), S @ v, rtol=1e-10)
+    assert np.allclose(prior.solve_L(prior.mass.M @ v), S @ v, rtol=1e-10)
 
 
 def test_invalid_coefficients_rejected():
@@ -93,12 +93,12 @@ def test_G_matches_independent_dense_oracle(tiny_default_prior):
 
 def test_prior_weighted_norm_properties(tiny_default_prior):
     prior = tiny_default_prior.prior
-    assert prior.weighted_norm_sq(np.zeros(prior.n)) == 0.0
+    assert prior.weighted_norm_sq(np.zeros(prior.L.shape[0])) == 0.0
     rng = np.random.default_rng(5)
-    theta = rng.standard_normal(prior.n)
+    theta = rng.standard_normal(prior.L.shape[0])
     # dense oracle: theta^T L M^{-1} L theta
     L = prior.L.toarray()
-    M = prior.M.toarray()
+    M = prior.mass.M.toarray()
     ref = theta @ (L @ np.linalg.solve(M, L @ theta))
     assert prior.weighted_norm_sq(theta) == pytest.approx(ref, rel=1e-10)
 
@@ -106,8 +106,8 @@ def test_prior_weighted_norm_properties(tiny_default_prior):
 def test_prior_weighted_norm_identity_prior():
     prior = _prior_with(0.0, 1.0)
     rng = np.random.default_rng(6)
-    theta = rng.standard_normal(prior.n)
-    assert prior.weighted_norm_sq(theta) == pytest.approx(theta @ (prior.M @ theta), rel=1e-12)
+    theta = rng.standard_normal(prior.L.shape[0])
+    assert prior.weighted_norm_sq(theta) == pytest.approx(theta @ (prior.mass.M @ theta), rel=1e-12)
 
 
 def _whitened_map_nx3():
@@ -121,7 +121,7 @@ def test_sample_covariance_matches_dense_oracle():
     G = _whitened_map_nx3()
     prior, n = G.prior, G.n
     L = prior.L.toarray()
-    M = prior.M.toarray()
+    M = prior.mass.M.toarray()
     C = np.linalg.solve(L, np.linalg.solve(L, M).T)  # L^{-1} M L^{-1}
     rng = np.random.default_rng(7)
     N = 50_000
@@ -219,7 +219,7 @@ def test_solve_Lt_matches_transposed_solve(desk_problem, mode):
     assert (prior.L != prior.L.T).nnz == 0
     Lt = prior.L.T.tocsc()
     rng = np.random.default_rng(12)
-    for B in (rng.standard_normal(prior.n), rng.standard_normal((prior.n, 6))):
+    for B in (rng.standard_normal(prior.L.shape[0]), rng.standard_normal((prior.L.shape[0], 6))):
         ref = spla.spsolve(Lt, B)
         assert np.linalg.norm(prior.solve_Lt(B) - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.linalg.norm(prior.solve_L(B) - ref) <= 1e-12 * np.linalg.norm(ref)

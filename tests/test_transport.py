@@ -27,12 +27,6 @@ def test_velocity_divergence_free_and_tangential():
     assert np.max(np.abs(dx + dy)) < 1e-8
 
 
-def test_velocity_zeroed_in_holes():
-    v = VelocityField(amplitude=1.0, holes=[(0.25, 0.25, 0.5, 0.5)])
-    assert np.allclose(v(np.array([[0.3, 0.3]])), 0.0)
-    assert not np.allclose(v(np.array([[0.7, 0.7]])), 0.0)
-
-
 def test_observation_indexing_time_major(tiny_problem):
     obs = tiny_problem.obs
     # entry (m, j) sits at position m * n_s + j: probing theta that is nonzero
@@ -61,7 +55,7 @@ def test_observation_times_validation(small_problem):
         make_observation_setup(mesh, [[0.5, 0.5]], [1.0, 1.01], 2.0, 10)  # same step
     obs = make_observation_setup(mesh, [[0.5, 0.5]], [0.55, 1.24], 2.0, 10)
     assert obs.obs_steps.tolist() == [3, 6]
-    assert np.allclose(obs.times, [0.6, 1.2])
+    assert np.allclose(obs.obs_steps * obs.dt, [0.6, 1.2])
 
 
 def test_observation_times_outside_horizon_rejected(small_problem):
@@ -167,31 +161,31 @@ def test_solve_counting(tiny_problem):
 
 
 def test_synthesize_sigma_rule(small_problem):
-    y_obs, sigma = synthesize_data(small_problem.forward, small_problem.theta_true, 0.02, 123)
+    y_obs, sigma = synthesize_data(small_problem.y_clean, small_problem.obs.n_s, 0.02, 123)
     y_clean = small_problem.forward.apply(small_problem.theta_true)
     assert np.allclose(sigma, 0.02 * np.max(np.abs(y_clean)))
     assert sigma.shape == (small_problem.obs.n_s,)
 
 
 def test_synthesize_zero_noise(small_problem):
-    y_obs, sigma = synthesize_data(small_problem.forward, small_problem.theta_true, 0.0, 1)
+    y_obs, sigma = synthesize_data(small_problem.y_clean, small_problem.obs.n_s, 0.0, 1)
     assert np.array_equal(y_obs, small_problem.forward.apply(small_problem.theta_true))
     assert np.all(sigma == 0.0)
 
 
 def test_synthesize_deterministic(small_problem):
-    y1, _ = synthesize_data(small_problem.forward, small_problem.theta_true, 0.05, 42)
-    y2, _ = synthesize_data(small_problem.forward, small_problem.theta_true, 0.05, 42)
+    y1, _ = synthesize_data(small_problem.y_clean, small_problem.obs.n_s, 0.05, 42)
+    y2, _ = synthesize_data(small_problem.y_clean, small_problem.obs.n_s, 0.05, 42)
     assert np.array_equal(y1, y2)
-    y3, _ = synthesize_data(small_problem.forward, small_problem.theta_true, 0.05, 43)
+    y3, _ = synthesize_data(small_problem.y_clean, small_problem.obs.n_s, 0.05, 43)
     assert not np.array_equal(y1, y3)
 
 
 def test_synthesize_rejects_zero_signal(small_problem):
     with pytest.raises(ConfigError, match="identically zero"):
-        synthesize_data(small_problem.forward, np.zeros(small_problem.G.n), 0.02, 0)
+        synthesize_data(np.zeros(small_problem.G.n_y), small_problem.obs.n_s, 0.02, 0)
     with pytest.raises(ConfigError):
-        synthesize_data(small_problem.forward, small_problem.theta_true, 1.5, 0)
+        synthesize_data(small_problem.y_clean, small_problem.obs.n_s, 1.5, 0)
 
 
 # -- solve paths: blocked plain solves and single-column transposed solves ----
