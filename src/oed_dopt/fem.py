@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from .errors import ConfigError, NumericalError
 from .sketch import DENSE_GUARD
@@ -49,6 +50,12 @@ class Mesh:
     @property
     def h(self) -> float:
         return 1.0 / self.nx
+
+    def contains(self, points) -> np.ndarray:
+        """Whether each (x, y) lies in the closed domain: within h/2 (max norm) of a retained cell's center."""
+        centers = self.nodes[self.triangles].min(axis=1) + 0.5 * self.h  # each cell's, once per triangle
+        reach = 0.5 * self.h * (1.0 + 1e-9)  # slack: a point on a cell edge may round outside
+        return cKDTree(centers).query(points, p=np.inf)[0] <= reach
 
 
 @dataclass

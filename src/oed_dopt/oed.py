@@ -15,15 +15,16 @@ are provided: truncated spectral (top-k exact eigenpairs), randomized
 (subspace-iteration sketch), and frozen, the exact rank-k_f truncated SVD of
 G that needs zero PDE solves per evaluation.  The exact reference works in
 observation space: with C = G G^T (n_y x n_y) and S = W^{1/2}, Sylvester's
-identity gives log det(I + H(w)) = log det(I + S C S), and the gradient, the
-spectrum and the MAP norm follow from the same small matrix; it serves any n
-once n_y <= DENSE_GUARD (:attr:`DesignProblem.dense_allowed`, the one check of
-that limit).  ``DesignProblem.estimator`` maps a method name to one of these
-four as an :class:`Estimator`.  The z step (:func:`precompute_z`) is the one
-producer of a DesignProblem's observation-space data: it forms G^T by one
-reverse sweep of the n_s sensor probes (n_y adjoint solves), forms z and C
-from it and drops it, or reads z and C from the z cache; the frozen factor
-and the dense reference read C with no solve, and no path forms G itself.
+identity gives log det(I + H(w)) = log det(I + S C S); J, the gradient, the
+spectrum and the MAP norm follow from one eigendecomposition of its active
+block per design, for any n once n_y <= DENSE_GUARD (checked only by
+:attr:`DesignProblem.dense_allowed`).  ``DesignProblem.estimator`` maps a
+method name to one of these four as an :class:`Estimator`.  The z step
+(:func:`precompute_z`) is the one producer of a DesignProblem's
+observation-space data: it forms G^T by one reverse sweep of the n_s sensor
+probes (n_y adjoint solves), forms z and C from it and drops it, or reads z
+and C from the z cache; the frozen factor and the dense reference read C with
+no solve, and no path forms G itself.
 """
 
 from __future__ import annotations
@@ -481,12 +482,12 @@ class DesignProblem:
 class DenseReference:
     """Exact J, gradient, spectrum and MAP norm from C = G G^T (n_y <= DENSE_GUARD).
 
-    With S = W^{1/2} and B = I + S C S (n_y x n_y), Sylvester's identity gives
-    log det(I + H(w)) = log det(B), the nonzero eigenvalues of H(w) are those
-    of S C S, and Woodbury gives dJ/dw_j = sigma_j^{-2} sum over sensor j's
-    rows r of [C - C S B^{-1} S C]_rr.  C is the design's own, so every
-    evaluation is n_y x n_y algebra with no PDE solve; the nodal MAP point
-    (:meth:`theta_post`) costs one adjoint solve.  Neither G nor G^T is held.
+    S = W^{1/2} is nonzero on the active rows a only; S_a C_aa S_a = V diag(lam)
+    V^T gives all four: lam are H(w)'s nonzero eigenvalues (Sylvester), dJ/dw_j
+    = sigma_j^{-2} sum over sensor j's rows r of [C - P (I + lam)^{-1} P^T]_rr,
+    P = C_{:a} S_a V (Woodbury), and the whitened MAP point G^T S_a V c with
+    c = (I + lam)^{-1} V^T S_a y_a has norm^2 sum lam c^2.  The decomposition
+    of the last design is kept, keyed by the bytes of S.  No PDE solve.
     """
 
     def __init__(self, design: DesignProblem):
@@ -494,6 +495,7 @@ class DenseReference:
             raise ConfigError(f"dense reference refused for n_y = {design.G.n_y} > {DENSE_GUARD}")
         self.design = design
         self.n = design.G.n
+        self._eig: tuple | None = None  # (S bytes, a, S_a V, lam) of the last design
         design.ensure_z()  # run the z step here, not in the first evaluation
 
     @property
@@ -505,48 +507,33 @@ class DenseReference:
         w = check_design_weights(w, self.design.n_s)
         return np.sqrt(weighted_diag(w, self.design.noise.sigma, self.design.n_t))
 
-    def _factor(self, w):
-        """(S, Cholesky factor of B = I + S C S)."""
+    def _decomposition(self, w):
+        """(a, S_a V, lam) of S_a C_aa S_a = V diag(lam) V^T, lam clipped at 0; kept for the last S."""
         s = self._row_scale(w)
-        return s, sla.cho_factor(np.eye(len(s)) + s[:, None] * self.C * s)
+        if self._eig is None or self._eig[0] != s.tobytes():
+            a = np.flatnonzero(s)
+            lam, V = np.linalg.eigh(s[a, None] * self.C[np.ix_(a, a)] * s[a])
+            self._eig = (s.tobytes(), a, s[a, None] * V, np.clip(lam, 0.0, None))
+        return self._eig[1:]
 
     def spectrum(self, w) -> np.ndarray:
-        """The n eigenvalues of H(w), descending: those of S C S, zero-padded or cut to n."""
-        s = self._row_scale(w)
-        mu = np.clip(np.linalg.eigvalsh(s[:, None] * self.C * s)[::-1][: self.n], 0.0, None)
-        return np.pad(mu, (0, self.n - len(mu)))
-
-    def z_norms(self) -> np.ndarray:
-        """Spectral norms ||dH/dw_j||_2 = lam_max(C_jj) / sigma_j^2, C_jj sensor j's n_t x n_t block of C."""
-        n_s = self.design.n_s
-        top = [np.linalg.eigvalsh(self.C[j::n_s, j::n_s])[-1] for j in range(n_s)]
-        return np.array(top) / self.design.noise.sigma**2
+        """The n eigenvalues of H(w), descending: those of S_a C_aa S_a, zero-padded or cut to n."""
+        lam = self._decomposition(w)[2][::-1][: self.n]
+        return np.pad(lam, (0, self.n - len(lam)))
 
     def evaluate(self, w):
         """(J, grad, spectrum) for one design, all exact; J sums the spectrum."""
-        lam = self.spectrum(w)
-        J = float(np.sum(np.log1p(lam)))
-        s, cf = self._factor(w)
-        CS = self.C * s
-        X = sla.cho_solve(cf, CS.T)  # B^{-1} S C
-        diag_proj = np.diag(self.C) - np.einsum("ra,ar->r", CS, X)
+        a, SV, lam = self._decomposition(w)
+        diag_proj = np.diag(self.C) - (self.C[:, a] @ SV) ** 2 @ (1.0 / (1.0 + lam))  # P^2 (I + lam)^{-1}
         per_sensor = sensor_blocks(diag_proj, self.design.n_s, self.design.n_t).sum(axis=0)
-        return J, per_sensor / self.design.noise.sigma**2, lam
-
-    def _map_coefficients(self, w, y_obs: np.ndarray) -> np.ndarray:
-        """S u with u = B^{-1} S y, so the whitened MAP point is x = G^T S u."""
-        s, cf = self._factor(w)
-        return s * sla.cho_solve(cf, s * y_obs)
+        spectrum = self.spectrum(w)
+        return float(np.sum(np.log1p(spectrum))), per_sensor / self.design.noise.sigma**2, spectrum
 
     def map_norm_sq(self, w, y_obs: np.ndarray) -> float:
-        """||x||^2 = (S u)^T C (S u) of the whitened MAP point."""
-        su = self._map_coefficients(w, y_obs)
-        return float(su @ self.C @ su)
-
-    def theta_post(self, w, y_obs: np.ndarray) -> np.ndarray:
-        """MAP point L^{-1} R x, x = G^T S u (the Woodbury form of the normal equations); one adjoint solve."""
-        G = self.design.G
-        return G.field_from_whitened(G.apply_transpose(self._map_coefficients(w, y_obs)))
+        """||x||^2 = (S u)^T C (S u) = sum lam c^2 of the whitened MAP point."""
+        a, SV, lam = self._decomposition(w)
+        c = (SV.T @ np.asarray(y_obs)[a]) / (1.0 + lam)
+        return float(lam @ c**2)
 
 
 # -- estimator objects ---------------------------------------------------------

@@ -146,12 +146,13 @@ def exact_eigs(op, k: int, seed: int = 0) -> LowRankEig:
     ``factor_t(Y)`` = B^T Y, B with ``factor_rows`` rows.  r = 0 gives lam =
     0 with no application.  With l = min(n, max(k, r) + 5), ncv = min(n,
     max(2k+1, 20)) (scipy ``eigsh``'s Krylov size), the range is sketched
-    from the factor when r < n and 2l + k <= 2(ncv + k + 1): Q = qr(B^T Psi)
+    from the factor when r < n and l + r <= 2(ncv + k + 1): Q = qr(B^T Psi)
     for a seeded Gaussian Psi with l columns, B Q, and Rayleigh-Ritz on
     (BQ)^T (BQ).  range(B^T) = range(op) has dimension <= r < l, so the pairs
-    are exact.  The condition prices the block at l columns of B and l + k of
-    B^T against ARPACK's cheapest run (a probe, ncv matvecs, k residual
-    columns) at one B and one B^T per matvec.  Otherwise ARPACK's implicitly
+    are exact.  The condition prices the block at l columns of B and r of B^T
+    (``oed.MisfitHessianOp`` forms them once; later B^T products are free)
+    against ARPACK's cheapest run (a probe, ncv matvecs, k residual columns)
+    at one B and one B^T per matvec.  Otherwise ARPACK's implicitly
     restarted Lanczos runs from a deterministic start vector, or a dense
     eigensolve of ``op.matmat(I)`` when k is too close to n (n <= DENSE_GUARD
     only).  Each pair must satisfy ||op u - lam u|| <= rtol * lam_max for
@@ -168,7 +169,7 @@ def exact_eigs(op, k: int, seed: int = 0) -> LowRankEig:
     if r == 0:
         return LowRankEig(U=np.linalg.qr(rng.standard_normal((n, k)))[0], lam=np.zeros(k))
     l = min(n, max(k, r) + _BLOCK_OVERSAMPLING)
-    if r < n and 2 * l + k <= 2 * (min(n, max(2 * k + 1, 20)) + k + 1):
+    if r < n and l + r <= 2 * (min(n, max(2 * k + 1, 20)) + k + 1):
         # plain QR: B^T Psi has rank <= r < l, and its deficient directions get zero Ritz values
         Q = np.linalg.qr(op.factor_t(rng.standard_normal((op.factor_rows, l))))[0]
         BQ = op.factor(Q)

@@ -90,9 +90,9 @@ def make_observation_setup(
 ) -> ObservationSetup:
     """Snap requested sensor coordinates and times onto the mesh / time grid.
 
-    Sensors snap to the nearest retained mesh node and must land on distinct
-    nodes; observation times must lie in (0, T] and snap to the nearest
-    positive time-grid point, distinct for distinct times.
+    Sensors must lie in the meshed domain, snap to the nearest retained node
+    and land on distinct nodes; observation times must lie in (0, T] and snap
+    to the nearest positive time-grid point, distinct for distinct times.
     """
     sensor_coords = np.atleast_2d(np.asarray(sensor_coords, dtype=float))
     times = np.atleast_1d(np.asarray(obs_times, dtype=float))
@@ -102,6 +102,9 @@ def make_observation_setup(
         raise ConfigError("empty observation time set")
     if n_steps < 1 or T <= 0:
         raise ConfigError("need n_steps >= 1 and T > 0")
+    outside = ~mesh.contains(sensor_coords)
+    if np.any(outside):
+        raise ConfigError(f"sensor coordinates {sensor_coords[outside].tolist()} lie outside the meshed domain")
     tree = cKDTree(mesh.nodes)
     _, nodes = tree.query(sensor_coords)
     nodes = np.atleast_1d(nodes).astype(int)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oed_dopt.config import ExperimentConfig
-from oed_dopt.oed import DesignProblem, FrozenSVD, NoiseModel
+from oed_dopt.oed import DesignProblem, FrozenSVD, NoiseModel, weighted_diag
 from oed_dopt.problem import build_problem
 
 warnings.filterwarnings("ignore", message="sketch subspace is numerically rank deficient")
@@ -145,6 +145,21 @@ def dense_hessian(ref, w):
     """H(w) = G^T W G as an (n, n) array from :func:`dense_G` of the dense reference's design."""
     Gw = ref._row_scale(w)[:, None] * dense_G(ref.design)
     return Gw.T @ Gw
+
+
+def dense_theta_post(design, w, y_obs):
+    """MAP point L^{-1} R x with x = G^T S u, S u = S (I + S C S)^{-1} S y (the Woodbury form of the normal
+    equations, by a dense solve on the design's C); one adjoint solve."""
+    s = np.sqrt(weighted_diag(np.asarray(w, dtype=float), design.noise.sigma, design.n_t))
+    su = s * np.linalg.solve(np.eye(len(s)) + s[:, None] * design.C * s, s * y_obs)
+    return design.G.field_from_whitened(design.G.apply_transpose(su))
+
+
+def sensor_z_norms(design):
+    """Spectral norms ||dH/dw_j||_2 = lam_max(C_jj) / sigma_j^2, C_jj sensor j's n_t x n_t block of C."""
+    n_s = design.n_s
+    top = [np.linalg.eigvalsh(design.C[j::n_s, j::n_s])[-1] for j in range(n_s)]
+    return np.array(top) / design.noise.sigma**2
 
 
 def frozen_from_dense(G_dense, k_f):

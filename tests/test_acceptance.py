@@ -9,7 +9,15 @@ import pytest
 import scipy.linalg as sla
 from scipy.sparse.linalg import aslinearoperator
 
-from conftest import dense_G, dense_hessian, frozen_from_dense, make_config, random_psd, synthetic_design
+from conftest import (
+    dense_G,
+    dense_hessian,
+    frozen_from_dense,
+    make_config,
+    random_psd,
+    sensor_z_norms,
+    synthetic_design,
+)
 from oed_dopt.accounting import count_solves
 from oed_dopt.bench import error_vs_rank_sweep, mesh_refinement_sweep
 from oed_dopt.config import ExperimentConfig
@@ -168,7 +176,7 @@ def test_criterion_05_expectation_bound_oracles(synthetic_instance):
     k, p, q = 10, 5, 1
     split = SpectrumSplit.from_spectrum(lam, k)
     cfg = SketchConfig(k=k, p=p, q=q)
-    z_norms = ref.z_norms()
+    z_norms = sensor_z_norms(design)
     n_seeds = 100
 
     e_J = np.empty(n_seeds)

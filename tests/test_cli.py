@@ -493,6 +493,16 @@ def test_cli_evaluate_bad_tol_exits_2_before_any_solve(tmp_path, tol):
         {"prior": {"alpha": float("nan")}},
         {"noise": {"sigma_rel": float("inf")}},
         {"mesh": {"nx": 25}, "mass": {"mode": "cholesky"}},
+        {"sensors": {"coords": [[0.5, 0.5], [1.5, 0.5]]}},
+        {"sensors": {"coords": [[0.25, -0.01], [0.75, 0.75]]}},
+        {
+            "mesh": {"nx": 10, "holes": [[0.3, 0.3, 0.7, 0.7]]},
+            "sensors": {"coords": [[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]]},
+        },
+        {
+            "mesh": {"nx": 10, "holes": [[0.3, 0.3, 0.5, 0.7], [0.5, 0.3, 0.7, 0.7]]},
+            "sensors": {"coords": [[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]]},
+        },
     ],
     ids=lambda o: json.dumps(o),
 )
@@ -543,6 +553,44 @@ def test_cli_wrong_typed_field_exits_2(section, key, annotation, data):
             json.dump(payload, f)
         assert main(["oed", "--config", path, "--out", os.path.join(tmp, "out")]) == 2
     assert solve_counter.snapshot().total == 0
+
+
+_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]  # on the nx = 2 and 4 grids; 0.25 and 0.75 are off the nx = 6 one
+_CONTRACT = {
+    "mesh": st.fixed_dictionaries(
+        {
+            "nx": st.sampled_from([2, 4, 6]),
+            "holes": st.lists(st.lists(st.sampled_from([-0.25, *_GRID, 1.25]), min_size=4, max_size=4), max_size=2),
+        }
+    ),
+    "sensors": st.fixed_dictionaries(
+        {"coords": st.lists(st.sampled_from([[x, y] for x in [-0.5, *_GRID, 1.5] for y in (0.25, 0.5)]), max_size=4)}
+    ),
+    "sketch": st.fixed_dictionaries({"k": st.sampled_from([1, 12, 26, 27, 28, 50, 200])}),
+    "opt": st.fixed_dictionaries(
+        {"method": st.sampled_from(["eig", "rand", "frozen", "dense"]), "eig_k": st.sampled_from([None, 1, 27, 200])}
+    ),
+    "noise": st.fixed_dictionaries({"sigma_rel": st.sampled_from([0.0, 0.3])}),
+    "obs": st.fixed_dictionaries({"times": st.lists(st.sampled_from([-1.0, 0.0, 0.04, 0.5, 2.0, 2.5]), max_size=3)}),
+    "prior": st.fixed_dictionaries({"alpha": st.sampled_from([0.0, 2e-3])}),
+}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_cli_contract_on_extreme_configs(data):
+    """Bad holes, coincident or out-of-domain sensors, ranks above n_y, zero noise, times
+    outside (0, T] and a zero prior alpha: synthesize and oed return 0, 1 or 2 and raise nothing."""
+    payload = json.loads(json.dumps(SMALL))
+    sections = data.draw(st.sets(st.sampled_from(list(_CONTRACT)), min_size=1, max_size=2), label="sections")
+    for section in sorted(sections):
+        payload.setdefault(section, {}).update(data.draw(_CONTRACT[section], label=section))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as f:
+            json.dump(payload, f)
+        for command in ("synthesize", "oed"):
+            assert main([command, "--config", path, "--out", os.path.join(tmp, command)]) in (0, 1, 2)
 
 
 def test_cli_warm_cache_compare_random_spends_only_synthesis(tmp_path):

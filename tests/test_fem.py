@@ -74,6 +74,25 @@ def test_hole_removes_interior_nodes():
     assert np.array_equal(split.triangles, mesh.triangles)
 
 
+def test_mesh_contains_the_closed_domain():
+    """A point is in the domain when some retained cell's closed square holds it: the square's
+    boundary and a hole's edges are in, the square's outside, a hole's interior and the split
+    between two holes that share an edge are out."""
+    mesh = build_mesh(8, EDGE_SHARING)
+    points = {
+        (0.0, 0.0): True,
+        (1.0, 0.6): True,
+        (0.25, 0.5): True,  # a hole's edge
+        (0.5, 0.75): True,  # the end of the split, on the holes' top edge
+        (0.1, 0.9): True,
+        (1.0 + 1e-6, 0.5): False,
+        (-0.5, 0.5): False,
+        (0.4, 0.4): False,  # a hole's interior
+        (0.5, 0.5): False,  # the split between the two holes
+    }
+    assert mesh.contains(np.array(list(points))).tolist() == list(points.values())
+
+
 def test_nx_below_minimum_rejected():
     with pytest.raises(ConfigError):
         build_mesh(1)

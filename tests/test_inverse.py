@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_G, dense_hessian
+from conftest import dense_G, dense_hessian, dense_theta_post
 from oed_dopt.accounting import count_solves
 from oed_dopt.config import ExperimentConfig
 from oed_dopt.errors import ConfigError, ConvergenceError
@@ -34,11 +34,10 @@ def test_map_zero_design_returns_prior_mean(small_design, y_obs):
 
 
 def test_map_matches_dense_solve(small_design, y_obs):
-    ref = small_design.dense_reference()
     rng = np.random.default_rng(1)
     w = rng.uniform(0.3, 1.0, small_design.n_s)
     rep = map_estimate(small_design, w, y_obs, tol=1e-12)
-    theta_ref = ref.theta_post(w, y_obs)
+    theta_ref = dense_theta_post(small_design, w, y_obs)
     assert np.linalg.norm(rep.theta_post - theta_ref) <= 1e-8 * np.linalg.norm(theta_ref)
     assert rep.rel_residual <= 1e-12
 
@@ -52,8 +51,7 @@ def test_map_noise_scaling_shrinks_posterior(small_problem):
     norms = []
     for scale in [1.0, 10.0, 100.0, 1000.0]:
         d = DesignProblem(small_problem.G, NoiseModel(np.full(9, scale * peak)), n_t=3)
-        ref = d.dense_reference()
-        theta = ref.theta_post(w, y)
+        theta = dense_theta_post(d, w, y)
         norms.append(np.sqrt(theta @ (small_problem.mass.M @ theta)))
     assert np.all(np.diff(norms) < 0)
 
@@ -118,7 +116,7 @@ def test_map_from_blocked_eig_run_costs_two_adjoint_solves(small_design, y_obs):
         rep = map_estimate(d, w, y_obs)
     assert (c.delta.forward, c.delta.adjoint, rep.iterations) == (0, 2, 0)
     ref = small_design.dense_reference()
-    theta_ref = ref.theta_post(w, y_obs)
+    theta_ref = dense_theta_post(small_design, w, y_obs)
     assert np.linalg.norm(rep.theta_post - theta_ref) <= 1e-10 * np.linalg.norm(theta_ref)
     assert d.G.prior.weighted_norm_sq(rep.theta_post) == pytest.approx(ref.map_norm_sq(w, y_obs), rel=1e-10)
 
@@ -127,14 +125,14 @@ def test_map_from_blocked_eig_run_costs_two_adjoint_solves(small_design, y_obs):
 def test_map_warm_start_iterates_to_tol(desk_design, case):
     """From a held block whose Galerkin residual r0 is above tol, CG iterates from x0: fewer
     iterations than from zero, each at 1 forward + 1 adjoint solve, the same answer.  tol
-    is 1e-12, or r0 / 10 where r0 is below that: the blocked branch's block spans range
-    H(w), which holds the MAP point, so its r0 is roundoff; an ARPACK block of 40 top
-    eigenvectors leaves r0 above 1e-12."""
+    is 1e-12, or r0 / 10 where r0 is below that: the blocked branch's block (16 sensors,
+    k = 40) spans range H(w), which holds the MAP point, so its r0 is roundoff; an ARPACK
+    block of 10 top eigenvectors (all 35 sensors) leaves r0 above 1e-12."""
     rng = np.random.default_rng(7)
     d = fresh(desk_design)
     w = binary(d.n_s, rng.choice(d.n_s, 16, replace=False)) if case == "blocked" else rng.uniform(0.1, 1.0, d.n_s)
     y = rng.standard_normal(d.G.n_y) * d.noise.sigma[0]
-    d.objective_grad_eig(w, 40)
+    d.objective_grad_eig(w, 40 if case == "blocked" else 10)
     r0 = map_estimate(d, w, y, tol=1.0).rel_residual
     assert (r0 <= 1e-12) == (case == "blocked")
     tol = min(1e-12, r0 / 10)
@@ -143,9 +141,24 @@ def test_map_warm_start_iterates_to_tol(desk_design, case):
         rep = map_estimate(d, w, y, tol=tol)
     assert 1 <= rep.iterations < cold.iterations and rep.rel_residual <= tol
     assert (c.delta.forward, c.delta.adjoint) == (rep.iterations, rep.iterations + 2)
-    theta_ref = desk_design.dense_reference().theta_post(w, y)
+    theta_ref = dense_theta_post(desk_design, w, y)
     for theta in (rep.theta_post, cold.theta_post):
         assert np.linalg.norm(theta - theta_ref) <= 1e-8 * np.linalg.norm(theta_ref)
+
+
+def test_eig_block_price_counts_its_solves(desk_design):
+    """All 35 desk sensors (r = 105): at k = 40 the factored block costs l + r = 110 + 105
+    = 215 solves, within ARPACK's cheapest 2(ncv + k + 1) = 244, and runs at exactly that;
+    at k = 10 it would still cost 215 against 64, and ARPACK runs from its 1-column probe."""
+    d = fresh(desk_design)
+    d.ensure_z()
+    w = np.random.default_rng(7).uniform(0.1, 1.0, d.n_s)
+    with count_solves() as c:
+        d.objective_grad_eig(w, 40)
+    assert (c.delta.forward, c.delta.adjoint) == (110, 105)
+    with count_solves() as c:
+        d.objective_grad_eig(w, 10)
+    assert c.delta.forward == c.delta.adjoint >= 1 + 21 + 10  # probe, ncv matvecs, k residual columns
 
 
 def test_map_ignores_a_block_held_for_other_weights(small_design, y_obs):
@@ -223,6 +236,6 @@ def test_kl_chain_whitened_vs_dense_paths(small_design, y_obs):
     """KL with the CG MAP equals KL with the dense-path MAP."""
     w = np.full(small_design.n_s, 0.9)
     kl_cg = small_design.kl_estimate(w, y_obs, "dense", tol=1e-12)
-    theta_dense = small_design.dense_reference().theta_post(w, y_obs)
+    theta_dense = dense_theta_post(small_design, w, y_obs)
     kl_direct = small_design.kl_estimate(w, y_obs, "dense", theta_post=theta_dense)
     assert kl_cg == pytest.approx(kl_direct, rel=1e-8)

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator
 
-from conftest import dense_G, dense_hessian, frozen_from_dense, make_config, synthetic_design, unit_probe_adjoints
+from conftest import (
+    dense_G,
+    dense_hessian,
+    dense_theta_post,
+    frozen_from_dense,
+    make_config,
+    sensor_z_norms,
+    synthetic_design,
+    unit_probe_adjoints,
+)
 from oed_dopt.accounting import count_solves
 from oed_dopt.errors import ConfigError
 from oed_dopt.oed import (
@@ -270,10 +279,11 @@ def test_eig_gradient_bound(small_design):
     k = 6
     _, g_k = small_design.objective_grad_eig(w, k)
     split = SpectrumSplit.from_spectrum(lam, k)
+    z_norms = sensor_z_norms(small_design)
     for j in range(small_design.n_s):
-        bound = error_bounds(split, None, "grad_eig_component", z_norm=ref.z_norms()[j])
+        bound = error_bounds(split, None, "grad_eig_component", z_norm=z_norms[j])
         assert abs(g_ref[j] - g_k[j]) <= bound + 1e-10
-    norm_bound = error_bounds(split, None, "grad_norm_eig", z_norms=ref.z_norms())
+    norm_bound = error_bounds(split, None, "grad_norm_eig", z_norms=z_norms)
     assert np.linalg.norm(g_ref - g_k) <= norm_bound + 1e-10
 
 
@@ -443,14 +453,13 @@ def test_z_step_C_and_dense_G(small_design):
     d = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
     Gt = unit_probe_adjoints(d.G, np.arange(d.n_s))
     assert np.array_equal(d.ensure_z().C, Gt.T @ Gt)
-    ref = d.dense_reference()
     with count_solves() as c:
         G = dense_G(d)
     assert (c.delta.forward, c.delta.adjoint) == (0, d.G.n_y)
     assert np.array_equal(G, Gt.T)
     rng = np.random.default_rng(30)
     with count_solves() as c:
-        ref.theta_post(rng.uniform(0.2, 1.0, d.n_s), rng.standard_normal(d.G.n_y))
+        dense_theta_post(d, rng.uniform(0.2, 1.0, d.n_s), rng.standard_normal(d.G.n_y))
     assert (c.delta.forward, c.delta.adjoint) == (0, 1)
 
 
@@ -752,11 +761,69 @@ def test_info_gain_monotone_in_weights(small_design):
 
 
 def test_dense_reference_zero_design(small_design):
+    """At w = 0 no row is active: J = 0, the gradient is z, the spectrum and the MAP norm are 0."""
     ref = small_design.dense_reference()
-    J, grad, lam = ref.evaluate(np.zeros(small_design.n_s))
+    w = np.zeros(small_design.n_s)
+    J, grad, lam = ref.evaluate(w)
     assert J == 0.0
     assert np.allclose(grad, small_design.z, rtol=1e-8)
-    assert np.allclose(lam, 0.0, atol=1e-12)
+    assert np.array_equal(lam, np.zeros(small_design.G.n))
+    assert ref.map_norm_sq(w, np.random.default_rng(5).standard_normal(small_design.G.n_y)) == 0.0
+
+
+@pytest.mark.parametrize("case", ["small", "rows_above_n"])
+def test_dense_reference_binary_design_matches_dense_route(small_design, case):
+    """On a binary design with inactive sensors the exact core agrees with the dense route:
+    J = log det(I + H), every gradient entry tr((I + H)^{-1} dH/dw_j), the inactive sensors'
+    too, the spectrum of H and the norm of the normal equations' MAP point.  The second case
+    has more active rows (15) than n (12), so the spectrum is cut to n."""
+    d = small_design if case == "small" else synthetic_design(12, 8, 3, 2.0 ** -np.arange(12.0), seed=3)
+    w = np.isin(np.arange(d.n_s), [0, 2, 3, 5, 7]).astype(float)
+    ref = d.dense_reference()
+    G, H = dense_G(d), dense_hessian(ref, w)
+    A = np.eye(d.G.n) + H
+    J, grad, lam = ref.evaluate(w)
+    assert J == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-12)
+    rows = np.einsum("rn,nr->r", G, np.linalg.solve(A, G.T))  # g_r^T (I + H)^{-1} g_r
+    grad_ref = sensor_blocks(rows, d.n_s, d.n_t).sum(axis=0) / d.noise.sigma**2
+    assert np.all(grad_ref[w == 0] > 0)
+    assert np.allclose(grad, grad_ref, rtol=1e-10, atol=0)
+    assert np.allclose(lam, np.clip(np.linalg.eigvalsh(H)[::-1], 0, None), rtol=0, atol=1e-12 * lam[0])
+    assert np.array_equal(ref.spectrum(w), lam)
+    y = np.random.default_rng(6).standard_normal(d.G.n_y)
+    x = np.linalg.solve(A, G.T @ (weighted_diag(w, d.noise.sigma, d.n_t) * y))
+    assert ref.map_norm_sq(w, y) == pytest.approx(x @ x, rel=1e-10)
+
+
+def test_dense_reference_one_decomposition_per_design(small_design, monkeypatch):
+    """objective, kl_estimate(..., "dense") and evaluate on one w share one eigh and no other
+    factorization; a new w runs one more, and the reference holds only the last design."""
+    import scipy.linalg as sla
+
+    d = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
+    d.ensure_z()
+    calls = []
+
+    def counted(real, name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "cholesky"), (sla, "cho_factor")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name), name))
+    rng = np.random.default_rng(7)
+    w, w2 = rng.uniform(0.1, 1.0, d.n_s), rng.uniform(0.1, 1.0, d.n_s)
+    y = rng.standard_normal(d.G.n_y)
+    est = d.estimator("dense")
+    est.objective(w)
+    d.kl_estimate(w, y, "dense")
+    est.evaluate(w)
+    assert calls == ["eigh"]
+    est.evaluate(w2)
+    est.evaluate(w)
+    assert calls == ["eigh"] * 3
 
 
 def test_dense_gradient_matches_finite_differences(small_design):

@@ -206,13 +206,13 @@ def test_exact_eigs_blocked_branch_is_exact_and_silent():
 
 
 def test_exact_eigs_blocked_branch_selection():
-    """r = 20 gives l = 25 for k <= 20 and ncv = 20 for k <= 9.  k = 8 costs 2l + k = 58
-    = 2(ncv + k + 1) and takes the factored block; one column fewer in k makes 57 > 56,
-    and ARPACK runs (its first application is the one-column probe); r = n keeps ARPACK
-    too."""
+    """r = 20 gives l = 25 for k <= 20 and ncv = 20 for k <= 9.  k = 2 costs l + r = 45
+    <= 2(ncv + k + 1) = 46 solves and takes the factored block; one column fewer in k
+    makes 45 > 44, and ARPACK runs (its first application is the one-column probe);
+    r = n keeps ARPACK too."""
     n, r = 200, 20
     B = low_rank_factor(n, r, np.random.default_rng(9))
-    for rank_bound, k, first in ((r, 8, ("Bt", (r, r + 5))), (r, 7, ("A", (n,))), (n, 8, ("A", (n,)))):
+    for rank_bound, k, first in ((r, 2, ("Bt", (r, r + 5))), (r, 1, ("A", (n,))), (n, 2, ("A", (n,)))):
         op = DeclaredRankOp(B, rank_bound)
         eig = exact_eigs(op, k, seed=2)
         assert op.applied[0] == first
