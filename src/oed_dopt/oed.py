@@ -42,8 +42,9 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator
 
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError
 from .sketch import (
+    _RTOL,
     DENSE_GUARD,
     SketchConfig,
     exact_eigs,
@@ -106,49 +107,37 @@ def sensor_blocks(Y: np.ndarray, n_s: int, n_t: int) -> np.ndarray:
 class MisfitHessianOp(LinearOperator):
     """x -> G^T (W (G x)) = B^T B x, B = W^{1/2} G (n_y rows); symmetric PSD.
 
-    A column of op X costs one forward and one adjoint solve, and of B X
-    (:meth:`factor`) one forward solve; the last forward block is kept as
-    ``last_images = (X, G X)``, so G X for the same X costs no solve.
-    ``rank_bound`` = r = n_t |supp w| bounds the rank: only the r active rows
-    of W are nonzero.  :meth:`factor_t` forms those r columns of B^T on its
-    first call by one ``G.sensor_adjoints`` sweep (r adjoint solves) and
-    keeps them for this op, one design; B^T Y is then a product.
+    A column of op X costs one forward and one adjoint solve, and the last
+    block is kept as ``last_images = (X, G X)``.  Only the r = n_t |supp w|
+    ``active_rows`` of W are nonzero (``rank_bound``); :meth:`factor_t`
+    forms those r columns of B^T by one ``G.sensor_adjoints`` sweep (r
+    adjoint solves) and keeps them as ``held_factor``.
     """
 
     def __init__(self, G, w: np.ndarray, noise: NoiseModel, n_t: int):
         self.G = G
         self.w = check_design_weights(w, noise.n_s)
-        self.noise = noise
         self.diag_w = weighted_diag(self.w, noise.sigma, n_t)
-        self.rank_bound = n_t * int(np.count_nonzero(self.w))
-        self.factor_rows = G.n_y
+        self.active_rows = np.flatnonzero(np.tile(self.w, n_t))  # time-major, as sensor_adjoints orders its columns
+        self.rank_bound = len(self.active_rows)
         self.last_images = None
-        self._active_Bt = None  # (active rows of B, B^T on those rows) once factor_t has run
+        self.held_factor = None  # B^T's r nonzero columns once factor_t has run
         super().__init__(dtype=float, shape=(G.n, G.n))
 
     def _matvec(self, x):
         return self.G.apply_transpose(self.diag_w * self.G.apply(np.asarray(x).ravel()))
 
-    def _images(self, X):
+    def _matmat(self, X):
         self.last_images = None  # release the previous block before this one's solves
         GX = self.G.apply(X)
         self.last_images = (X, GX)
-        return GX
+        return self.G.apply_transpose(self.diag_w[:, None] * GX)
 
-    def _matmat(self, X):
-        return self.G.apply_transpose(self.diag_w[:, None] * self._images(X))
-
-    def factor(self, X):
-        """B X = W^{1/2} G X."""
-        return np.sqrt(self.diag_w)[:, None] * self._images(X)
-
-    def factor_t(self, Y):
-        """B^T Y = G^T W^{1/2} Y; only Y's active rows are read."""
-        if self._active_Bt is None:
-            rows = np.flatnonzero(self.diag_w)  # time-major, as sensor_adjoints orders its columns
-            self._active_Bt = (rows, self.G.sensor_adjoints(np.flatnonzero(self.w)) * np.sqrt(self.diag_w[rows]))
-        rows, Bt = self._active_Bt
-        return Bt @ Y[rows]
+    def factor_t(self) -> np.ndarray:
+        """B^T on the active rows, (n, r): G^T W^{1/2} on each active row's unit probe."""
+        if self.held_factor is None:
+            self.held_factor = self.G.sensor_adjoints(np.flatnonzero(self.w)) * np.sqrt(self.diag_w[self.active_rows])
+        return self.held_factor
 
 
 def _zcache_write(path, config_hash: bytes, z: np.ndarray, C: np.ndarray) -> None:
@@ -254,7 +243,7 @@ class DesignProblem:
             raise ConfigError("n_s * n_t must equal the observation dimension")
         self._z: SensorDerivConstants | None = None
         self._dense: DenseReference | None = None
-        self._eig_run: tuple | None = None  # (key, eig, G U, X, G X) of the last Eig-k solve
+        self._eig_run: list | None = None  # [key, op, eig, G U or None] of the last Eig-k solve
         self._sketch_run: tuple | None = None  # (key, T) of the last T-only sketch
 
     # -- constants ---------------------------------------------------------
@@ -300,18 +289,12 @@ class DesignProblem:
 
     # -- truncated spectral estimator ---------------------------------------
 
-    def _top_eigs(self, w, k: int, seed: int):
-        """(eig, G U): the top-k eigenpairs of H(w) and their forward images.
+    def _top_eigs(self, w, k: int, seed: int, images: bool = True):
+        """(eig, G U): the top-k eigenpairs of H(w) and, if ``images``, their forward images.
 
-        J, the gradient, the KL term and the MAP start of one design share a
-        single ``exact_eigs`` run: the last run is kept, keyed by the bytes of
-        w, k and the seed, so a repeat costs no solve and returns the same
-        arrays.  Every branch of the run that applies the operator ends with
-        a block X of orthonormal columns whose span holds U (U itself after
-        ARPACK's residual check, Q on the blocked branch, the identity on the
-        dense fallback); the memo keeps (X, G X) from ``op.last_images``, and
-        G U = (G X)(X^T U) costs no solve.  A run with no block is a zero
-        spectrum, which the gradient does not weight: X is empty, G U zeros.
+        J, the gradient, the KL term and the MAP point of one design share
+        one ``exact_eigs`` run, kept with its operator and G U once formed,
+        keyed by the bytes of w, k and the seed, so a repeat costs no solve.
         """
         w = check_design_weights(w, self.n_s)
         if k > self.rank_bound:
@@ -319,31 +302,47 @@ class DesignProblem:
         key = (w.tobytes(), k, seed)
         if self._eig_run is None or self._eig_run[0] != key:
             op = self.misfit_op(w)
-            eig = exact_eigs(op, k, seed=seed)
-            X, GX = op.last_images or (np.zeros((self.G.n, 0)), np.zeros((self.G.n_y, 0)))
-            GU = GX if X is eig.U else GX @ (X.T @ eig.U)
-            self._eig_run = (key, eig, GU, X, GX)
-        return self._eig_run[1:3]
+            self._eig_run = [key, op, exact_eigs(op, k, seed=seed), None]
+        _, op, eig, GU = self._eig_run
+        if GU is None and images:
+            self._eig_run[3] = GU = self._eig_images(op, eig, k)
+        return eig, GU
 
-    def held_block(self, w):
-        """(X, G X) of the last Eig-k run, any k and seed, if it ran for w's bytes and applied a block; else None."""
+    def _eig_images(self, op: MisfitHessianOp, eig, k: int) -> np.ndarray:
+        """G U from the last block of ARPACK (U) or the dense fallback (I) at no solve; on
+        the factored branch at min(k, r) forward solves (columns past r have lam = 0 and stay
+        zero), checked against the held B U = Bt^T U within rtol * sqrt(lam_max)."""
+        if op.last_images is not None:
+            X, GX = op.last_images
+            return GX if X is eig.U else GX @ (X.T @ eig.U)
+        GU = np.zeros((self.G.n_y, k))
+        if op.held_factor is not None:
+            m, rows = min(k, op.rank_bound), op.active_rows
+            U = eig.U[:, :m]
+            GU[:, :m] = self.G.apply(U)
+            gap = np.linalg.norm(np.sqrt(op.diag_w[rows])[:, None] * GU[rows, :m] - op.held_factor.T @ U, axis=0)
+            if np.any(gap > _RTOL * np.sqrt(eig.lam[0] if eig.lam[0] > 0 else 1.0)):
+                raise ConvergenceError("forward images disagree with the held adjoint factor", residuals=gap)
+        return GU
+
+    def held_op(self, w) -> MisfitHessianOp | None:
+        """The operator of the last Eig-k run, any k and seed, if it ran for w's bytes; else None."""
         run = self._eig_run
-        if run is None or run[0][0] != check_design_weights(w, self.n_s).tobytes() or run[3].shape[1] == 0:
-            return None
-        return run[3:]
+        return run[1] if run is not None and run[0][0] == check_design_weights(w, self.n_s).tobytes() else None
 
     def objective_grad_eig(self, w, k: int, seed: int = 0):
         """Objective and gradient from the top-k exact eigenpairs of H(w).
 
         Costs one eigensolve per design, shared with :meth:`objective_eig`
-        and ``kl_estimate(method="eig")``, and no further solve.
+        and ``kl_estimate(method="eig")``; on the factored branch G U adds
+        min(k, r) forward solves, once per run.
         """
         eig, GU = self._top_eigs(w, k, seed)
         J = float(np.sum(np.log1p(eig.lam)))
         return J, self._gradient_from_pairs(eig.lam, GU)
 
     def objective_eig(self, w, k: int, seed: int = 0) -> float:
-        eig, _ = self._top_eigs(w, k, seed)
+        eig, _ = self._top_eigs(w, k, seed, images=False)
         return float(np.sum(np.log1p(eig.lam)))
 
     # -- randomized estimator ------------------------------------------------
@@ -430,7 +429,7 @@ class DesignProblem:
         :func:`kl_divergence` of the spectrum of the estimator ``method`` and
         the prior-precision norm of the MAP point: the norm of a supplied
         ``theta_post``, else the estimator's :meth:`Estimator.map_norm_sq`,
-        read after the spectrum so that an Eig-k CG starts in the run's block.
+        read after the spectrum so that an Eig-k MAP reads the run's factor or block.
         """
         check_tol(tol)
         est = self.estimator(method, k=k, cfg=cfg, seed=seed)
@@ -591,7 +590,7 @@ class EigEstimator(Estimator):
         return self.design.objective_grad_eig(w, self.k, seed=self.seed)
 
     def spectrum(self, w) -> np.ndarray:
-        return self.design._top_eigs(w, self.k, self.seed)[0].lam
+        return self.design._top_eigs(w, self.k, self.seed, images=False)[0].lam
 
 
 class RandEstimator(Estimator):

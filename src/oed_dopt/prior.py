@@ -15,6 +15,8 @@ L^{-T} alike.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .errors import ConfigError
@@ -25,13 +27,15 @@ from .transport import ForwardMap, _factorize, _solve_by_width
 class PriorOperator:
     """Prior defined by L = alpha K + beta M with a reusable factorization.
 
-    alpha >= 0 and beta > 0 keep L SPD.  The effective mass matrix comes from
-    the mass factor (lumped replaces M everywhere when that mode is chosen).
+    alpha >= 0 and beta > 0 keep L SPD (alpha = 0 warns).  The effective mass matrix
+    comes from the mass factor (lumped replaces M everywhere when that mode is chosen).
     """
 
     def __init__(self, ops: AssembledOperators, mass: MassFactor, alpha: float, beta: float):
         if alpha < 0 or beta <= 0:
             raise ConfigError("prior needs alpha >= 0 and beta > 0")
+        if alpha == 0:
+            warnings.warn("prior.alpha = 0: L^-1 M L^-1 is trace-class in 2-D only for alpha > 0", stacklevel=2)
         self.mass = mass
         self.L = (alpha * ops.K + beta * mass.M).tocsc()
         self._lu = _factorize(self.L, 0.0, "prior operator")

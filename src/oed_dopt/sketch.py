@@ -123,7 +123,6 @@ def sketched_logdet(T: np.ndarray) -> float:
     return float(np.sum(np.log1p(np.clip(lam, 0.0, None))))
 
 
-_BLOCK_OVERSAMPLING = 5  # of the blocked branch of exact_eigs: l = max(k, rank bound) + 5
 _RTOL = 1e-8  # of exact_eigs's residual check
 
 
@@ -142,24 +141,19 @@ def exact_eigs(op, k: int, seed: int = 0) -> LowRankEig:
     ``op`` is applied by ``op.matvec`` to one vector and ``op.matmat`` to a
     block (scipy's ``op @ X`` would send a one-column block to ``matvec``),
     or handed to ``eigsh``.  It may declare ``rank_bound`` r (else r = n)
-    together with its factor B, op = B^T B: ``factor(X)`` = B X,
-    ``factor_t(Y)`` = B^T Y, B with ``factor_rows`` rows.  r = 0 gives lam =
-    0 with no application.  With l = min(n, max(k, r) + 5), ncv = min(n,
-    max(2k+1, 20)) (scipy ``eigsh``'s Krylov size), the range is sketched
-    from the factor when r < n and l + r <= 2(ncv + k + 1): Q = qr(B^T Psi)
-    for a seeded Gaussian Psi with l columns, B Q, and Rayleigh-Ritz on
-    (BQ)^T (BQ).  range(B^T) = range(op) has dimension <= r < l, so the pairs
-    are exact.  The condition prices the block at l columns of B and r of B^T
-    (``oed.MisfitHessianOp`` forms them once; later B^T products are free)
-    against ARPACK's cheapest run (a probe, ncv matvecs, k residual columns)
-    at one B and one B^T per matvec.  Otherwise ARPACK's implicitly
-    restarted Lanczos runs from a deterministic start vector, or a dense
-    eigensolve of ``op.matmat(I)`` when k is too close to n (n <= DENSE_GUARD
-    only).  Each pair must satisfy ||op u - lam u|| <= rtol * lam_max for
-    the constant rtol = 1e-8 (``_RTOL``), checked explicitly (op U = B^T (BQ
-    V) on the blocked branch), or a :class:`ConvergenceError` carrying the
-    residuals is raised, also when a declared rank bound understates the
-    rank.
+    and ``factor_t()``, the r nonzero columns Bt of B^T, op = B^T B.  r = 0
+    gives lam = 0 with no application.  With ncv = min(n, max(2k+1, 20))
+    (scipy ``eigsh``'s Krylov size), the pairs come from the factor when
+    r < n and r + min(k, r) <= 2(ncv + k + 1): the thin SVD of Bt, zero
+    columns padding it to k, gives U and lam = s^2 (exact: range(Bt) =
+    range(op)).  The condition prices Bt's r columns and the gradient's
+    min(k, r) forward images against ARPACK's cheapest run (a probe, ncv
+    matvecs, k residual columns, each one B and one B^T).  Otherwise ARPACK
+    runs from a deterministic start vector, or a dense eigensolve of
+    ``op.matmat(I)`` when k is too close to n (n <= DENSE_GUARD only).  Each
+    pair must satisfy ||op u - lam u|| <= rtol * lam_max for the constant
+    rtol = 1e-8 (``_RTOL``), checked explicitly (op U = Bt (Bt^T U) on the
+    factored branch), or a :class:`ConvergenceError` is raised.
     """
     n = op.shape[0]
     if not 1 <= k <= n:
@@ -168,15 +162,11 @@ def exact_eigs(op, k: int, seed: int = 0) -> LowRankEig:
     r = min(n, getattr(op, "rank_bound", n))
     if r == 0:
         return LowRankEig(U=np.linalg.qr(rng.standard_normal((n, k)))[0], lam=np.zeros(k))
-    l = min(n, max(k, r) + _BLOCK_OVERSAMPLING)
-    if r < n and l + r <= 2 * (min(n, max(2 * k + 1, 20)) + k + 1):
-        # plain QR: B^T Psi has rank <= r < l, and its deficient directions get zero Ritz values
-        Q = np.linalg.qr(op.factor_t(rng.standard_normal((op.factor_rows, l))))[0]
-        BQ = op.factor(Q)
-        lam, V = np.linalg.eigh(BQ.T @ BQ)
-        lam, V = np.clip(lam[::-1][:k], 0.0, None), V[:, ::-1][:, :k]
-        U = Q @ V
-        return _checked_pairs(U, lam, op.factor_t(BQ @ V) - U * lam)
+    if r < n and r + min(k, r) <= 2 * (min(n, max(2 * k + 1, 20)) + k + 1):
+        Bt = op.factor_t()
+        U, s, _ = np.linalg.svd(np.pad(Bt, ((0, 0), (0, max(0, k - Bt.shape[1])))), full_matrices=False)
+        U, lam = U[:, :k], s[:k] ** 2
+        return _checked_pairs(U, lam, Bt @ (Bt.T @ U) - U * lam)
 
     v0 = rng.standard_normal(n)
     probe = op.matvec(v0 / np.linalg.norm(v0))

@@ -364,9 +364,9 @@ def test_cli_evaluate_rand_sketches_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("method", ["eig", "rand"])
 def test_cli_evaluate_map_reads_the_eig_block(tmp_path, monkeypatch, method):
-    """An Eig-k evaluate runs its eigensolve before the MAP point, whose CG then
-    starts at the Galerkin solution in the held block: 0 iterations and fewer
-    solves than with no block held.  The rand path holds none and keeps its solves."""
+    """An Eig-k evaluate runs its eigensolve before the MAP point, which then comes
+    from the run's held factor: 0 iterations and fewer solves than with no run held.
+    The rand path holds none and keeps its solves."""
     cfg_path = write_config(tmp_path, {**SMALL, "opt": {**SMALL["opt"], "method": method, "eig_k": 27}})
 
     def run(name):
@@ -376,7 +376,7 @@ def test_cli_evaluate_map_reads_the_eig_block(tmp_path, monkeypatch, method):
             return solve_counter.snapshot().total, json.load(f)["map_cg_iterations"]
 
     solves, iterations = run("held")
-    monkeypatch.setattr(oed.DesignProblem, "held_block", lambda self, w: None)
+    monkeypatch.setattr(oed.DesignProblem, "held_op", lambda self, w: None)
     cold_solves, cold_iterations = run("cold")
     assert cold_iterations > 0
     if method == "eig":
@@ -580,8 +580,12 @@ _CONTRACT = {
 @given(data=st.data())
 def test_cli_contract_on_extreme_configs(data):
     """Bad holes, coincident or out-of-domain sensors, ranks above n_y, zero noise, times
-    outside (0, T] and a zero prior alpha: synthesize and oed return 0, 1 or 2 and raise nothing."""
+    outside (0, T] and a zero prior alpha: synthesize, oed and evaluate (on the weights of
+    an oed that exited 0) return 0, 1 or 2 and raise nothing.  The method is drawn from
+    rand and eig unless the opt section is drawn, so the factored Eig-k path meets every
+    family."""
     payload = json.loads(json.dumps(SMALL))
+    payload["opt"]["method"] = data.draw(st.sampled_from(["rand", "eig"]), label="method")
     sections = data.draw(st.sets(st.sampled_from(list(_CONTRACT)), min_size=1, max_size=2), label="sections")
     for section in sorted(sections):
         payload.setdefault(section, {}).update(data.draw(_CONTRACT[section], label=section))
@@ -590,7 +594,19 @@ def test_cli_contract_on_extreme_configs(data):
         with open(path, "w") as f:
             json.dump(payload, f)
         for command in ("synthesize", "oed"):
-            assert main([command, "--config", path, "--out", os.path.join(tmp, command)]) in (0, 1, 2)
+            rc = main([command, "--config", path, "--out", os.path.join(tmp, command)])
+            assert rc in (0, 1, 2)
+        if rc == 0:
+            weights = os.path.join(tmp, "oed", "weights.csv")
+            argv = ["evaluate", "--config", path, "--weights", weights, "--out", os.path.join(tmp, "evaluate")]
+            assert main(argv) in (0, 1, 2)
+
+
+def test_cli_prior_alpha_zero_warns_and_runs(tmp_path):
+    """alpha = 0 leaves L^-1 M L^-1 without a trace-class limit in 2-D: oed warns and still exits 0."""
+    cfg_path = write_config(tmp_path, {**SMALL, "prior": {"alpha": 0.0, "beta": 0.1}})
+    with pytest.warns(UserWarning, match="trace-class in 2-D only for alpha > 0"):
+        assert main(["oed", "--config", cfg_path, "--out", str(tmp_path / "alpha0")]) == 0
 
 
 def test_cli_warm_cache_compare_random_spends_only_synthesis(tmp_path):

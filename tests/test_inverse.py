@@ -104,17 +104,19 @@ def test_cg_energy_error_monotone(small_design, y_obs):
     assert all(e2 <= e1 + 1e-9 * errors[0] for e1, e2 in zip(errors, errors[1:]))
 
 
-def test_map_from_blocked_eig_run_costs_two_adjoint_solves(small_design, y_obs):
-    """After a blocked Eig-k run (span Q holds range H(w)) the Galerkin start is the
-    MAP point: 0 forward + 2 adjoint solves, 0 iterations, exact to roundoff."""
+def test_map_from_held_factor_costs_no_solve(small_design, y_obs):
+    """After a factored Eig-k run the MAP point is Bt (I + Bt^T Bt)^{-1} S_a y_a from the
+    held columns Bt of B^T: 0 forward + 0 adjoint solves, 0 iterations, exact to
+    roundoff; J alone (no gradient) spends only the factor's r adjoint solves."""
     d, w = fresh(small_design), binary(small_design.n_s, [0, 4, 8])
-    with count_solves() as eig_cost:
-        d.objective_grad_eig(w, 9)
     r = d.n_t * 3
-    assert (eig_cost.delta.forward, eig_cost.delta.adjoint) == (9 + 5, d.G.n_y + r)  # z step + blocked branch
+    with count_solves() as eig_cost:
+        d.objective_eig(w, 9)
+    assert (eig_cost.delta.forward, eig_cost.delta.adjoint) == (0, r)
     with count_solves() as c:
         rep = map_estimate(d, w, y_obs)
-    assert (c.delta.forward, c.delta.adjoint, rep.iterations) == (0, 2, 0)
+    assert (c.delta.forward, c.delta.adjoint, rep.iterations) == (0, 0, 0)
+    assert rep.rel_residual <= 1e-12
     ref = small_design.dense_reference()
     theta_ref = dense_theta_post(small_design, w, y_obs)
     assert np.linalg.norm(rep.theta_post - theta_ref) <= 1e-10 * np.linalg.norm(theta_ref)
@@ -123,11 +125,12 @@ def test_map_from_blocked_eig_run_costs_two_adjoint_solves(small_design, y_obs):
 
 @pytest.mark.parametrize("case", ["blocked", "arpack"])
 def test_map_warm_start_iterates_to_tol(desk_design, case):
-    """From a held block whose Galerkin residual r0 is above tol, CG iterates from x0: fewer
+    """From a held start whose residual r0 is above tol, CG iterates from x0: fewer
     iterations than from zero, each at 1 forward + 1 adjoint solve, the same answer.  tol
-    is 1e-12, or r0 / 10 where r0 is below that: the blocked branch's block (16 sensors,
-    k = 40) spans range H(w), which holds the MAP point, so its r0 is roundoff; an ARPACK
-    block of 10 top eigenvectors (all 35 sensors) leaves r0 above 1e-12."""
+    is 1e-12, or r0 / 10 where r0 is below that: the factored branch's start (16 sensors,
+    k = 40) is the MAP point from the held columns of B^T, so its r0 is roundoff and
+    costs no solve; an ARPACK block of 10 top eigenvectors (all 35 sensors) leaves r0
+    above 1e-12, and its b and r0 cost 2 adjoint solves."""
     rng = np.random.default_rng(7)
     d = fresh(desk_design)
     w = binary(d.n_s, rng.choice(d.n_s, 16, replace=False)) if case == "blocked" else rng.uniform(0.1, 1.0, d.n_s)
@@ -140,22 +143,23 @@ def test_map_warm_start_iterates_to_tol(desk_design, case):
     with count_solves() as c:
         rep = map_estimate(d, w, y, tol=tol)
     assert 1 <= rep.iterations < cold.iterations and rep.rel_residual <= tol
-    assert (c.delta.forward, c.delta.adjoint) == (rep.iterations, rep.iterations + 2)
+    assert (c.delta.forward, c.delta.adjoint) == (rep.iterations, rep.iterations + (case == "arpack") * 2)
     theta_ref = dense_theta_post(desk_design, w, y)
     for theta in (rep.theta_post, cold.theta_post):
         assert np.linalg.norm(theta - theta_ref) <= 1e-8 * np.linalg.norm(theta_ref)
 
 
 def test_eig_block_price_counts_its_solves(desk_design):
-    """All 35 desk sensors (r = 105): at k = 40 the factored block costs l + r = 110 + 105
-    = 215 solves, within ARPACK's cheapest 2(ncv + k + 1) = 244, and runs at exactly that;
-    at k = 10 it would still cost 215 against 64, and ARPACK runs from its 1-column probe."""
+    """All 35 desk sensors (r = 105): at k = 40 the factor costs r + k = 105 + 40 = 145
+    solves (the r columns of B^T, then G U), within ARPACK's cheapest 2(ncv + k + 1) =
+    244, and runs at exactly that; at k = 10 it would cost 115 against 64, and ARPACK
+    runs from its 1-column probe."""
     d = fresh(desk_design)
     d.ensure_z()
     w = np.random.default_rng(7).uniform(0.1, 1.0, d.n_s)
     with count_solves() as c:
         d.objective_grad_eig(w, 40)
-    assert (c.delta.forward, c.delta.adjoint) == (110, 105)
+    assert (c.delta.forward, c.delta.adjoint) == (40, 105)
     with count_solves() as c:
         d.objective_grad_eig(w, 10)
     assert c.delta.forward == c.delta.adjoint >= 1 + 21 + 10  # probe, ncv matvecs, k residual columns

@@ -17,7 +17,7 @@ from conftest import (
     unit_probe_adjoints,
 )
 from oed_dopt.accounting import count_solves
-from oed_dopt.errors import ConfigError
+from oed_dopt.errors import ConfigError, ConvergenceError
 from oed_dopt.oed import (
     DesignProblem,
     NoiseModel,
@@ -174,24 +174,27 @@ def test_misfit_op_rank_bound_counts_active_sensors(small_design):
 
 
 def test_misfit_op_factor_t_from_one_sensor_sweep(small_design):
-    """B^T Y matches G^T (W^{1/2} Y) for random Y with nonzero inactive rows; its first
-    call sweeps the active sensors at r adjoint solves, later calls are free, and op X
-    still costs one forward and one adjoint solve per column of X."""
+    """factor_t() is G^T W^{1/2} on the unit probes of the r active rows; its first call
+    sweeps the active sensors at r adjoint solves and holds the columns, later calls are
+    free, and op X still costs one forward and one adjoint solve per column of X."""
     d = small_design
     rng = np.random.default_rng(40)
     w = np.zeros(d.n_s)
     w[[1, 4, 7]] = [1.0, 0.3, 1e-9]
     op = d.misfit_op(w)
     r = op.rank_bound
+    assert np.array_equal(op.active_rows, np.flatnonzero(weighted_diag(w, d.noise.sigma, d.n_t)))
     spent = []
-    for width in (6, 1, 3):
-        Y = rng.standard_normal((d.G.n_y, width))
+    for _ in range(3):
         with count_solves() as c:
-            BtY = op.factor_t(Y)
+            Bt = op.factor_t()
         spent.append((c.delta.forward, c.delta.adjoint))
-        expect = d.G.apply_transpose(np.sqrt(op.diag_w)[:, None] * Y)
-        assert np.linalg.norm(BtY - expect) <= 1e-12 * np.linalg.norm(expect)
+        assert Bt is op.held_factor
     assert spent == [(0, r), (0, 0), (0, 0)]
+    probes = np.zeros((d.G.n_y, r))
+    probes[op.active_rows, np.arange(r)] = np.sqrt(op.diag_w[op.active_rows])
+    expect = d.G.apply_transpose(probes)
+    assert np.linalg.norm(Bt - expect) <= 1e-12 * np.linalg.norm(expect)
     for m in (1, 4):
         with count_solves() as c:
             op.matmat(rng.standard_normal((d.G.n, m)))
@@ -206,21 +209,19 @@ def without_rank_bound(op):
 @pytest.mark.parametrize("n_active, k", [(2, 8), (3, 8)])
 def test_eig_blocked_branch_on_sparse_binary_design(small_design, n_active, k):
     """A binary design with r = n_t |supp w| <= k, or r = 9 just above k = 8, takes the
-    blocked branch: exactly l forward and r adjoint solves, l = max(k, r) + 5 (B on Q, and
-    one sensor sweep for the r nonzero columns of B^T, which then serve B^T on the
-    Gaussian block and on the k Ritz vectors of the residual check at no solve), no
-    warning, and J, gradient and spectrum as the exact reference and the ARPACK path give
-    them."""
+    factored branch: one sensor sweep for the r nonzero columns of B^T (r adjoint
+    solves), whose thin SVD gives the pairs and the residual check at no solve, and
+    min(k, r) forward solves for the gradient's G U; no warning, and J, gradient and
+    spectrum as the exact reference and the ARPACK path give them."""
     d = fresh_design(small_design)
     ref = d.dense_reference()
     w = np.zeros(d.n_s)
     w[np.random.default_rng(30 + n_active).choice(d.n_s, n_active, replace=False)] = 1.0
     r = d.n_t * n_active
-    l = max(k, r) + 5
     with count_solves() as c, warnings.catch_warnings():
         warnings.simplefilter("error")
         J, g = d.objective_grad_eig(w, k)
-    assert (c.delta.forward, c.delta.adjoint) == (l, r)
+    assert (c.delta.forward, c.delta.adjoint) == (min(k, r), r)
     J_ref, g_ref, lam_ref = ref.evaluate(w)
     assert abs(J_ref - J) == pytest.approx(np.sum(np.log1p(lam_ref[k:])), rel=1e-8, abs=1e-10)
     lam = d.estimator("eig", k=k).spectrum(w)
@@ -234,17 +235,35 @@ def test_eig_blocked_branch_on_sparse_binary_design(small_design, n_active, k):
     assert np.linalg.norm(g - g_a) <= 1e-8 * np.linalg.norm(g_a)
 
 
-def test_eig_all_positive_design_keeps_arpack(small_design):
-    """r = n_y = 27 makes the block cost 2l + k = 72 > 2(ncv + k + 1) = 58: ARPACK runs at the
-    30 forward and 30 adjoint solves of the plain operator, and agrees with it."""
+def test_eig_factor_disagreeing_with_forward_map_raises(small_design, monkeypatch):
+    """A held factor that is not B^T of the forward map (here scaled by 1 + 1e-6) gives
+    pairs that pass the residual check, being exact for that factor; the gradient path
+    compares the active rows of W^{1/2} G U with Bt^T U and raises ConvergenceError
+    instead of returning them, on every call."""
     d = fresh_design(small_design)
+    w = np.isin(np.arange(d.n_s), [0, 4, 8]).astype(float)
+    op = d.misfit_op(w)
+    op.held_factor = op.factor_t() * (1.0 + 1e-6)
+    monkeypatch.setattr(d, "misfit_op", lambda w: op)
+    for _ in range(2):
+        with count_solves() as c, pytest.raises(ConvergenceError, match="disagree with the held adjoint factor"):
+            d.objective_grad_eig(w, 8)
+        assert (c.delta.forward, c.delta.adjoint) == (8, 0)
+
+
+def test_eig_all_positive_design_keeps_arpack(desk_design):
+    """All 35 desk sensors (r = n_y = 105) at k = 10: the factor would cost r + k = 115
+    > 2(ncv + k + 1) = 64 solves, so ARPACK runs at the 33 forward and 33 adjoint solves
+    of the plain operator, and agrees with it."""
+    d = fresh_design(desk_design)
     w = np.random.default_rng(21).uniform(0.2, 1.0, d.n_s)
     with count_solves() as c:
-        J, g = d.objective_grad_eig(w, 8, seed=3)
+        J, g = d.objective_grad_eig(w, 10, seed=3)
     with count_solves() as c_plain:
-        J_a, g_a, _, _ = separate_eig_run(d, w, 8, 3, without_rank_bound(d.misfit_op(w)))
-    assert (c.delta.forward, c.delta.adjoint) == (30, 30)
-    assert c_plain.delta.adjoint == 30
+        J_a, g_a, _, _ = separate_eig_run(d, w, 10, 3, without_rank_bound(d.misfit_op(w)))
+    assert d.held_op(w).held_factor is None
+    assert (c.delta.forward, c.delta.adjoint) == (33, 33)
+    assert c_plain.delta.adjoint == 33
     assert J == pytest.approx(J_a, rel=1e-12)
     assert np.linalg.norm(g - g_a) <= 1e-12 * np.linalg.norm(g_a)
 
@@ -345,7 +364,7 @@ def test_eig_run_is_shared_by_J_grad_and_kl(small_design):
     k, seed = 8, 3
     with count_solves() as c:
         J, g = d.objective_grad_eig(w, k, seed=seed)
-    assert c.delta.forward == c.delta.adjoint > k  # ARPACK matvecs plus the residual check
+    assert (c.delta.forward, c.delta.adjoint) == (k, d.G.n_y)  # G U, and the factor's sweep
     with count_solves() as c:
         kl = d.kl_estimate(w, y, "eig", k=k, seed=seed, theta_post=theta)
         J2 = d.objective_eig(w, k, seed=seed)
@@ -365,7 +384,7 @@ def test_eig_run_misses_on_new_w_k_or_seed(small_design):
     for args in ((w, k, seed), (w, k + 1, seed), (w, k + 1, seed + 1)):
         with count_solves() as c:
             d.objective_grad_eig(*args[:2], seed=args[2])
-        assert c.delta.forward == c.delta.adjoint > 0, args[1:]
+        assert (c.delta.forward, c.delta.adjoint) == (args[1], d.G.n_y), args[1:]
         assert_matches_separate_run(d, *args)
 
 
@@ -393,32 +412,41 @@ def test_eig_dense_fallback_matches_separate_run():
 
 
 @pytest.mark.parametrize("branch", ["blocked", "arpack", "dense"])
-def test_held_block_is_the_last_runs_block(small_design, branch):
-    """held_block(w) is the (X, G X) the last Eig-k run for w's bytes applied last:
-    Q, U or I, orthonormal and spanning U.  It is None before a run, for other
-    weights, for w changed in place and for a run that applied no block."""
+def test_held_block_is_the_last_runs_block(small_design, desk_design, branch):
+    """held_op(w) is the operator of the last Eig-k run for w's bytes.  After the factored
+    branch it holds B^T's r columns and no forward block; after ARPACK or the dense
+    fallback its last forward block (X, G X) is U or I, orthonormal and spanning U; a
+    run that applied nothing holds neither.  It is None before a run, for other weights
+    and for w changed in place."""
     if branch == "dense":  # k > n - 2
         d = synthetic_design(20, 5, 4, 2.0 ** -np.arange(1, 21, dtype=float), seed=3)
         w, k = np.full(d.n_s, 0.5), 19
-    else:
+    elif branch == "arpack":  # r = n_y = 105 with k = 10 prices the factor above ARPACK
+        d = fresh_design(desk_design)
+        w, k = np.full(d.n_s, 0.5), 10
+    else:  # rank bound 9
         d = fresh_design(small_design)
-        w, k = np.full(d.n_s, 0.5), 6
-        if branch == "blocked":  # rank bound 9: l = 14 columns
-            w, k = np.isin(np.arange(d.n_s), [0, 4, 8]).astype(float), 9
-    assert d.held_block(w) is None
+        w, k = np.isin(np.arange(d.n_s), [0, 4, 8]).astype(float), 9
+    assert d.held_op(w) is None
     d.objective_grad_eig(w, k, seed=2)
     eig = d._top_eigs(w, k, 2)[0]
-    X, GX = d.held_block(w.copy())
-    expected_cols = {"blocked": k + 5, "arpack": k, "dense": d.G.n}[branch]
-    assert X.shape == (d.G.n, expected_cols)
-    assert (X is eig.U) == (branch == "arpack")
-    assert np.allclose(X.T @ X, np.eye(expected_cols), atol=1e-12)
-    assert np.linalg.norm(GX - d.G.apply(X)) <= 1e-12 * np.linalg.norm(GX)
-    assert np.linalg.norm(eig.U - X @ (X.T @ eig.U)) <= 1e-10
+    op = d.held_op(w.copy())
+    if branch == "blocked":
+        assert op.last_images is None and op.held_factor.shape == (d.G.n, op.rank_bound) == (d.G.n, 9)
+        assert np.linalg.norm(eig.U - op.held_factor @ np.linalg.lstsq(op.held_factor, eig.U)[0]) <= 1e-10
+    else:
+        X, GX = op.last_images
+        expected_cols = {"arpack": k, "dense": d.G.n}[branch]
+        assert op.held_factor is None and X.shape == (d.G.n, expected_cols)
+        assert (X is eig.U) == (branch == "arpack")
+        assert np.allclose(X.T @ X, np.eye(expected_cols), atol=1e-12)
+        assert np.linalg.norm(GX - d.G.apply(X)) <= 1e-12 * np.linalg.norm(GX)
+        assert np.linalg.norm(eig.U - X @ (X.T @ eig.U)) <= 1e-10
     w[0] = 0.25  # changed in place
-    assert d.held_block(w) is None
-    d.objective_grad_eig(np.zeros(d.n_s), k)  # no block applied
-    assert d.held_block(np.zeros(d.n_s)) is None
+    assert d.held_op(w) is None
+    d.objective_grad_eig(np.zeros(d.n_s), k)  # nothing applied: the op holds neither
+    op = d.held_op(np.zeros(d.n_s))
+    assert op.held_factor is None and op.last_images is None
 
 
 def test_first_reader_runs_the_one_z_step(tmp_path, small_design):
@@ -939,13 +967,12 @@ def test_exact_core_past_dense_n_limit(nx32_problem):
 
 
 def test_eig_k_at_nx32_against_exact_core(nx32_problem):
-    """Eig-k (k = 40) on a 16-sensor binary design at nx = 32 (r = 48, l = 53) takes the
-    factored block: exactly l forward and r adjoint solves.  Its top-k spectrum matches
-    the exact core's to rtol 1e-8 above roundoff (the spectrum spans 17 decades, and both
-    sides hold each eigenvalue to about eps * lam_max), its J error is within the
-    truncation oracle plus the residual check's k * rtol * lam_max and equals the
-    discarded tail, and the MAP point starts in the held block and stops there: 0 forward
-    + 2 adjoint solves, 0 CG iterations."""
+    """Eig-k (k = 40) on a 16-sensor binary design at nx = 32 (r = 48) takes the factored
+    branch: exactly k forward and r adjoint solves.  Its top-k spectrum matches the exact
+    core's to rtol 1e-8 above roundoff (the spectrum spans 17 decades, and both sides
+    hold each eigenvalue to about eps * lam_max), its J error is within the truncation
+    oracle plus the residual check's k * rtol * lam_max and equals the discarded tail,
+    and the MAP point comes from the held factor: 0 solves, 0 CG iterations."""
     from oed_dopt.inverse import map_estimate
 
     d, k, rtol = nx32_problem.design, 40, 1e-8
@@ -953,10 +980,9 @@ def test_eig_k_at_nx32_against_exact_core(nx32_problem):
     w = np.zeros(d.n_s)
     w[np.random.default_rng(320).choice(d.n_s, size=16, replace=False)] = 1.0
     r = d.n_t * 16
-    l = max(k, r) + 5
     with count_solves() as c:
         J, _ = d.objective_grad_eig(w, k)
-    assert (c.delta.forward, c.delta.adjoint) == (l, r) == (53, 48)
+    assert (c.delta.forward, c.delta.adjoint) == (k, r) == (40, 48)
     J_ref, _, lam_ref = ref.evaluate(w)
     lam = d.estimator("eig", k=k).spectrum(w)
     assert np.allclose(lam, lam_ref[:k], rtol=rtol, atol=1e-12 * lam_ref[0])
@@ -967,5 +993,42 @@ def test_eig_k_at_nx32_against_exact_core(nx32_problem):
     y_obs, _ = nx32_problem.synthesize()
     with count_solves() as c:
         rep = map_estimate(d, w, y_obs)
-    assert (c.delta.forward, c.delta.adjoint, rep.iterations) == (0, 2, 0)
+    assert (c.delta.forward, c.delta.adjoint, rep.iterations) == (0, 0, 0)
     assert d.G.prior.weighted_norm_sq(rep.theta_post) == pytest.approx(ref.map_norm_sq(w, y_obs), rel=1e-8)
+
+
+def test_mesh_eig_shape_costs_and_bounds(nx32_problem):
+    """The benchmark's mesh-eig shape at nx = 32: 16 of 35 sensors, k = 40, r = 48.
+    (J, grad) costs exactly k forward and r adjoint solves; the MAP point and KL with a
+    given MAP point then cost none.  J lies within the "frozen" tail bound of the exact
+    core and each gradient entry within its "grad_eig_component" bound; at k = r the
+    factor's spectrum is the whole spectrum and J matches the exact core to 1e-10."""
+    from oed_dopt.inverse import map_estimate
+
+    d = DesignProblem(nx32_problem.design.G, nx32_problem.design.noise, n_t=nx32_problem.design.n_t)
+    d.ensure_z()
+    ref = d.dense_reference()
+    k = 40
+    w = np.zeros(d.n_s)
+    w[np.random.default_rng(321).choice(d.n_s, size=16, replace=False)] = 1.0
+    r = d.n_t * 16
+    y_obs, _ = nx32_problem.synthesize()
+    with count_solves() as c:
+        J, g = d.objective_grad_eig(w, k)
+    assert (c.delta.forward, c.delta.adjoint) == (k, r) == (40, 48)
+    with count_solves() as c:
+        rep = map_estimate(d, w, y_obs)
+        kl = d.kl_estimate(w, y_obs, "eig", k=k, theta_post=rep.theta_post)
+    assert (c.delta.forward, c.delta.adjoint, rep.iterations) == (0, 0, 0)
+
+    J_ref, g_ref, lam_ref = ref.evaluate(w)
+    split = SpectrumSplit.from_spectrum(lam_ref, k)
+    assert abs(J_ref - J) <= error_bounds(split, None, "frozen") + k * 1e-8 * lam_ref[0]
+    kl_ref = d.kl_estimate(w, y_obs, "dense", theta_post=rep.theta_post)
+    assert abs(kl_ref - kl) <= error_bounds(split, None, "kl_eig") + k * 1e-8 * lam_ref[0]
+    z_norms = sensor_z_norms(d)
+    for j in range(d.n_s):
+        bound = error_bounds(split, None, "grad_eig_component", z_norm=z_norms[j])
+        assert abs(g_ref[j] - g[j]) <= bound + 1e-10 * np.abs(g_ref).max()
+
+    assert d.objective_eig(w, r) == pytest.approx(J_ref, rel=1e-10)

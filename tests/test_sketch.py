@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from conftest import random_psd
-from oed_dopt.errors import ConfigError, ConvergenceError
+from oed_dopt.errors import ConfigError
 from oed_dopt.sketch import (
     DENSE_GUARD,
     LowRankEig,
@@ -153,14 +153,13 @@ def test_exact_eigs_dense_fallback_guard():
 
 
 class DeclaredRankOp(LinearOperator):
-    """A = B^T B with a declared ``rank_bound`` and its factor B; records each application
-    as (kind, shape), kind "A" for A, "B" for B and "Bt" for B^T."""
+    """A = B^T B with a declared ``rank_bound`` and B^T's columns from ``factor_t()``;
+    records each application as (kind, shape), kind "A" for A and "Bt" for forming B^T."""
 
     def __init__(self, B, rank_bound):
         self.B = B
         self.A = B.T @ B
         self.rank_bound = rank_bound
-        self.factor_rows = B.shape[0]
         self.applied = []
         super().__init__(dtype=float, shape=self.A.shape)
 
@@ -172,13 +171,9 @@ class DeclaredRankOp(LinearOperator):
         self.applied.append(("A", X.shape))
         return self.A @ X
 
-    def factor(self, X):
-        self.applied.append(("B", X.shape))
-        return self.B @ X
-
-    def factor_t(self, Y):
-        self.applied.append(("Bt", Y.shape))
-        return self.B.T @ Y
+    def factor_t(self):
+        self.applied.append(("Bt", self.B.T.shape))
+        return self.B.T
 
 
 def low_rank_factor(n, r, rng):
@@ -188,16 +183,15 @@ def low_rank_factor(n, r, rng):
 
 
 def test_exact_eigs_blocked_branch_is_exact_and_silent():
-    """rank_bound r = 10, k = 9: l = 15 and 2l + k = 39 <= 2(ncv + k + 1) = 60, so the
-    range is sketched from the factor: B^T on r x 15 Gaussian columns, B on Q, and B^T
-    on the k kept Ritz vectors for the residual check; no warning although the block is
-    rank deficient."""
+    """rank_bound r = 10, k = 9: r + k = 19 <= 2(ncv + k + 1) = 60, so the pairs come from
+    the thin SVD of B^T's r columns, formed once, and the residual check reads the same
+    columns: no other application and no warning."""
     n, r, k = 200, 10, 9
     op = DeclaredRankOp(low_rank_factor(n, r, np.random.default_rng(8)), r)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         eig = exact_eigs(op, k, seed=2)
-    assert op.applied == [("Bt", (r, r + 5)), ("B", (n, r + 5)), ("Bt", (r, k))]
+    assert op.applied == [("Bt", (n, r))]
     lam_ref = np.sort(np.linalg.eigvalsh(op.A))[::-1][:k]
     assert np.allclose(eig.lam, lam_ref, rtol=1e-8)
     res = np.linalg.norm(op.A @ eig.U - eig.U * eig.lam, axis=0)
@@ -205,14 +199,26 @@ def test_exact_eigs_blocked_branch_is_exact_and_silent():
     assert np.allclose(eig.U.T @ eig.U, np.eye(k), atol=1e-12)
 
 
+def test_exact_eigs_factor_pads_k_above_rank():
+    """k = 14 > r = 10: the r pairs of the factor's SVD, then 4 orthonormal columns
+    orthogonal to range(B^T) at lam = 0 exactly."""
+    n, r, k = 200, 10, 14
+    op = DeclaredRankOp(low_rank_factor(n, r, np.random.default_rng(8)), r)
+    eig = exact_eigs(op, k, seed=2)
+    assert op.applied == [("Bt", (n, r))]
+    assert np.allclose(eig.lam[:r], np.sort(np.linalg.eigvalsh(op.A))[::-1][:r], rtol=1e-8)
+    assert np.array_equal(eig.lam[r:], np.zeros(k - r))
+    assert np.allclose(eig.U.T @ eig.U, np.eye(k), atol=1e-12)
+    assert np.linalg.norm(op.B @ eig.U[:, r:]) <= 1e-12
+
+
 def test_exact_eigs_blocked_branch_selection():
-    """r = 20 gives l = 25 for k <= 20 and ncv = 20 for k <= 9.  k = 2 costs l + r = 45
-    <= 2(ncv + k + 1) = 46 solves and takes the factored block; one column fewer in k
-    makes 45 > 44, and ARPACK runs (its first application is the one-column probe);
-    r = n keeps ARPACK too."""
-    n, r = 200, 20
+    """r = 50 and ncv = 20 for k <= 9: k = 8 costs r + k = 58 <= 2(ncv + k + 1) = 58
+    solves and takes the factor; one column fewer in k makes 57 > 56, and ARPACK runs
+    (its first application is the one-column probe); r = n keeps ARPACK too."""
+    n, r = 200, 50
     B = low_rank_factor(n, r, np.random.default_rng(9))
-    for rank_bound, k, first in ((r, 2, ("Bt", (r, r + 5))), (r, 1, ("A", (n,))), (n, 2, ("A", (n,)))):
+    for rank_bound, k, first in ((r, 8, ("Bt", (n, r))), (r, 7, ("A", (n,))), (n, 8, ("A", (n,)))):
         op = DeclaredRankOp(B, rank_bound)
         eig = exact_eigs(op, k, seed=2)
         assert op.applied[0] == first
@@ -225,16 +231,6 @@ def test_exact_eigs_zero_rank_bound_applies_nothing():
     assert op.applied == []
     assert np.array_equal(eig.lam, np.zeros(4))
     assert np.allclose(eig.U.T @ eig.U, np.eye(4), atol=1e-12)
-
-
-def test_exact_eigs_understated_rank_bound_raises():
-    """A declared rank bound below the true rank fails the residual check, not silently."""
-    rng = np.random.default_rng(10)
-    A = random_psd(200, rng, decay=rng.uniform(1.0, 2.0, 200))
-    op = DeclaredRankOp(np.linalg.cholesky(A).T, 10)
-    with pytest.raises(ConvergenceError, match="residuals exceed"):
-        exact_eigs(op, 9)
-    assert [kind for kind, _ in op.applied] == ["Bt", "B", "Bt"]
 
 
 def test_cge_requires_p_at_least_two():
