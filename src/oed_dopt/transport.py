@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.spatial import cKDTree
 
 from .accounting import solve_counter
 from .errors import ConfigError, NumericalError
@@ -90,7 +89,9 @@ def make_observation_setup(
 ) -> ObservationSetup:
     """Snap requested sensor coordinates and times onto the mesh / time grid.
 
-    Sensors must lie in the meshed domain, snap to the nearest retained node
+    Sensors must lie in the closed meshed domain (within h/2·(1+1e-9), max
+    norm, of a retained cell's center; NaN and ±inf lie outside), snap to the
+    Euclidean-nearest retained node (an exact tie goes to the lower node id)
     and land on distinct nodes; observation times must lie in (0, T] and snap
     to the nearest positive time-grid point, distinct for distinct times.
     """
@@ -105,9 +106,7 @@ def make_observation_setup(
     outside = ~mesh.contains(sensor_coords)
     if np.any(outside):
         raise ConfigError(f"sensor coordinates {sensor_coords[outside].tolist()} lie outside the meshed domain")
-    tree = cKDTree(mesh.nodes)
-    _, nodes = tree.query(sensor_coords)
-    nodes = np.atleast_1d(nodes).astype(int)
+    nodes = mesh.nearest_nodes(sensor_coords)
     if len(np.unique(nodes)) != len(nodes):
         raise ConfigError("sensors snap to coincident mesh nodes; refine the mesh or move sensors")
 

@@ -1,5 +1,7 @@
 """Mesh construction, operator assembly, and mass factorization."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,7 +16,7 @@ from oed_dopt.fem import (
     peclet_number,
     triangle_geometry,
 )
-from oed_dopt.transport import VelocityField
+from oed_dopt.transport import VelocityField, make_observation_setup
 
 
 def brute_force_retained_cells(nx, holes):
@@ -89,8 +91,60 @@ def test_mesh_contains_the_closed_domain():
         (-0.5, 0.5): False,
         (0.4, 0.4): False,  # a hole's interior
         (0.5, 0.5): False,  # the split between the two holes
+        (np.nan, 0.5): False,
+        (np.inf, 0.5): False,
+        (0.5, -np.inf): False,
     }
-    assert mesh.contains(np.array(list(points))).tolist() == list(points.values())
+    # a non-finite point is outside, never cast to an index (numpy warns on that cast)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert mesh.contains(np.array(list(points))).tolist() == list(points.values())
+        for bad in ([np.nan, 0.5], [0.5, np.inf], [-np.inf, -np.inf]):
+            with pytest.raises(ConfigError, match="outside the meshed domain"):
+                make_observation_setup(mesh, [[0.1, 0.1], bad], [1.0], 2.0, 10)
+
+
+@st.composite
+def meshes_with_holes(draw):
+    """nx 2-16 and up to three grid-aligned holes as cell ranges (i0, j0, i1, j1), some as
+    pairs that share an edge."""
+    nx = draw(st.integers(2, 16))
+    holes = []
+    if nx >= 3:
+        for _ in range(draw(st.integers(0, 3))):
+            i0, j0 = draw(st.integers(1, nx - 2)), draw(st.integers(1, nx - 2))
+            i1, j1 = draw(st.integers(i0 + 1, nx - 1)), draw(st.integers(j0 + 1, nx - 1))
+            holes.append((i0, j0, i1, j1))
+            if i1 < nx - 1 and draw(st.booleans()):  # its neighbour across the edge x = i1 / nx
+                holes.append((i1, j0, draw(st.integers(i1 + 1, nx - 1)), j1))
+    return nx, holes
+
+
+@settings(max_examples=100, deadline=None)
+@given(meshes_with_holes(), st.data())
+def test_grid_lookup_matches_brute_force(mesh_spec, data):
+    """contains is a max-norm test against every retained cell's center, and nearest_nodes the
+    Euclidean argmin over all nodes (the lower id on an exact tie), on points at cell corners,
+    edges and centers, the outer boundary and hole edges, exact half-cell ties, and just
+    inside (0.4e-9 h) and just outside (0.6e-9 h) the 0.5e-9 h slack past a cell's edge."""
+    nx, holes = mesh_spec
+    mesh = build_mesh(nx, [np.array(hole) / nx for hole in holes])
+    h = 1.0 / nx
+    half_steps = st.integers(-1, 2 * nx + 1).map(lambda k: k * 0.5 * h)
+    offsets = st.sampled_from([0.0, 0.0, 0.4e-9, -0.4e-9, 0.6e-9, -0.6e-9, 1e-3]).map(lambda s: s * h)
+    coordinate = st.one_of(st.tuples(half_steps, offsets).map(sum), st.floats(-0.1, 1.1))
+    points = np.array(data.draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=40)))
+
+    open_cells = np.ones((nx, nx), dtype=bool)  # [cj, ci], on integer indices
+    for i0, j0, i1, j1 in holes:
+        open_cells[j0:j1, i0:i1] = False
+    cj, ci = np.nonzero(open_cells)
+    centers = np.column_stack([ci, cj]) / nx + 0.5 * h
+    reach = 0.5 * h * (1.0 + 1e-9)
+    inside = (np.abs(points[:, None, :] - centers[None]).max(axis=2) <= reach).any(axis=1)
+    assert mesh.contains(points).tolist() == inside.tolist()
+    nearest = np.argmin(((mesh.nodes[None] - points[:, None, :]) ** 2).sum(axis=2), axis=1)
+    assert mesh.nearest_nodes(points).tolist() == np.where(inside, nearest, -1).tolist()
 
 
 def test_nx_below_minimum_rejected():

@@ -6,6 +6,7 @@ import pytest
 from conftest import dense_forward_matrix, make_config, unit_probe_adjoints
 from oed_dopt.accounting import count_solves
 from oed_dopt.errors import ConfigError
+from oed_dopt.fem import build_mesh
 from oed_dopt.problem import build_problem
 from oed_dopt.transport import VelocityField, make_observation_setup, synthesize_data
 
@@ -47,6 +48,23 @@ def test_sensor_snapping_distinct():
     assert len(np.unique(p.obs.sensor_nodes)) == 4
     with pytest.raises(ConfigError, match="coincident"):
         make_observation_setup(p.mesh, [[0.5, 0.5], [0.51, 0.51]], [1.0], 2.0, 20)
+
+
+DESK_SENSORS = {"grid": [7, 5], "margin": [0.2, 0.3]}
+# node ids the desk sensors snapped to under a KD-tree query over all nodes: row-major
+# (x fastest) over the 7 x 5 grid, rows of nx + 1 nodes
+PINNED_SNAP = {
+    10: [j * 11 + i for j in range(3, 8) for i in range(2, 9)],
+    32: [j * 33 + i for j in (10, 13, 16, 19, 22) for i in (6, 10, 13, 16, 19, 22, 26)],
+}
+
+
+@pytest.mark.parametrize("nx", sorted(PINNED_SNAP))
+def test_desk_sensor_snap_pinned(nx):
+    """The desk sensors land on the same nodes at the desk size and the nx = 32 workload size."""
+    coords = make_config(mesh={"nx": nx}, sensors=DESK_SENSORS).sensor_coordinates()
+    obs = make_observation_setup(build_mesh(nx), coords, [1.0], 2.0, 20)
+    assert obs.sensor_nodes.tolist() == PINNED_SNAP[nx]
 
 
 def test_observation_times_validation(small_problem):
