@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,19 +45,27 @@ def summary(values: list) -> dict:
     return {"median": float(med), "q1": float(q1), "q3": float(q3), "iqr": float(q3 - q1), "runs": values}
 
 
+def seed_range(text: str) -> list:
+    """The seeds of "S" (one seed) or "first-last" with first <= last; anything else is an argparse error."""
+    m = re.fullmatch(r"(\d+)(?:-(\d+))?", text)
+    seeds = list(range(int(m[1]), int(m[2] or m[1]) + 1)) if m else []
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"need S or first-last with first <= last, got {text!r}")
+    return seeds
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    ap.add_argument("--seeds", required=True, help="first-last, e.g. 31-40")
+    ap.add_argument("--seeds", type=seed_range, required=True, help="first-last, e.g. 31-40, or one seed S")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    first, last = map(int, args.seeds.split("-"))
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     with open(trees["change"] / "BENCHMARK.json") as f:
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
 
-    seeds = list(range(first, last + 1))
+    seeds = args.seeds
     commits = {side: commit(tree) for side, tree in trees.items()}
     results = {"parent": [], "change": []}
     for i, seed in enumerate(seeds):

@@ -50,8 +50,8 @@ def error_vs_rank_sweep(
         )
         errs = np.zeros((n_seeds, 3))
         for s in range(n_seeds):
-            cfg = SketchConfig(k=int(k), p=p, q=q, seed=seed0 + 1000 * s + int(k))
-            J_r, g_r, lam_r = design.sketch_evaluate(w, cfg)
+            rand = design.estimator("rand", cfg=SketchConfig(k=int(k), p=p, q=q, seed=seed0 + 1000 * s + int(k)))
+            (J_r, g_r), lam_r = rand.evaluate(w), rand.spectrum(w)  # one sketch serves both
             errs[s] = (
                 abs(J_true - J_r) / J_scale,
                 np.linalg.norm(grad_true - g_r) / gnorm,

@@ -111,6 +111,10 @@ class OptConfig:
     eig_k: int | None = None  # defaults to sketch.k
     frozen_k: int | None = None
 
+    def __post_init__(self):
+        if any(k is not None and k < 1 for k in (self.eig_k, self.frozen_k)):
+            raise ConfigError(f"opt.eig_k and opt.frozen_k must be null or >= 1, got {self.eig_k}, {self.frozen_k}")
+
 
 @dataclass
 class SeedsConfig:

@@ -6,9 +6,9 @@ The MAP point solves the whitened normal equations
 
 by plain conjugate gradients; the whitened system is I plus a PSD operator so
 its condition number is 1 + lam_max and no further preconditioning is needed.
-The held operator of a factored Eig-k run gives the MAP point at 0 solves;
-after ARPACK, CG starts in its block for 2 adjoint solves, else at zero for 1;
-each iteration costs one forward and one adjoint solve.
+The held factor of an Eig-k run (a w = 0 run included) gives the MAP point at
+0 solves; after ARPACK, CG starts in its block for 2 adjoint solves, else at
+zero for 1; each iteration costs one forward and one adjoint solve.
 """
 
 from __future__ import annotations

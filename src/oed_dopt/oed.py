@@ -64,8 +64,9 @@ class NoiseModel:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
-        if self.sigma.ndim != 1 or np.any(self.sigma <= 0):
-            raise ConfigError("noise standard deviations must be strictly positive")
+        with np.errstate(over="ignore", divide="ignore"):
+            if self.sigma.ndim != 1 or np.any(self.sigma <= 0) or not np.all(np.isfinite(self.sigma**-2.0)):
+                raise ConfigError("noise standard deviations must be > 0 with a finite inverse square")
 
     @property
     def n_s(self) -> int:
@@ -244,7 +245,7 @@ class DesignProblem:
         self._z: SensorDerivConstants | None = None
         self._dense: DenseReference | None = None
         self._eig_run: list | None = None  # [key, op, eig, G U or None] of the last Eig-k solve
-        self._sketch_run: tuple | None = None  # (key, T) of the last T-only sketch
+        self._sketch_run: tuple | None = None  # (key, T) of the last sketch
 
     # -- constants ---------------------------------------------------------
 
@@ -309,12 +310,11 @@ class DesignProblem:
         return eig, GU
 
     def _eig_images(self, op: MisfitHessianOp, eig, k: int) -> np.ndarray:
-        """G U from the last block of ARPACK (U) or the dense fallback (I) at no solve; on
-        the factored branch at min(k, r) forward solves (columns past r have lam = 0 and stay
-        zero), checked against the held B U = Bt^T U within rtol * sqrt(lam_max)."""
-        if op.last_images is not None:
-            X, GX = op.last_images
-            return GX if X is eig.U else GX @ (X.T @ eig.U)
+        """G U from ARPACK's last block (U) at no solve, or zero after its zero probe (lam = 0); from
+        the factor at min(k, r) forward solves (columns past r have lam = 0 and stay zero), checked
+        against the held B U = Bt^T U within rtol * sqrt(lam_max)."""
+        if op.last_images is not None:  # ARPACK's residual check applied op to U itself
+            return op.last_images[1]
         GU = np.zeros((self.G.n_y, k))
         if op.held_factor is not None:
             m, rows = min(k, op.rank_bound), op.active_rows
@@ -347,30 +347,26 @@ class DesignProblem:
 
     # -- randomized estimator ------------------------------------------------
 
-    def sketch_evaluate(self, w, cfg: SketchConfig):
-        """Objective, gradient and eigenvalues from one randomized sketch of H(w).
+    def objective_grad_rand(self, w, cfg: SketchConfig):
+        """Objective and gradient from one randomized sketch of H(w).
 
         Costs exactly l(q+2) forward and l(q+1) adjoint solves on every call
         (l = k + p): the sketch spends l(q+1) of each and the gradient
-        products G u_hat_i the remaining l forward solves.
+        products G u_hat_i the remaining l forward solves.  T is kept for :meth:`_sketch`.
         """
         w = check_design_weights(w, self.n_s)
         self.ensure_z()
         Q, T = subspace_iteration(self.misfit_op(w), cfg)
-        J = sketched_logdet(T)
+        self._sketch_run = ((w.tobytes(), cfg), T)
         eig = low_rank_eig(Q, T)
         Qhat = self.G.apply(eig.U)  # l forward solves
-        return J, self._gradient_from_pairs(eig.lam, Qhat), eig.lam
-
-    def objective_grad_rand(self, w, cfg: SketchConfig):
-        """(J, grad) of :meth:`sketch_evaluate`, at its full cost."""
-        return self.sketch_evaluate(w, cfg)[:2]
+        return sketched_logdet(T), self._gradient_from_pairs(eig.lam, Qhat)
 
     def _sketch(self, w, cfg: SketchConfig) -> np.ndarray:
         """T = Q^T H(w) Q of the randomized sketch, kept for the last (w, cfg).
 
-        J, the spectrum and the KL term of one design share one sketch; the
-        (J, grad) path needs Q too and sketches afresh, at its exact cost.
+        J, the spectrum and the KL term of one design share one sketch, made here
+        or by :meth:`objective_grad_rand`, which sketches afresh at its exact cost.
         """
         w = check_design_weights(w, self.n_s)
         key = (w.tobytes(), cfg)
@@ -388,8 +384,8 @@ class DesignProblem:
 
         Costs no PDE solve once the z step has run, else that step's.
         """
-        if k_f > self.rank_bound:
-            raise ConfigError(f"k_f = {k_f} exceeds min(n_y, n) = {self.rank_bound}")
+        if not 1 <= k_f <= self.rank_bound:
+            raise ConfigError(f"k_f = {k_f} is below 1 or exceeds min(n_y, n) = {self.rank_bound}")
         return FrozenSVD.from_gram(self.C, k_f)
 
     def objective_grad_frozen(self, w, frozen: FrozenSVD):

@@ -3,9 +3,9 @@
 The sketch of a symmetric PSD operator H is T = Q^T H Q where Q spans
 H^q Omega for a Gaussian test matrix Omega with l = k + p columns.  The
 idealized iteration is hardened by re-orthonormalizing after every operator
-application.  Eigen-reconstruction, a deterministic top-k eigensolver, and
-the closed-form expected-error bounds used to validate the estimators all
-live here.
+application.  Eigen-reconstruction, the exact top-k eigensolver of an operator
+B^T B from B^T or ARPACK, and the closed-form expected-error bounds used to
+validate the estimators all live here.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, ConvergenceError
 
-#: Largest square matrix a dense path may hold: n here, n_y for ``oed``'s exact reference.
+#: Largest dense square a path may hold: n_y for ``oed``'s exact reference, nodes for mass mode "cholesky".
 DENSE_GUARD = 600
 
 
@@ -136,51 +136,35 @@ def _checked_pairs(U, lam, residual) -> LowRankEig:
 
 
 def exact_eigs(op, k: int, seed: int = 0) -> LowRankEig:
-    """Top-k eigenpairs of a symmetric PSD LinearOperator.
+    """Top-k eigenpairs of a PSD operator op = B^T B declaring ``rank_bound`` r and
+    ``factor_t()``, the r nonzero columns Bt of B^T (``oed.MisfitHessianOp``).
 
-    ``op`` is applied by ``op.matvec`` to one vector and ``op.matmat`` to a
-    block (scipy's ``op @ X`` would send a one-column block to ``matvec``),
-    or handed to ``eigsh``.  It may declare ``rank_bound`` r (else r = n)
-    and ``factor_t()``, the r nonzero columns Bt of B^T, op = B^T B.  r = 0
-    gives lam = 0 with no application.  With ncv = min(n, max(2k+1, 20))
-    (scipy ``eigsh``'s Krylov size), the pairs come from the factor when
-    r < n and r + min(k, r) <= 2(ncv + k + 1): the thin SVD of Bt, zero
-    columns padding it to k, gives U and lam = s^2 (exact: range(Bt) =
-    range(op)).  The condition prices Bt's r columns and the gradient's
-    min(k, r) forward images against ARPACK's cheapest run (a probe, ncv
-    matvecs, k residual columns, each one B and one B^T).  Otherwise ARPACK
-    runs from a deterministic start vector, or a dense eigensolve of
-    ``op.matmat(I)`` when k is too close to n (n <= DENSE_GUARD only).  Each
-    pair must satisfy ||op u - lam u|| <= rtol * lam_max for the constant
-    rtol = 1e-8 (``_RTOL``), checked explicitly (op U = Bt (Bt^T U) on the
-    factored branch), or a :class:`ConvergenceError` is raised.
+    The thin SVD of Bt, zero-padded to k columns, gives U and lam = s^2, exact
+    for any r, when ARPACK cannot run (k > n - 2 or n <= 16) or when the r
+    columns and the gradient's min(k, r) forward images cost no more than
+    ARPACK's cheapest run (a probe, ncv = min(n, max(2k+1, 20)) matvecs, k
+    residual columns: 2(ncv + k + 1) solves).  Otherwise ARPACK runs from a
+    deterministic start vector by ``op.matvec`` and ``op.matmat``; a start
+    vector that op maps to zero gives lam = 0.  Each pair must satisfy
+    ||op u - lam u|| <= 1e-8 lam_max (``_RTOL``), or a :class:`ConvergenceError`
+    is raised.
     """
     n = op.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"need 1 <= k <= n, got k = {k}, n = {n}")
-    rng = np.random.default_rng(seed)
-    r = min(n, getattr(op, "rank_bound", n))
-    if r == 0:
-        return LowRankEig(U=np.linalg.qr(rng.standard_normal((n, k)))[0], lam=np.zeros(k))
-    if r < n and r + min(k, r) <= 2 * (min(n, max(2 * k + 1, 20)) + k + 1):
+    r = op.rank_bound
+    if k > n - 2 or n <= 16 or r + min(k, r) <= 2 * (min(n, max(2 * k + 1, 20)) + k + 1):
         Bt = op.factor_t()
         U, s, _ = np.linalg.svd(np.pad(Bt, ((0, 0), (0, max(0, k - Bt.shape[1])))), full_matrices=False)
         U, lam = U[:, :k], s[:k] ** 2
         return _checked_pairs(U, lam, Bt @ (Bt.T @ U) - U * lam)
 
+    rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     probe = op.matvec(v0 / np.linalg.norm(v0))
     if np.linalg.norm(probe) == 0.0:
         U = np.linalg.qr(rng.standard_normal((n, k)))[0]
         return LowRankEig(U=U, lam=np.zeros(k))
-
-    if k > n - 2 or n <= 16:
-        if n > DENSE_GUARD:
-            raise ConfigError(f"dense eigensolve fallback refused for n = {n} > {DENSE_GUARD}")
-        A = op.matmat(np.eye(n))
-        lam, U = np.linalg.eigh(0.5 * (A + A.T))
-        order = np.argsort(lam)[::-1][:k]
-        return LowRankEig(U=U[:, order], lam=np.clip(lam[order], 0.0, None))
 
     try:
         lam, U = spla.eigsh(op, k=k, which="LM", v0=v0)

@@ -184,8 +184,9 @@ def test_criterion_05_expectation_bound_oracles(synthetic_instance):
     e_grad = np.empty((n_seeds, design.n_s))
     kl_true = 0.5 * (np.sum(np.log1p(lam)) - np.sum(lam / (1 + lam)))
     for s in range(n_seeds):
-        cfg_s = SketchConfig(k=k, p=p, q=q, seed=500 + s)
-        J_hat, g_hat, lam_T = design.sketch_evaluate(w, cfg_s)
+        rand = design.estimator("rand", cfg=SketchConfig(k=k, p=p, q=q, seed=500 + s))
+        J_hat, g_hat = rand.evaluate(w)
+        lam_T = rand.spectrum(w)  # the sketch evaluate just made
         e_J[s] = abs(J_true - J_hat)
         e_kl[s] = abs(kl_true - 0.5 * (np.sum(np.log1p(lam_T)) - np.sum(lam_T / (1 + lam_T))))
         e_grad[s] = np.abs(g_true - g_hat)

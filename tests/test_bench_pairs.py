@@ -4,6 +4,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import bench_pairs  # noqa: E402  (scripts/ is not a package)
 
@@ -44,3 +46,24 @@ def test_a_run_without_result_line_is_recorded_and_earlier_pairs_are_kept(tmp_pa
     assert metric["parent"]["runs"] == [3.0, 5.0] and metric["change"]["runs"] == [2.0, 4.0]
     snapshot = json.loads((change / "snapshot.json").read_text())
     assert snapshot["seeds"] == [1] and snapshot["metrics"]["w/session_s"]["pairs"] == 1
+
+
+def test_one_seed_runs_one_pair(tmp_path):
+    """--seeds 5 reads as 5-5: one pair, recorded."""
+    out = tmp_path / "pairs.json"
+    parent = checkout(tmp_path / "parent", 2.0, -1, out)
+    change = checkout(tmp_path / "change", 1.0, -1, out)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--seeds", "5", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["seeds"] == [5]
+    assert record["metrics"]["w/session_s"]["parent"]["runs"] == [7.0]
+
+
+@pytest.mark.parametrize("seeds", ["40-31", "", "5-", "-5", "a-b", "1-2-3"])
+def test_empty_or_malformed_seed_range_exits_2(tmp_path, seeds, capsys):
+    """An empty or malformed range is an argparse error (exit 2) before any run, and no record is written."""
+    out = tmp_path / "pairs.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--seeds", seeds, "--out", str(out)])
+    assert exc.value.code == 2 and "first <= last" in capsys.readouterr().err
+    assert not out.exists()

@@ -385,6 +385,15 @@ def test_cli_evaluate_map_reads_the_eig_block(tmp_path, monkeypatch, method):
         assert (solves, iterations) == (cold_solves, cold_iterations)
 
 
+@pytest.mark.parametrize("method", ["eig", "rand", "frozen", "dense"])
+def test_cli_noise_scale_without_finite_inverse_square_exits_2(tmp_path, method):
+    """sigma_rel = 1e-170 underflows sigma^2 to 0, so W = w / sigma^2 would be inf: oed
+    exits 2 for every method, where frozen ended in a cho_factor traceback, dense wrote
+    J = nan with exit 0, and eig and rand exited 1."""
+    payload = {**SMALL, "noise": {"pct": 0.3, "sigma_rel": 1e-170}, "opt": {**SMALL["opt"], "method": method}}
+    assert main(["oed", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "out")]) == 2
+
+
 def test_cli_eig_k_above_rank_bound_exits_2(tmp_path):
     """oed and evaluate refuse an Eig-k rank above min(n_y, n) = 27 alike."""
     payload = {**SMALL, "opt": {**SMALL["opt"], "method": "eig", "eig_k": 28}}
@@ -492,6 +501,10 @@ def test_cli_evaluate_bad_tol_exits_2_before_any_solve(tmp_path, tol):
         {"velocity": {"amplitude": float("inf")}},
         {"prior": {"alpha": float("nan")}},
         {"noise": {"sigma_rel": float("inf")}},
+        {"opt": {"eig_k": 0}},
+        {"opt": {"eig_k": -3}},
+        {"opt": {"frozen_k": 0}},
+        {"opt": {"frozen_k": -3}},
         {"mesh": {"nx": 25}, "mass": {"mode": "cholesky"}},
         {"sensors": {"coords": [[0.5, 0.5], [1.5, 0.5]]}},
         {"sensors": {"coords": [[0.25, -0.01], [0.75, 0.75]]}},
@@ -568,9 +581,13 @@ _CONTRACT = {
     ),
     "sketch": st.fixed_dictionaries({"k": st.sampled_from([1, 12, 26, 27, 28, 50, 200])}),
     "opt": st.fixed_dictionaries(
-        {"method": st.sampled_from(["eig", "rand", "frozen", "dense"]), "eig_k": st.sampled_from([None, 1, 27, 200])}
+        {
+            "method": st.sampled_from(["eig", "rand", "frozen", "dense"]),
+            "eig_k": st.sampled_from([None, 1, 27, 200, 0, -3]),
+            "frozen_k": st.sampled_from([None, 1, 27, 200, 0, -3]),
+        }
     ),
-    "noise": st.fixed_dictionaries({"sigma_rel": st.sampled_from([0.0, 0.3])}),
+    "noise": st.fixed_dictionaries({"sigma_rel": st.sampled_from([0.0, 0.3, 1e-170])}),
     "obs": st.fixed_dictionaries({"times": st.lists(st.sampled_from([-1.0, 0.0, 0.04, 0.5, 2.0, 2.5]), max_size=3)}),
     "prior": st.fixed_dictionaries({"alpha": st.sampled_from([0.0, 2e-3])}),
 }

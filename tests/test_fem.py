@@ -20,20 +20,15 @@ from oed_dopt.transport import VelocityField, make_observation_setup
 
 
 def brute_force_retained_cells(nx, holes):
-    """Oracle: enumerate grid cells and drop those covered by a hole."""
-    kept = []
-    h = 1.0 / nx
-    for cj in range(nx):
-        for ci in range(nx):
-            x0, y0 = ci * h, cj * h
-            x1, y1 = x0 + h, y0 + h
-            covered = any(
-                hx0 <= x0 and x1 <= hx1 and hy0 <= y0 and y1 <= hy1
-                for hx0, hy0, hx1, hy1 in holes
-            )
-            if not covered:
-                kept.append((ci, cj))
-    return kept
+    """Oracle: enumerate grid cells and drop those a hole covers, on integer cell ranges
+    (i0, j0, i1, j1), so that no float product meets a hole coordinate."""
+    ranges = [tuple(round(c * nx) for c in hole) for hole in holes]
+    return [
+        (ci, cj)
+        for cj in range(nx)
+        for ci in range(nx)
+        if not any(i0 <= ci < i1 and j0 <= cj < j1 for i0, j0, i1, j1 in ranges)
+    ]
 
 
 def test_structured_counts_nx2():
@@ -53,10 +48,16 @@ EDGE_SHARING = [(0.25, 0.25, 0.5, 0.75), (0.5, 0.25, 0.75, 0.75)]
 
 def test_hole_removes_expected_cells():
     # the single hole's interior contains no grid nodes at nx=4, so all 25
-    # remain; the edge-sharing pair orphans the node (0.5, 0.5)
-    for holes, n_cells, n_nodes in [([(0.25, 0.25, 0.5, 0.5)], 15, 25), (EDGE_SHARING, 12, 24)]:
-        mesh = build_mesh(4, holes)
-        kept = brute_force_retained_cells(4, holes)
+    # remain; the edge-sharing pair orphans the node (0.5, 0.5); at nx=10 the
+    # hole drops the 2 x 5 cells ci in [1, 3), cj in [1, 6), though ci = 2 ends
+    # at 0.2 + 0.1 > 0.3 in floats, and its 4 interior nodes
+    for nx, holes, n_cells, n_nodes in [
+        (4, [(0.25, 0.25, 0.5, 0.5)], 15, 25),
+        (4, EDGE_SHARING, 12, 24),
+        (10, [(0.1, 0.1, 0.3, 0.6)], 90, 117),
+    ]:
+        mesh = build_mesh(nx, holes)
+        kept = brute_force_retained_cells(nx, holes)
         assert len(mesh.triangles) == 2 * len(kept) == 2 * n_cells
         assert mesh.n_nodes == n_nodes
         area, _, _ = triangle_geometry(mesh.nodes, mesh.triangles)

@@ -28,9 +28,17 @@ def binary(n_s, active):
 
 
 def test_map_zero_design_returns_prior_mean(small_design, y_obs):
-    rep = map_estimate(small_design, np.zeros(small_design.n_s), y_obs)
-    assert np.allclose(rep.theta_post, 0.0)
-    assert rep.iterations == 0 and rep.converged
+    """w = 0 gives the prior mean at 0 iterations: 1 adjoint solve for b = 0 with no run
+    held, and 0 solves after a w = 0 Eig-k run, which holds B^T's 0 columns."""
+    d, w0 = fresh(small_design), np.zeros(small_design.n_s)
+    for held in (False, True):
+        if held:
+            d.objective_grad_eig(w0, 5)
+        with count_solves() as c:
+            rep = map_estimate(d, w0, y_obs)
+        assert np.allclose(rep.theta_post, 0.0)
+        assert rep.iterations == 0 and rep.converged
+        assert (c.delta.forward, c.delta.adjoint) == (0, 0 if held else 1)
 
 
 def test_map_matches_dense_solve(small_design, y_obs):

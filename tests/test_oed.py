@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import LinearOperator
 
 from conftest import (
     dense_G,
@@ -28,7 +27,8 @@ from oed_dopt.oed import (
     sensor_blocks,
     weighted_diag,
 )
-from oed_dopt.sketch import SketchConfig, SpectrumSplit, cge_constant, error_bounds, exact_eigs
+from oed_dopt.problem import build_problem
+from oed_dopt.sketch import LowRankEig, SketchConfig, SpectrumSplit, cge_constant, error_bounds, exact_eigs
 
 
 def test_noise_model_validation():
@@ -157,7 +157,7 @@ def test_z_cache_old_format_is_recomputed(tmp_path, small_design):
 
 
 def test_objective_grad_eig_zero_design(small_design):
-    """H(0) = 0 has rank bound 0: lam = 0 and grad = z, with no probe and no G U."""
+    """H(0) = 0 has rank bound 0: the factor has no column, so lam = 0 and grad = z at 0 solves."""
     small_design.ensure_z()
     with count_solves() as c:
         J, grad = small_design.objective_grad_eig(np.zeros(small_design.n_s), k=5)
@@ -201,9 +201,10 @@ def test_misfit_op_factor_t_from_one_sensor_sweep(small_design):
         assert (c.delta.forward, c.delta.adjoint) == (m, m)
 
 
-def without_rank_bound(op):
-    """op with no declared rank bound, so exact_eigs takes ARPACK (or its dense fallback)."""
-    return LinearOperator(op.shape, matvec=op.matvec, matmat=op.matmat, dtype=float)
+def dense_top_pairs(d, w, k):
+    """The top-k eigenpairs of the dense H(w) of :func:`dense_hessian` (n_y adjoint solves)."""
+    lam, U = np.linalg.eigh(dense_hessian(d.dense_reference(), w))
+    return LowRankEig(U=U[:, ::-1][:, :k], lam=np.clip(lam[::-1][:k], 0.0, None))
 
 
 @pytest.mark.parametrize("n_active, k", [(2, 8), (3, 8)])
@@ -212,7 +213,7 @@ def test_eig_blocked_branch_on_sparse_binary_design(small_design, n_active, k):
     factored branch: one sensor sweep for the r nonzero columns of B^T (r adjoint
     solves), whose thin SVD gives the pairs and the residual check at no solve, and
     min(k, r) forward solves for the gradient's G U; no warning, and J, gradient and
-    spectrum as the exact reference and the ARPACK path give them."""
+    spectrum as the exact reference and the dense Hessian's top-k pairs give them."""
     d = fresh_design(small_design)
     ref = d.dense_reference()
     w = np.zeros(d.n_s)
@@ -229,7 +230,7 @@ def test_eig_blocked_branch_on_sparse_binary_design(small_design, n_active, k):
     if n_active * d.n_t <= k:  # the whole spectrum: J and the gradient are exact
         assert J == pytest.approx(J_ref, rel=1e-8)
         assert np.linalg.norm(g - g_ref) <= 1e-8 * np.linalg.norm(g_ref)
-    J_a, g_a, _, lam_a = separate_eig_run(d, w, k, 0, without_rank_bound(d.misfit_op(w)))
+    J_a, g_a, _, lam_a = separate_eig_run(d, w, k, 0, dense_top_pairs(d, w, k))
     assert J == pytest.approx(J_a, rel=1e-8)
     assert np.allclose(lam, lam_a, rtol=1e-8, atol=1e-10 * lam[0])
     assert np.linalg.norm(g - g_a) <= 1e-8 * np.linalg.norm(g_a)
@@ -253,19 +254,23 @@ def test_eig_factor_disagreeing_with_forward_map_raises(small_design, monkeypatc
 
 def test_eig_all_positive_design_keeps_arpack(desk_design):
     """All 35 desk sensors (r = n_y = 105) at k = 10: the factor would cost r + k = 115
-    > 2(ncv + k + 1) = 64 solves, so ARPACK runs at the 33 forward and 33 adjoint solves
-    of the plain operator, and agrees with it."""
+    > 2(ncv + k + 1) = 64 solves, so ARPACK runs at 33 forward and 33 adjoint solves and
+    forms no factor.  A separate exact_eigs run spends the same 33 adjoint solves and
+    agrees with it, and both agree with the dense Hessian's top-k pairs."""
     d = fresh_design(desk_design)
     w = np.random.default_rng(21).uniform(0.2, 1.0, d.n_s)
     with count_solves() as c:
         J, g = d.objective_grad_eig(w, 10, seed=3)
     with count_solves() as c_plain:
-        J_a, g_a, _, _ = separate_eig_run(d, w, 10, 3, without_rank_bound(d.misfit_op(w)))
+        J_a, g_a, _, _ = separate_eig_run(d, w, 10, 3)
     assert d.held_op(w).held_factor is None
     assert (c.delta.forward, c.delta.adjoint) == (33, 33)
     assert c_plain.delta.adjoint == 33
     assert J == pytest.approx(J_a, rel=1e-12)
     assert np.linalg.norm(g - g_a) <= 1e-12 * np.linalg.norm(g_a)
+    J_d, g_d, _, _ = separate_eig_run(d, w, 10, 3, dense_top_pairs(d, w, 10))
+    assert J == pytest.approx(J_d, rel=1e-8)
+    assert np.linalg.norm(g - g_d) <= 1e-8 * np.linalg.norm(g_d)
 
 
 def test_objective_grad_eig_full_rank_matches_dense(small_design):
@@ -313,10 +318,10 @@ def fresh_design(d):
     return out
 
 
-def separate_eig_run(d, w, k, seed, op=None):
-    """J, gradient, KL spectral term and spectrum from a separate exact_eigs run
-    (of ``op``, default d.misfit_op(w)) plus G.apply(U)."""
-    eig = exact_eigs(d.misfit_op(w) if op is None else op, k, seed=seed)
+def separate_eig_run(d, w, k, seed, eig=None):
+    """J, gradient, KL spectral term and spectrum from the pairs ``eig``, by default a
+    separate exact_eigs run of d.misfit_op(w), plus G.apply(U)."""
+    eig = exact_eigs(d.misfit_op(w), k, seed=seed) if eig is None else eig
     lam = eig.lam
     S = (sensor_blocks(d.G.apply(eig.U), d.n_s, d.n_t) ** 2).sum(axis=0)
     grad = d.z - (S @ (lam / (1.0 + lam))) / d.noise.sigma**2
@@ -394,7 +399,7 @@ def test_eig_estimates_match_separate_run(small_design):
     rng = np.random.default_rng(23)
     for k, seed in ((4, 0), (11, 5), (d.rank_bound, 1)):
         assert_matches_separate_run(d, rng.uniform(0.1, 1.0, d.n_s), k, seed)
-    # all-zero design: rank bound 0, no probe and no G U
+    # all-zero design: rank bound 0, an empty factor and no G U
     w0 = np.zeros(d.n_s)
     with count_solves() as c:
         J, g = d.objective_grad_eig(w0, 5)
@@ -402,8 +407,8 @@ def test_eig_estimates_match_separate_run(small_design):
     assert_matches_separate_run(d, w0, 5, 0)
 
 
-def test_eig_dense_fallback_matches_separate_run():
-    """k > n - 2 takes the dense eigensolve; G U is then applied separately."""
+def test_eig_k_near_n_matches_separate_run():
+    """k > n - 2 leaves ARPACK no room, so the factor serves it (r = n_y = n = 20)."""
     spectrum = 2.0 ** -np.arange(1, 21, dtype=float)
     d = synthetic_design(20, 5, 4, spectrum, seed=3)
     rng = np.random.default_rng(24)
@@ -411,42 +416,69 @@ def test_eig_dense_fallback_matches_separate_run():
         assert_matches_separate_run(d, rng.uniform(0.1, 1.0, d.n_s), k, 0, with_kl=False)
 
 
-@pytest.mark.parametrize("branch", ["blocked", "arpack", "dense"])
+@pytest.mark.parametrize("branch", ["blocked", "arpack", "k_near_n"])
 def test_held_block_is_the_last_runs_block(small_design, desk_design, branch):
     """held_op(w) is the operator of the last Eig-k run for w's bytes.  After the factored
-    branch it holds B^T's r columns and no forward block; after ARPACK or the dense
-    fallback its last forward block (X, G X) is U or I, orthonormal and spanning U; a
-    run that applied nothing holds neither.  It is None before a run, for other weights
-    and for w changed in place."""
-    if branch == "dense":  # k > n - 2
+    branch (a sparse design, or k > n - 2) it holds B^T's r columns, spanning U, and no
+    forward block; after ARPACK its last forward block (X, G X) is U itself.  A w = 0 run
+    holds B^T's 0 columns and no block.  It is None before a run, for other weights and
+    for w changed in place."""
+    if branch == "k_near_n":  # r = n = 20
         d = synthetic_design(20, 5, 4, 2.0 ** -np.arange(1, 21, dtype=float), seed=3)
-        w, k = np.full(d.n_s, 0.5), 19
+        w, k, r = np.full(d.n_s, 0.5), 19, 20
     elif branch == "arpack":  # r = n_y = 105 with k = 10 prices the factor above ARPACK
         d = fresh_design(desk_design)
-        w, k = np.full(d.n_s, 0.5), 10
+        w, k, r = np.full(d.n_s, 0.5), 10, 105
     else:  # rank bound 9
         d = fresh_design(small_design)
-        w, k = np.isin(np.arange(d.n_s), [0, 4, 8]).astype(float), 9
+        w, k, r = np.isin(np.arange(d.n_s), [0, 4, 8]).astype(float), 9, 9
     assert d.held_op(w) is None
     d.objective_grad_eig(w, k, seed=2)
     eig = d._top_eigs(w, k, 2)[0]
     op = d.held_op(w.copy())
-    if branch == "blocked":
-        assert op.last_images is None and op.held_factor.shape == (d.G.n, op.rank_bound) == (d.G.n, 9)
-        assert np.linalg.norm(eig.U - op.held_factor @ np.linalg.lstsq(op.held_factor, eig.U)[0]) <= 1e-10
-    else:
+    assert op.rank_bound == r
+    if branch == "arpack":
         X, GX = op.last_images
-        expected_cols = {"arpack": k, "dense": d.G.n}[branch]
-        assert op.held_factor is None and X.shape == (d.G.n, expected_cols)
-        assert (X is eig.U) == (branch == "arpack")
-        assert np.allclose(X.T @ X, np.eye(expected_cols), atol=1e-12)
+        assert op.held_factor is None and X is eig.U and X.shape == (d.G.n, k)
+        assert np.allclose(X.T @ X, np.eye(k), atol=1e-12)
         assert np.linalg.norm(GX - d.G.apply(X)) <= 1e-12 * np.linalg.norm(GX)
-        assert np.linalg.norm(eig.U - X @ (X.T @ eig.U)) <= 1e-10
+    else:
+        assert op.last_images is None and op.held_factor.shape == (d.G.n, r)
+        assert np.linalg.norm(eig.U - op.held_factor @ np.linalg.lstsq(op.held_factor, eig.U)[0]) <= 1e-10
     w[0] = 0.25  # changed in place
     assert d.held_op(w) is None
-    d.objective_grad_eig(np.zeros(d.n_s), k)  # nothing applied: the op holds neither
+    d.objective_grad_eig(np.zeros(d.n_s), k)
     op = d.held_op(np.zeros(d.n_s))
-    assert op.held_factor is None and op.last_images is None
+    assert op.held_factor.shape == (d.G.n, 0) and op.last_images is None
+
+
+def test_eig_k_near_n_with_r_above_n_takes_the_factor():
+    """nx = 3 (n = 16) with 4 sensors x 5 times: r = n_y = 20 >= n, and k = n - 1 = 15
+    leaves ARPACK no room, so the factor serves the run.  Its eigenvalues match the dense
+    Hessian's within 1e-8 of lam_max, J with the gradient costs exactly r adjoint and
+    min(k, r) forward solves, and J and the gradient match the dense Hessian's top-k pairs."""
+    problem = build_problem(
+        make_config(
+            mesh={"nx": 3},
+            sensors={"grid": [2, 2], "margin": [0.25, 0.25]},
+            obs={"times": [0.4, 0.8, 1.2, 1.6, 2.0]},
+        )
+    )
+    d = fresh_design(problem.design)
+    n, k = d.G.n, d.G.n - 1
+    w = np.random.default_rng(50).uniform(0.2, 1.0, d.n_s)
+    r = d.misfit_op(w).rank_bound
+    assert (n, r, k) == (16, 20, 15)
+    with count_solves() as c:
+        J, g = d.objective_grad_eig(w, k)
+    assert (c.delta.forward, c.delta.adjoint) == (min(k, r), r)
+    assert d.held_op(w).held_factor.shape == (n, r)
+    dense = dense_top_pairs(d, w, k)
+    lam = d.estimator("eig", k=k).spectrum(w)
+    assert np.all(np.abs(lam - dense.lam) <= 1e-8 * dense.lam[0])
+    J_d, g_d, _, _ = separate_eig_run(d, w, k, 0, dense)
+    assert J == pytest.approx(J_d, rel=1e-8)
+    assert np.linalg.norm(g - g_d) <= 1e-8 * np.linalg.norm(g_d)
 
 
 def test_first_reader_runs_the_one_z_step(tmp_path, small_design):
@@ -595,9 +627,10 @@ def test_build_frozen_is_dense_truncation(small_design):
         J_d, g_d = small_design.objective_grad_frozen(w, frozen_from_dense(Gd, k))
         assert J == pytest.approx(J_d, rel=1e-12)
         assert np.linalg.norm(g - g_d) <= 1e-12 * np.linalg.norm(g_d)
-    with count_solves() as c, pytest.raises(ConfigError, match="exceeds"):
-        small_design.build_frozen(small_design.rank_bound + 1)
-    assert c.delta.total == 0
+    for k_f in (small_design.rank_bound + 1, 0, -3):
+        with count_solves() as c, pytest.raises(ConfigError, match="below 1 or exceeds"):
+            small_design.build_frozen(k_f)
+        assert c.delta.total == 0
 
 
 @pytest.mark.parametrize("first", ["frozen", "dense"])

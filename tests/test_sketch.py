@@ -102,56 +102,6 @@ def test_low_rank_eig_diagonal_T_and_clipping():
     assert np.allclose(np.sort(overlap.max(axis=1)), 1.0, atol=1e-12)
 
 
-def test_exact_eigs_small_diagonal():
-    op = np.diag([5.0, 4.0, 3.0, 2.0, 1.0])
-    eig = exact_eigs(aslinearoperator(op), 2)
-    assert np.allclose(eig.lam, [5.0, 4.0], atol=1e-12)
-
-
-def test_exact_eigs_agrees_with_dense_oracle():
-    rng = np.random.default_rng(6)
-    op = random_psd(200, rng, decay=np.sort(rng.uniform(0.1, 10.0, 200))[::-1])
-    eig = exact_eigs(aslinearoperator(op), 7, seed=1)
-    lam_ref = np.sort(np.linalg.eigvalsh(op))[::-1][:7]
-    assert np.allclose(eig.lam, lam_ref, rtol=1e-8)
-    res = np.linalg.norm(op @ eig.U - eig.U * eig.lam, axis=0)
-    assert np.all(res <= 1e-8 * eig.lam[0])
-
-
-def test_exact_eigs_full_spectrum_trace_identity():
-    rng = np.random.default_rng(7)
-    op = random_psd(30, rng)
-    eig = exact_eigs(aslinearoperator(op), 30)
-    assert np.sum(eig.lam) == pytest.approx(np.trace(op), rel=1e-8)
-
-
-def test_exact_eigs_zero_operator():
-    eig = exact_eigs(aslinearoperator(np.zeros((25, 25))), 3)
-    assert np.allclose(eig.lam, 0.0)
-    assert np.allclose(eig.U.T @ eig.U, np.eye(3), atol=1e-12)
-
-
-def test_exact_eigs_bad_k():
-    with pytest.raises(ConfigError):
-        exact_eigs(aslinearoperator(np.eye(5)), 6)
-
-
-def test_exact_eigs_dense_fallback_guard():
-    """k > n - 2 would take the dense eigensolve, which is refused above n = DENSE_GUARD."""
-    n = DENSE_GUARD + 1
-    d = np.linspace(1.0, 2.0, n)
-    applied = []
-
-    def matmat(X):
-        applied.append(np.shape(X))
-        return d[:, None] * X if np.ndim(X) == 2 else d * X
-
-    op = LinearOperator((n, n), matvec=matmat, matmat=matmat, dtype=float)
-    with pytest.raises(ConfigError, match=f"refused for n = {n} > {DENSE_GUARD}"):
-        exact_eigs(op, n - 1)
-    assert len(applied) == 1  # the start-vector probe only; no n x n identity apply
-
-
 class DeclaredRankOp(LinearOperator):
     """A = B^T B with a declared ``rank_bound`` and B^T's columns from ``factor_t()``;
     records each application as (kind, shape), kind "A" for A and "Bt" for forming B^T."""
@@ -180,6 +130,72 @@ def low_rank_factor(n, r, rng):
     """B (r x n) of the rank-r PSD matrix B^T B with eigenvalues 2^-i, i < r."""
     Q = np.linalg.qr(rng.standard_normal((n, r)))[0]
     return (Q * 2.0 ** (-0.5 * np.arange(r, dtype=float))).T
+
+
+def psd_factor(A):
+    """B (n x n) with B^T B = A for a symmetric PSD matrix A."""
+    lam, V = np.linalg.eigh(A)
+    return (V * np.sqrt(np.clip(lam, 0.0, None))).T
+
+
+def test_exact_eigs_small_diagonal():
+    """n = 5 <= 16 is too small for ARPACK, so the factor gives the pairs."""
+    op = DeclaredRankOp(np.diag(np.sqrt([5.0, 4.0, 3.0, 2.0, 1.0])), 5)
+    eig = exact_eigs(op, 2)
+    assert op.applied == [("Bt", (5, 5))]
+    assert np.allclose(eig.lam, [5.0, 4.0], atol=1e-12)
+
+
+def test_exact_eigs_agrees_with_dense_oracle():
+    """Rank bound r = n = 200 at k = 7 prices the factor (207 solves) above ARPACK's
+    2(ncv + k + 1) = 56, so ARPACK runs (its first application is the one-column probe)
+    and never forms the factor; its pairs match the dense eigensolve."""
+    rng = np.random.default_rng(6)
+    A = random_psd(200, rng, decay=np.sort(rng.uniform(0.1, 10.0, 200))[::-1])
+    op = DeclaredRankOp(psd_factor(A), 200)
+    eig = exact_eigs(op, 7, seed=1)
+    assert op.applied[0] == ("A", (200,)) and all(kind == "A" for kind, _ in op.applied)
+    lam_ref = np.sort(np.linalg.eigvalsh(op.A))[::-1][:7]
+    assert np.allclose(eig.lam, lam_ref, rtol=1e-8)
+    res = np.linalg.norm(op.A @ eig.U - eig.U * eig.lam, axis=0)
+    assert np.all(res <= 1e-8 * eig.lam[0])
+
+
+def test_exact_eigs_full_spectrum_trace_identity():
+    """k = n = 30 leaves ARPACK no room; the factor's full spectrum sums to the trace."""
+    rng = np.random.default_rng(7)
+    op = DeclaredRankOp(psd_factor(random_psd(30, rng)), 30)
+    eig = exact_eigs(op, 30)
+    assert op.applied == [("Bt", (30, 30))]
+    assert np.sum(eig.lam) == pytest.approx(np.trace(op.A), rel=1e-8)
+
+
+def test_exact_eigs_zero_operator():
+    """A zero operator gives lam = 0 and an orthonormal U on both branches: from the
+    factor (r = n = 25 at k = 3 costs 28 <= 48 solves), and from ARPACK's probe, which
+    maps the start vector to zero (r = n = 200), with no other application."""
+    for n, kind in ((25, "Bt"), (200, "A")):
+        op = DeclaredRankOp(np.zeros((n, n)), n)
+        eig = exact_eigs(op, 3)
+        assert [a for a, _ in op.applied] == [kind]
+        assert np.array_equal(eig.lam, np.zeros(3))
+        assert np.allclose(eig.U.T @ eig.U, np.eye(3), atol=1e-12)
+
+
+def test_exact_eigs_bad_k():
+    with pytest.raises(ConfigError):
+        exact_eigs(DeclaredRankOp(np.eye(5), 5), 6)
+
+
+def test_exact_eigs_k_near_n_takes_the_factor_at_any_n():
+    """k > n - 2 leaves ARPACK no room, and the factor serves it at any n, here
+    DENSE_GUARD + 1: one formation of B^T and no application of A."""
+    n = DENSE_GUARD + 1
+    d = np.linspace(1.0, 2.0, n)
+    op = DeclaredRankOp(np.diag(np.sqrt(d)), n)
+    eig = exact_eigs(op, n - 1)
+    assert op.applied == [("Bt", (n, n))]
+    assert np.allclose(eig.lam, d[::-1][: n - 1], rtol=1e-12)
 
 
 def test_exact_eigs_blocked_branch_is_exact_and_silent():
@@ -215,7 +231,7 @@ def test_exact_eigs_factor_pads_k_above_rank():
 def test_exact_eigs_blocked_branch_selection():
     """r = 50 and ncv = 20 for k <= 9: k = 8 costs r + k = 58 <= 2(ncv + k + 1) = 58
     solves and takes the factor; one column fewer in k makes 57 > 56, and ARPACK runs
-    (its first application is the one-column probe); r = n keeps ARPACK too."""
+    (its first application is the one-column probe); r = n = 200 at k = 8 keeps ARPACK too."""
     n, r = 200, 50
     B = low_rank_factor(n, r, np.random.default_rng(9))
     for rank_bound, k, first in ((r, 8, ("Bt", (n, r))), (r, 7, ("A", (n,))), (n, 8, ("A", (n,)))):
@@ -226,9 +242,10 @@ def test_exact_eigs_blocked_branch_selection():
 
 
 def test_exact_eigs_zero_rank_bound_applies_nothing():
-    op = DeclaredRankOp(np.zeros((30, 30)), 0)
+    """r = 0: the factor has no column, so lam = 0 with an orthonormal U and A is never applied."""
+    op = DeclaredRankOp(np.zeros((0, 30)), 0)
     eig = exact_eigs(op, 4)
-    assert op.applied == []
+    assert op.applied == [("Bt", (30, 0))]
     assert np.array_equal(eig.lam, np.zeros(4))
     assert np.allclose(eig.U.T @ eig.U, np.eye(4), atol=1e-12)
 
