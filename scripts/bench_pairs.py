@@ -8,6 +8,8 @@ change won (ties count for neither side), with the direction taken from
 BENCHMARK.json.  The file is rewritten after every pair.  A run that prints no
 result line counts as failed (``failed`` null, ``correct`` false) and keeps its
 exit code; a metric is summarized over the pairs in which both sides report it.
+The script exits 1 once the record is written if any run exited non-zero or
+reported ``correct: false``, else 0.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . --seeds 31-40 --out BENCH_11.json
 """
@@ -75,7 +77,7 @@ def main(argv=None) -> int:
             r = results[side][-1]
             print(f"seed {seed} {side}: exit {r['exit_code']}, failed {r['failed']}", file=sys.stderr, flush=True)
         write_record(args.out, seeds[: i + 1], commits, results, better)
-    return 0
+    return 0 if all(r["exit_code"] == 0 and r["correct"] for rs in results.values() for r in rs) else 1
 
 
 def write_record(out: Path, seeds: list, commits: dict, results: dict, better: dict) -> None:

@@ -189,7 +189,7 @@ def cmd_evaluate(config: ExperimentConfig, weights_file: str, out_dir: str) -> N
 
     # KL has no frozen form: the frozen method reports the sketch's KL
     kl_est = design.estimator("rand", cfg=sk) if est.name == "frozen" else est
-    lam = kl_est.spectrum(w)  # before the MAP point, which then reads an Eig-k run's factor or block
+    lam = kl_est.spectrum(w)  # before the MAP point, which then reads an Eig-k run's factor
     report = map_estimate(design, w, y_obs, tol=min(config.opt.tol, 1e-8))
     J = est.objective(w)  # the same sketch or eigensolve as lam, unless frozen
     metrics = {

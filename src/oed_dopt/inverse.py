@@ -7,8 +7,8 @@ The MAP point solves the whitened normal equations
 by plain conjugate gradients; the whitened system is I plus a PSD operator so
 its condition number is 1 + lam_max and no further preconditioning is needed.
 The held factor of an Eig-k run (a w = 0 run included) gives the MAP point at
-0 solves; after ARPACK, CG starts in its block for 2 adjoint solves, else at
-zero for 1; each iteration costs one forward and one adjoint solve.
+0 solves; without one, CG starts at zero for 1 adjoint solve; each iteration
+costs one forward and one adjoint solve.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class MapSolveReport:
     theta_post: np.ndarray
     iterations: int
     rel_residual: float
-    converged: bool
     iterates: list = field(default_factory=list)
 
 
@@ -42,13 +41,11 @@ def map_estimate(
     """MAP point by matrix-free CG on the whitened normal equations.
 
     With B^T's active columns Bt held for w (:meth:`DesignProblem.held_op`),
-    x0 = Bt (I + Bt^T Bt)^{-1} S_a y_a is the MAP point, b = Bt S_a y_a.
-    With a block (X, G X) held, x0 = X c, c = (I + (GX)^T W GX)^{-1} (GX)^T W
-    y_obs, and one 2-column adjoint call on W [y_obs, y_obs - GX c] gives b
-    and the true residual of x0; else x0 = 0 and b costs 1 adjoint solve.  A
-    tol that is not a finite number > 0 is a :class:`ConfigError`; a
-    breakdown (p^T A p <= 0) or a residual above ``tol`` after ``max_iter``
-    iterations is a :class:`ConvergenceError`.
+    x0 = Bt (I + Bt^T Bt)^{-1} S_a y_a is the MAP point, b = Bt S_a y_a, at no
+    solve; else x0 = 0 and b costs 1 adjoint solve.  A tol that is not a
+    finite number > 0 is a :class:`ConfigError`; a breakdown (p^T A p <= 0)
+    or a residual above ``tol`` after ``max_iter`` iterations is a
+    :class:`ConvergenceError`, so a returned report has converged.
     """
     check_tol(tol)
     w = check_design_weights(w, design.n_s)
@@ -56,27 +53,20 @@ def map_estimate(
     if y_obs.shape[0] != design.G.n_y:
         raise ConfigError("y_obs has wrong length")
     op = design.held_op(w) or design.misfit_op(w)
-    dw = op.diag_w
     if op.held_factor is not None:
-        Bt, sy = op.held_factor, np.sqrt(dw[op.active_rows]) * y_obs[op.active_rows]
+        Bt, sy = op.held_factor, np.sqrt(op.diag_w[op.active_rows]) * y_obs[op.active_rows]
         x = Bt @ sla.cho_solve(sla.cho_factor(np.eye(Bt.shape[1]) + Bt.T @ Bt), sy)
         b = Bt @ sy
         r = b - x - Bt @ (Bt.T @ x)
-    elif op.last_images is not None:
-        X, GX = op.last_images
-        c = sla.cho_solve(sla.cho_factor(np.eye(X.shape[1]) + GX.T @ (dw[:, None] * GX)), GX.T @ (dw * y_obs))
-        x = X @ c
-        b, r = design.G.apply_transpose(dw[:, None] * np.column_stack([y_obs, y_obs - GX @ c])).T
-        r = r - x
     else:
         x = np.zeros(design.G.n)
-        b = design.G.apply_transpose(dw * y_obs)
+        b = design.G.apply_transpose(op.diag_w * y_obs)
         r = b.copy()
 
     bnorm = float(np.linalg.norm(b))
     iterates = []
     if bnorm == 0.0:
-        return MapSolveReport(design.G.field_from_whitened(np.zeros(design.G.n)), 0, 0.0, True, iterates)
+        return MapSolveReport(design.G.field_from_whitened(np.zeros(design.G.n)), 0, 0.0, iterates)
 
     p = r.copy()
     rs = float(r @ r)
@@ -103,4 +93,4 @@ def map_estimate(
             f"CG stalled at relative residual {rel:.3e} after {it} iterations",
             residuals=rel,
         )
-    return MapSolveReport(design.G.field_from_whitened(x), it, rel, converged, iterates)
+    return MapSolveReport(design.G.field_from_whitened(x), it, rel, iterates)

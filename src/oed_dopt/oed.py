@@ -36,7 +36,7 @@ import struct
 import tempfile
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -58,15 +58,21 @@ _ZCACHE_MAGIC = b"OEDZ0002"
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-sensor noise standard deviations (diagonal noise covariance)."""
+    """Per-sensor noise standard deviations (diagonal noise covariance) and their squares.
+
+    ``sigma_sq`` is formed once; a huge sigma overflows it to inf, and dividing
+    by it then weighs that sensor exactly 0.
+    """
 
     sigma: np.ndarray
+    sigma_sq: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
         with np.errstate(over="ignore", divide="ignore"):
             if self.sigma.ndim != 1 or np.any(self.sigma <= 0) or not np.all(np.isfinite(self.sigma**-2.0)):
                 raise ConfigError("noise standard deviations must be > 0 with a finite inverse square")
+            object.__setattr__(self, "sigma_sq", self.sigma**2)
 
     @property
     def n_s(self) -> int:
@@ -95,9 +101,9 @@ def check_tol(tol) -> None:
         raise ConfigError(f"tol must be a finite number > 0, got {tol!r}")
 
 
-def weighted_diag(w: np.ndarray, sigma: np.ndarray, n_t: int) -> np.ndarray:
+def weighted_diag(w: np.ndarray, noise: NoiseModel, n_t: int) -> np.ndarray:
     """Diagonal of W = sum_j w_j E_j / sigma_j^2 in time-major stacking."""
-    return np.tile(w / sigma**2, n_t)
+    return np.tile(w / noise.sigma_sq, n_t)
 
 
 def sensor_blocks(Y: np.ndarray, n_s: int, n_t: int) -> np.ndarray:
@@ -108,20 +114,18 @@ def sensor_blocks(Y: np.ndarray, n_s: int, n_t: int) -> np.ndarray:
 class MisfitHessianOp(LinearOperator):
     """x -> G^T (W (G x)) = B^T B x, B = W^{1/2} G (n_y rows); symmetric PSD.
 
-    A column of op X costs one forward and one adjoint solve, and the last
-    block is kept as ``last_images = (X, G X)``.  Only the r = n_t |supp w|
-    ``active_rows`` of W are nonzero (``rank_bound``); :meth:`factor_t`
-    forms those r columns of B^T by one ``G.sensor_adjoints`` sweep (r
-    adjoint solves) and keeps them as ``held_factor``.
+    A column of op X costs one forward and one adjoint solve.  Only the
+    r = n_t |supp w| ``active_rows`` of W are nonzero (``rank_bound``);
+    :meth:`factor_t` forms those r columns of B^T by one ``G.sensor_adjoints``
+    sweep (r adjoint solves) and keeps them as ``held_factor``.
     """
 
     def __init__(self, G, w: np.ndarray, noise: NoiseModel, n_t: int):
         self.G = G
         self.w = check_design_weights(w, noise.n_s)
-        self.diag_w = weighted_diag(self.w, noise.sigma, n_t)
+        self.diag_w = weighted_diag(self.w, noise, n_t)
         self.active_rows = np.flatnonzero(np.tile(self.w, n_t))  # time-major, as sensor_adjoints orders its columns
         self.rank_bound = len(self.active_rows)
-        self.last_images = None
         self.held_factor = None  # B^T's r nonzero columns once factor_t has run
         super().__init__(dtype=float, shape=(G.n, G.n))
 
@@ -129,10 +133,7 @@ class MisfitHessianOp(LinearOperator):
         return self.G.apply_transpose(self.diag_w * self.G.apply(np.asarray(x).ravel()))
 
     def _matmat(self, X):
-        self.last_images = None  # release the previous block before this one's solves
-        GX = self.G.apply(X)
-        self.last_images = (X, GX)
-        return self.G.apply_transpose(self.diag_w[:, None] * GX)
+        return self.G.apply_transpose(self.diag_w[:, None] * self.G.apply(X))
 
     def factor_t(self) -> np.ndarray:
         """B^T on the active rows, (n, r): G^T W^{1/2} on each active row's unit probe."""
@@ -201,7 +202,7 @@ def precompute_z(
 
     Gt = G.sensor_adjoints(np.arange(n_s))
     col_sq = np.einsum("ny,ny->y", Gt, Gt)
-    z = sensor_blocks(col_sq, n_s, n_t).sum(axis=0) / noise.sigma**2
+    z = sensor_blocks(col_sq, n_s, n_t).sum(axis=0) / noise.sigma_sq
     C = Gt.T @ Gt
     if cache_path is not None:
         _zcache_write(cache_path, config_hash, z, C)
@@ -244,7 +245,7 @@ class DesignProblem:
             raise ConfigError("n_s * n_t must equal the observation dimension")
         self._z: SensorDerivConstants | None = None
         self._dense: DenseReference | None = None
-        self._eig_run: list | None = None  # [key, op, eig, G U or None] of the last Eig-k solve
+        self._eig_run: list | None = None  # [w bytes, op, k, eig, G U or None] of the last Eig-k run
         self._sketch_run: tuple | None = None  # (key, T) of the last sketch
 
     # -- constants ---------------------------------------------------------
@@ -286,63 +287,62 @@ class DesignProblem:
         """z_j - sum_i [lam_i/(1+lam_i)] <q_i, E_j q_i>/sigma_j^2 for all j."""
         D = lam / (1.0 + lam)
         S = (sensor_blocks(Qhat, self.n_s, self.n_t) ** 2).sum(axis=0)  # (n_s, r)
-        return self.z - (S @ D) / self.noise.sigma**2
+        return self.z - (S @ D) / self.noise.sigma_sq
 
     # -- truncated spectral estimator ---------------------------------------
 
-    def _top_eigs(self, w, k: int, seed: int, images: bool = True):
+    def _top_eigs(self, w, k: int, images: bool = True):
         """(eig, G U): the top-k eigenpairs of H(w) and, if ``images``, their forward images.
 
         J, the gradient, the KL term and the MAP point of one design share
-        one ``exact_eigs`` run, kept with its operator and G U once formed,
-        keyed by the bytes of w, k and the seed, so a repeat costs no solve.
+        one Eig-k run, keyed by the bytes of w: its operator holds B^T's
+        active columns, so a repeat costs no solve and a new k reads the held
+        factor again at no solve; G U is formed once per k, when asked for.
         """
         w = check_design_weights(w, self.n_s)
         if k > self.rank_bound:
             raise ConfigError(f"k = {k} exceeds rank bound {self.rank_bound}")
-        key = (w.tobytes(), k, seed)
-        if self._eig_run is None or self._eig_run[0] != key:
-            op = self.misfit_op(w)
-            self._eig_run = [key, op, exact_eigs(op, k, seed=seed), None]
-        _, op, eig, GU = self._eig_run
+        if self.held_op(w) is None:
+            self._eig_run = [w.tobytes(), self.misfit_op(w), None, None, None]
+        run = self._eig_run
+        if run[2] != k:
+            run[2:] = [k, exact_eigs(run[1], k), None]
+        _, op, _, eig, GU = run
         if GU is None and images:
-            self._eig_run[3] = GU = self._eig_images(op, eig, k)
+            run[4] = GU = self._eig_images(op, eig, k)
         return eig, GU
 
     def _eig_images(self, op: MisfitHessianOp, eig, k: int) -> np.ndarray:
-        """G U from ARPACK's last block (U) at no solve, or zero after its zero probe (lam = 0); from
-        the factor at min(k, r) forward solves (columns past r have lam = 0 and stay zero), checked
+        """G U at min(k, r) forward solves (columns past r have lam = 0 and stay zero), checked
         against the held B U = Bt^T U within rtol * sqrt(lam_max)."""
-        if op.last_images is not None:  # ARPACK's residual check applied op to U itself
-            return op.last_images[1]
+        m, rows = min(k, op.rank_bound), op.active_rows
+        U = eig.U[:, :m]
         GU = np.zeros((self.G.n_y, k))
-        if op.held_factor is not None:
-            m, rows = min(k, op.rank_bound), op.active_rows
-            U = eig.U[:, :m]
-            GU[:, :m] = self.G.apply(U)
-            gap = np.linalg.norm(np.sqrt(op.diag_w[rows])[:, None] * GU[rows, :m] - op.held_factor.T @ U, axis=0)
-            if np.any(gap > _RTOL * np.sqrt(eig.lam[0] if eig.lam[0] > 0 else 1.0)):
-                raise ConvergenceError("forward images disagree with the held adjoint factor", residuals=gap)
+        GU[:, :m] = self.G.apply(U)
+        gap = np.linalg.norm(np.sqrt(op.diag_w[rows])[:, None] * GU[rows, :m] - op.held_factor.T @ U, axis=0)
+        if np.any(gap > _RTOL * np.sqrt(eig.lam[0] if eig.lam[0] > 0 else 1.0)):
+            raise ConvergenceError("forward images disagree with the held adjoint factor", residuals=gap)
         return GU
 
     def held_op(self, w) -> MisfitHessianOp | None:
-        """The operator of the last Eig-k run, any k and seed, if it ran for w's bytes; else None."""
+        """The operator of the last Eig-k run, any k, if it ran for w's bytes; else None."""
         run = self._eig_run
-        return run[1] if run is not None and run[0][0] == check_design_weights(w, self.n_s).tobytes() else None
+        return run[1] if run is not None and run[0] == check_design_weights(w, self.n_s).tobytes() else None
 
     def objective_grad_eig(self, w, k: int, seed: int = 0):
-        """Objective and gradient from the top-k exact eigenpairs of H(w).
+        """Objective and gradient from the top-k exact eigenpairs of H(w); ``seed`` is unused.
 
-        Costs one eigensolve per design, shared with :meth:`objective_eig`
-        and ``kl_estimate(method="eig")``; on the factored branch G U adds
-        min(k, r) forward solves, once per run.
+        Costs one sensor sweep per design (r adjoint solves), shared with
+        :meth:`objective_eig` and ``kl_estimate(method="eig")``, and G U adds
+        min(k, r) forward solves, once per (w, k).
         """
-        eig, GU = self._top_eigs(w, k, seed)
+        eig, GU = self._top_eigs(w, k)
         J = float(np.sum(np.log1p(eig.lam)))
         return J, self._gradient_from_pairs(eig.lam, GU)
 
     def objective_eig(self, w, k: int, seed: int = 0) -> float:
-        eig, _ = self._top_eigs(w, k, seed, images=False)
+        """J from the top-k exact eigenpairs of H(w), at no forward solve; ``seed`` is unused."""
+        eig, _ = self._top_eigs(w, k, images=False)
         return float(np.sum(np.log1p(eig.lam)))
 
     # -- randomized estimator ------------------------------------------------
@@ -396,7 +396,7 @@ class DesignProblem:
         form.
         """
         w = check_design_weights(w, self.n_s)
-        dw = weighted_diag(w, self.noise.sigma, self.n_t)
+        dw = weighted_diag(w, self.noise, self.n_t)
         A = frozen.U * frozen.s  # (n_y, k_f) = U diag(s)
         B = np.eye(frozen.k) + A.T @ (dw[:, None] * A)
         cf = sla.cho_factor(B)
@@ -404,7 +404,7 @@ class DesignProblem:
         X = sla.cho_solve(cf, A.T)  # (k_f, n_y) = B^{-1} A^T
         diag_proj = np.einsum("yk,ky->y", A, X)  # a_r^T B^{-1} a_r per row r
         per_sensor = sensor_blocks(diag_proj, self.n_s, self.n_t).sum(axis=0)
-        grad = per_sensor / self.noise.sigma**2
+        grad = per_sensor / self.noise.sigma_sq
         return J, grad
 
     # -- KL divergence ---------------------------------------------------------
@@ -425,10 +425,11 @@ class DesignProblem:
         :func:`kl_divergence` of the spectrum of the estimator ``method`` and
         the prior-precision norm of the MAP point: the norm of a supplied
         ``theta_post``, else the estimator's :meth:`Estimator.map_norm_sq`,
-        read after the spectrum so that an Eig-k MAP reads the run's factor or block.
+        read after the spectrum so that an Eig-k MAP reads the run's factor.
+        ``seed`` is unused.
         """
         check_tol(tol)
-        est = self.estimator(method, k=k, cfg=cfg, seed=seed)
+        est = self.estimator(method, k=k, cfg=cfg)
         lam = est.spectrum(w)
         if theta_post is None:
             return kl_divergence(lam, est.map_norm_sq(w, y_obs, tol))
@@ -448,7 +449,6 @@ class DesignProblem:
         k: int | None = None,
         cfg: SketchConfig | None = None,
         frozen: FrozenSVD | Callable[[], FrozenSVD] | None = None,
-        seed: int = 0,
     ) -> "Estimator":
         """The estimator named ``method``; the one place a method name is read.
 
@@ -460,7 +460,7 @@ class DesignProblem:
         if method == "eig":
             if k is None:
                 raise ConfigError("the eig estimator needs k")
-            return EigEstimator(self, k, seed)
+            return EigEstimator(self, k)
         if method == "rand":
             if cfg is None:
                 raise ConfigError("the rand estimator needs a SketchConfig")
@@ -500,7 +500,7 @@ class DenseReference:
     def _row_scale(self, w) -> np.ndarray:
         """The diagonal of S = W^{1/2} over the time-major observation rows."""
         w = check_design_weights(w, self.design.n_s)
-        return np.sqrt(weighted_diag(w, self.design.noise.sigma, self.design.n_t))
+        return np.sqrt(weighted_diag(w, self.design.noise, self.design.n_t))
 
     def _decomposition(self, w):
         """(a, S_a V, lam) of S_a C_aa S_a = V diag(lam) V^T, lam clipped at 0; kept for the last S."""
@@ -522,7 +522,7 @@ class DenseReference:
         diag_proj = np.diag(self.C) - (self.C[:, a] @ SV) ** 2 @ (1.0 / (1.0 + lam))  # P^2 (I + lam)^{-1}
         per_sensor = sensor_blocks(diag_proj, self.design.n_s, self.design.n_t).sum(axis=0)
         spectrum = self.spectrum(w)
-        return float(np.sum(np.log1p(spectrum))), per_sensor / self.design.noise.sigma**2, spectrum
+        return float(np.sum(np.log1p(spectrum))), per_sensor / self.design.noise.sigma_sq, spectrum
 
     def map_norm_sq(self, w, y_obs: np.ndarray) -> float:
         """||x||^2 = (S u)^T C (S u) = sum lam c^2 of the whitened MAP point."""
@@ -577,16 +577,15 @@ class Estimator:
 class EigEstimator(Estimator):
     name = "eig"
 
-    def __init__(self, design, k: int, seed: int = 0):
+    def __init__(self, design, k: int):
         super().__init__(design)
         self.k = k
-        self.seed = seed
 
     def evaluate(self, w):
-        return self.design.objective_grad_eig(w, self.k, seed=self.seed)
+        return self.design.objective_grad_eig(w, self.k)
 
     def spectrum(self, w) -> np.ndarray:
-        return self.design._top_eigs(w, self.k, self.seed, images=False)[0].lam
+        return self.design._top_eigs(w, self.k, images=False)[0].lam
 
 
 class RandEstimator(Estimator):

@@ -1,11 +1,11 @@
-"""Randomized subspace iteration, exact eigensolvers, and error-bound oracles.
+"""Randomized subspace iteration, the exact eigensolver, and error-bound oracles.
 
 The sketch of a symmetric PSD operator H is T = Q^T H Q where Q spans
 H^q Omega for a Gaussian test matrix Omega with l = k + p columns.  The
 idealized iteration is hardened by re-orthonormalizing after every operator
-application.  Eigen-reconstruction, the exact top-k eigensolver of an operator
-B^T B from B^T or ARPACK, and the closed-form expected-error bounds used to
-validate the estimators all live here.
+application.  Eigen-reconstruction, the exact top-k eigenpairs of an operator
+B^T B from the thin SVD of B^T, and the closed-form expected-error bounds used
+to validate the estimators all live here.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, ConvergenceError
 
@@ -126,57 +125,25 @@ def sketched_logdet(T: np.ndarray) -> float:
 _RTOL = 1e-8  # of exact_eigs's residual check
 
 
-def _checked_pairs(U, lam, residual) -> LowRankEig:
-    """The pairs (U, lam) once every column of ``residual`` = op U - U lam is within _RTOL * lam_max."""
-    residuals = np.linalg.norm(residual, axis=0)
-    lam_max = lam[0] if lam[0] > 0 else 1.0
-    if np.any(residuals > _RTOL * lam_max):
-        raise ConvergenceError(f"eigenpair residuals exceed {_RTOL:g} * lam_max", residuals=residuals)
-    return LowRankEig(U=U, lam=lam)
-
-
-def exact_eigs(op, k: int, seed: int = 0) -> LowRankEig:
-    """Top-k eigenpairs of a PSD operator op = B^T B declaring ``rank_bound`` r and
-    ``factor_t()``, the r nonzero columns Bt of B^T (``oed.MisfitHessianOp``).
+def exact_eigs(op, k: int) -> LowRankEig:
+    """Top-k eigenpairs of a PSD operator op = B^T B of shape (n, n) from ``op.factor_t()``,
+    the r nonzero columns Bt of B^T (``oed.MisfitHessianOp``).
 
     The thin SVD of Bt, zero-padded to k columns, gives U and lam = s^2, exact
-    for any r, when ARPACK cannot run (k > n - 2 or n <= 16) or when the r
-    columns and the gradient's min(k, r) forward images cost no more than
-    ARPACK's cheapest run (a probe, ncv = min(n, max(2k+1, 20)) matvecs, k
-    residual columns: 2(ncv + k + 1) solves).  Otherwise ARPACK runs from a
-    deterministic start vector by ``op.matvec`` and ``op.matmat``; a start
-    vector that op maps to zero gives lam = 0.  Each pair must satisfy
-    ||op u - lam u|| <= 1e-8 lam_max (``_RTOL``), or a :class:`ConvergenceError`
-    is raised.
+    for any r; columns past r have lam = 0.  Each pair must satisfy
+    ||Bt Bt^T u - lam u|| <= 1e-8 lam_max (``_RTOL``), or a
+    :class:`ConvergenceError` is raised.
     """
     n = op.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"need 1 <= k <= n, got k = {k}, n = {n}")
-    r = op.rank_bound
-    if k > n - 2 or n <= 16 or r + min(k, r) <= 2 * (min(n, max(2 * k + 1, 20)) + k + 1):
-        Bt = op.factor_t()
-        U, s, _ = np.linalg.svd(np.pad(Bt, ((0, 0), (0, max(0, k - Bt.shape[1])))), full_matrices=False)
-        U, lam = U[:, :k], s[:k] ** 2
-        return _checked_pairs(U, lam, Bt @ (Bt.T @ U) - U * lam)
-
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    probe = op.matvec(v0 / np.linalg.norm(v0))
-    if np.linalg.norm(probe) == 0.0:
-        U = np.linalg.qr(rng.standard_normal((n, k)))[0]
-        return LowRankEig(U=U, lam=np.zeros(k))
-
-    try:
-        lam, U = spla.eigsh(op, k=k, which="LM", v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        got = len(exc.eigenvalues)
-        raise ConvergenceError(
-            f"eigensolver converged only {got}/{k} pairs within the iteration cap",
-            residuals=exc.eigenvalues,
-        ) from exc
-    order = np.argsort(lam)[::-1]
-    lam, U = np.clip(lam[order], 0.0, None), U[:, order]
-    return _checked_pairs(U, lam, op.matmat(U) - U * lam)
+    Bt = op.factor_t()
+    U, s, _ = np.linalg.svd(np.pad(Bt, ((0, 0), (0, max(0, k - Bt.shape[1])))), full_matrices=False)
+    U, lam = U[:, :k], s[:k] ** 2
+    residuals = np.linalg.norm(Bt @ (Bt.T @ U) - U * lam, axis=0)
+    if np.any(residuals > _RTOL * (lam[0] if lam[0] > 0 else 1.0)):
+        raise ConvergenceError(f"eigenpair residuals exceed {_RTOL:g} * lam_max", residuals=residuals)
+    return LowRankEig(U=U, lam=lam)
 
 
 def cge_constant(k: int, p: int, n: int) -> float:

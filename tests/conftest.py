@@ -150,7 +150,7 @@ def dense_hessian(ref, w):
 def dense_theta_post(design, w, y_obs):
     """MAP point L^{-1} R x with x = G^T S u, S u = S (I + S C S)^{-1} S y (the Woodbury form of the normal
     equations, by a dense solve on the design's C); one adjoint solve."""
-    s = np.sqrt(weighted_diag(np.asarray(w, dtype=float), design.noise.sigma, design.n_t))
+    s = np.sqrt(weighted_diag(np.asarray(w, dtype=float), design.noise, design.n_t))
     su = s * np.linalg.solve(np.eye(len(s)) + s[:, None] * design.C * s, s * y_obs)
     return design.G.field_from_whitened(design.G.apply_transpose(su))
 

@@ -140,7 +140,7 @@ def test_criterion_04_expected_information_gain_monte_carlo():
     R = p.mass.apply_R(np.eye(n))
     P = np.linalg.solve(L, R)  # fields from whitened prior draws
     F_dense = np.column_stack([p.forward.apply(np.eye(n)[:, i]) for i in range(n)])
-    dw = weighted_diag(w, design.noise.sigma, design.n_t)
+    dw = weighted_diag(w, design.noise, design.n_t)
     S = np.eye(n) + dense_hessian(ref, w)
     cho = sla.cho_factor(S)
 

@@ -15,27 +15,28 @@ if {crash_seed} == seed:
     shutil.copy({out!r}, "snapshot.json")  # what the pairs before this one left
     sys.exit(3)
 print("a report line")
-print(json.dumps({{"correct": True, "attempted": 1, "failed": 0,
+print(json.dumps({{"correct": {correct}, "attempted": 1, "failed": 0,
                    "metrics": {{"w/session_s": {{"value": {value} + seed, "unit": "s"}}}}}}))
 """
 
 
-def checkout(root: Path, value: float, crash_seed: int, out: Path) -> Path:
+def checkout(root: Path, value: float, crash_seed: int, out: Path, correct: bool = True) -> Path:
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(RUN_PY.format(crash_seed=crash_seed, out=str(out), value=value))
+    run_py = RUN_PY.format(crash_seed=crash_seed, out=str(out), value=value, correct=correct)
+    (root / "perfbench" / "run.py").write_text(run_py)
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "session_s", "better": "lower"}]}))
     return root
 
 
 def test_a_run_without_result_line_is_recorded_and_earlier_pairs_are_kept(tmp_path):
     """The change's run on seed 2 exits 3 and prints nothing: the record keeps its exit
-    code as a failed run, the metric counts the one complete pair, and the file written
-    after pair 1 was already on disk when pair 2 ran."""
+    code as a failed run, the metric counts the one complete pair, the file written
+    after pair 1 was already on disk when pair 2 ran, and the script exits 1."""
     out = tmp_path / "pairs.json"
     parent = checkout(tmp_path / "parent", 2.0, -1, out)
     change = checkout(tmp_path / "change", 1.0, 2, out)
     argv = ["--parent", str(parent), "--change", str(change), "--seeds", "1-3", "--out", str(out)]
-    assert bench_pairs.main(argv) == 0
+    assert bench_pairs.main(argv) == 1
     record = json.loads(out.read_text())
     assert record["seeds"] == [1, 2, 3]
     assert record["exit_codes"] == {"parent": [0, 0, 0], "change": [0, 3, 0]}
@@ -57,6 +58,18 @@ def test_one_seed_runs_one_pair(tmp_path):
     record = json.loads(out.read_text())
     assert record["seeds"] == [5]
     assert record["metrics"]["w/session_s"]["parent"]["runs"] == [7.0]
+
+
+def test_a_run_reporting_incorrect_results_exits_1(tmp_path):
+    """Every run exits 0, but the parent's report correct: false: the record is written and
+    the script exits 1."""
+    out = tmp_path / "pairs.json"
+    parent = checkout(tmp_path / "parent", 2.0, -1, out, correct=False)
+    change = checkout(tmp_path / "change", 1.0, -1, out)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--seeds", "1-2", "--out", str(out)]) == 1
+    record = json.loads(out.read_text())
+    assert record["exit_codes"] == {"parent": [0, 0], "change": [0, 0]}
+    assert record["correct"] == {"parent": False, "change": True}
 
 
 @pytest.mark.parametrize("seeds", ["40-31", "", "5-", "-5", "a-b", "1-2-3"])

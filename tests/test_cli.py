@@ -4,8 +4,10 @@ import csv
 import dataclasses
 import json
 import os
+import sys
 import tempfile
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,9 @@ from oed_dopt.config import ExperimentConfig
 from oed_dopt.errors import ConfigError
 from oed_dopt.optimize import random_binary_designs
 from oed_dopt.problem import build_problem
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts"))
+from desk_pipeline import DESK_CONFIG  # noqa: E402  (scripts/ is not a package)
 
 SMALL = {
     "mesh": {"nx": 6},
@@ -385,6 +390,29 @@ def test_cli_evaluate_map_reads_the_eig_block(tmp_path, monkeypatch, method):
         assert (solves, iterations) == (cold_solves, cold_iterations)
 
 
+def test_cli_evaluate_all_sensor_eig_reads_one_factor(tmp_path):
+    """The desk pipeline's config at seed 1 with Eig-k (k = 10) on all 35 sensors spends
+    exactly 91 forward + 300 adjoint solves: 1 forward for the data, 105 adjoint for the
+    z step, 105 adjoint for the factor's sensor sweep, which J, the spectrum and the
+    k = 40 eig_rel_err all read, and 90 + 90 for rand_rel_err's sketch (l = 45, q = 1).
+    The MAP point comes from the held factor at 0 CG iterations."""
+    payload = json.loads(json.dumps(DESK_CONFIG))
+    payload["opt"].update(method="eig", eig_k=10)
+    out = str(tmp_path / "desk")
+    os.makedirs(out)
+    weights = os.path.join(out, "weights.csv")
+    with open(weights, "w", newline="") as f:
+        csv.writer(f).writerows([["sensor_id", "x", "y", "weight", "active"]] + [[j, 0.0, 0.0, 1.0, 1] for j in range(35)])
+    argv = ["evaluate", "--config", write_config(tmp_path, payload), "--weights", weights, "--out", out, "--seed", "1"]
+    assert main(argv) == 0
+    spent = solve_counter.snapshot()
+    assert (spent.forward, spent.adjoint) == (91, 300)
+    with open(os.path.join(out, "metrics.json")) as f:
+        metrics = json.load(f)
+    assert metrics["map_cg_iterations"] == 0
+    assert metrics["J"] == pytest.approx(45.4742525828068, rel=1e-12)
+
+
 @pytest.mark.parametrize("method", ["eig", "rand", "frozen", "dense"])
 def test_cli_noise_scale_without_finite_inverse_square_exits_2(tmp_path, method):
     """sigma_rel = 1e-170 underflows sigma^2 to 0, so W = w / sigma^2 would be inf: oed
@@ -392,6 +420,19 @@ def test_cli_noise_scale_without_finite_inverse_square_exits_2(tmp_path, method)
     J = nan with exit 0, and eig and rand exited 1."""
     payload = {**SMALL, "noise": {"pct": 0.3, "sigma_rel": 1e-170}, "opt": {**SMALL["opt"], "method": method}}
     assert main(["oed", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("method", ["eig", "rand", "frozen", "dense"])
+def test_cli_huge_noise_scale_weighs_every_sensor_zero_without_overflow(tmp_path, method):
+    """sigma_rel = 1e200 overflows sigma^2 to inf, and w / inf = 0 exactly: oed exits 0 for
+    every method with J = 0 on every iterate, and raises no RuntimeWarning on the way."""
+    payload = {**SMALL, "noise": {"pct": 0.3, "sigma_rel": 1e200}, "opt": {**SMALL["opt"], "method": method}}
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["oed", "--config", write_config(tmp_path, payload), "--out", out]) == 0
+    with open(os.path.join(out, "iterations.csv")) as f:
+        assert {float(row["J"]) for row in csv.DictReader(f)} == {0.0}
 
 
 def test_cli_eig_k_above_rank_bound_exits_2(tmp_path):
@@ -587,7 +628,7 @@ _CONTRACT = {
             "frozen_k": st.sampled_from([None, 1, 27, 200, 0, -3]),
         }
     ),
-    "noise": st.fixed_dictionaries({"sigma_rel": st.sampled_from([0.0, 0.3, 1e-170])}),
+    "noise": st.fixed_dictionaries({"sigma_rel": st.sampled_from([0.0, 0.3, 1e-170, 1e200])}),
     "obs": st.fixed_dictionaries({"times": st.lists(st.sampled_from([-1.0, 0.0, 0.04, 0.5, 2.0, 2.5]), max_size=3)}),
     "prior": st.fixed_dictionaries({"alpha": st.sampled_from([0.0, 2e-3])}),
 }

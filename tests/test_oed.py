@@ -17,6 +17,7 @@ from conftest import (
 )
 from oed_dopt.accounting import count_solves
 from oed_dopt.errors import ConfigError, ConvergenceError
+from oed_dopt.inverse import map_estimate
 from oed_dopt.oed import (
     DesignProblem,
     NoiseModel,
@@ -47,7 +48,7 @@ def test_design_weight_validation():
 
 
 def test_weighted_diag_layout():
-    d = weighted_diag(np.array([1.0, 0.5]), np.array([2.0, 1.0]), 3)
+    d = weighted_diag(np.array([1.0, 0.5]), NoiseModel(np.array([2.0, 1.0])), 3)
     assert np.allclose(d, [0.25, 0.5] * 3)
 
 
@@ -74,7 +75,7 @@ def test_z_sum_hutchinson_oracle(small_design):
     """sum_j z_j = tr(G^T Gamma^{-1} G), checked by a stochastic trace estimate."""
     rng = np.random.default_rng(1)
     n = small_design.G.n
-    dinv = weighted_diag(np.ones(small_design.n_s), small_design.noise.sigma, small_design.n_t)
+    dinv = weighted_diag(np.ones(small_design.n_s), small_design.noise, small_design.n_t)
     samples = np.empty(50)
     for i in range(50):
         x = rng.standard_normal(n)
@@ -183,7 +184,7 @@ def test_misfit_op_factor_t_from_one_sensor_sweep(small_design):
     w[[1, 4, 7]] = [1.0, 0.3, 1e-9]
     op = d.misfit_op(w)
     r = op.rank_bound
-    assert np.array_equal(op.active_rows, np.flatnonzero(weighted_diag(w, d.noise.sigma, d.n_t)))
+    assert np.array_equal(op.active_rows, np.flatnonzero(weighted_diag(w, d.noise, d.n_t)))
     spent = []
     for _ in range(3):
         with count_solves() as c:
@@ -230,7 +231,7 @@ def test_eig_blocked_branch_on_sparse_binary_design(small_design, n_active, k):
     if n_active * d.n_t <= k:  # the whole spectrum: J and the gradient are exact
         assert J == pytest.approx(J_ref, rel=1e-8)
         assert np.linalg.norm(g - g_ref) <= 1e-8 * np.linalg.norm(g_ref)
-    J_a, g_a, _, lam_a = separate_eig_run(d, w, k, 0, dense_top_pairs(d, w, k))
+    J_a, g_a, _, lam_a = separate_eig_run(d, w, k, dense_top_pairs(d, w, k))
     assert J == pytest.approx(J_a, rel=1e-8)
     assert np.allclose(lam, lam_a, rtol=1e-8, atol=1e-10 * lam[0])
     assert np.linalg.norm(g - g_a) <= 1e-8 * np.linalg.norm(g_a)
@@ -252,23 +253,26 @@ def test_eig_factor_disagreeing_with_forward_map_raises(small_design, monkeypatc
         assert (c.delta.forward, c.delta.adjoint) == (8, 0)
 
 
-def test_eig_all_positive_design_keeps_arpack(desk_design):
-    """All 35 desk sensors (r = n_y = 105) at k = 10: the factor would cost r + k = 115
-    > 2(ncv + k + 1) = 64 solves, so ARPACK runs at 33 forward and 33 adjoint solves and
-    forms no factor.  A separate exact_eigs run spends the same 33 adjoint solves and
-    agrees with it, and both agree with the dense Hessian's top-k pairs."""
+@pytest.mark.parametrize("k", [10, 20, 40])
+def test_eig_all_sensor_design_takes_the_factor(desk_design, k):
+    """All 35 desk sensors (r = n_y = 105): (J, grad) costs exactly r adjoint solves for
+    B^T's columns and k forward solves for G U, the MAP point after it costs no solve and
+    no CG iteration, and the eigenvalues match the exact reference's within 1e-8 of
+    lam_max; J and the gradient match the dense Hessian's top-k pairs."""
     d = fresh_design(desk_design)
-    w = np.random.default_rng(21).uniform(0.2, 1.0, d.n_s)
+    rng = np.random.default_rng(21)
+    w = rng.uniform(0.2, 1.0, d.n_s)
+    y = rng.standard_normal(d.G.n_y) * d.noise.sigma[0]
     with count_solves() as c:
-        J, g = d.objective_grad_eig(w, 10, seed=3)
-    with count_solves() as c_plain:
-        J_a, g_a, _, _ = separate_eig_run(d, w, 10, 3)
-    assert d.held_op(w).held_factor is None
-    assert (c.delta.forward, c.delta.adjoint) == (33, 33)
-    assert c_plain.delta.adjoint == 33
-    assert J == pytest.approx(J_a, rel=1e-12)
-    assert np.linalg.norm(g - g_a) <= 1e-12 * np.linalg.norm(g_a)
-    J_d, g_d, _, _ = separate_eig_run(d, w, 10, 3, dense_top_pairs(d, w, 10))
+        J, g = d.objective_grad_eig(w, k)
+    assert (c.delta.forward, c.delta.adjoint) == (k, 105)
+    with count_solves() as c:
+        rep = map_estimate(d, w, y)
+    assert (c.delta.forward, c.delta.adjoint, rep.iterations) == (0, 0, 0)
+    lam_ref = d.dense_reference().spectrum(w)
+    lam = d.estimator("eig", k=k).spectrum(w)
+    assert np.all(np.abs(lam - lam_ref[:k]) <= 1e-8 * lam_ref[0])
+    J_d, g_d, _, _ = separate_eig_run(d, w, k, dense_top_pairs(d, w, k))
     assert J == pytest.approx(J_d, rel=1e-8)
     assert np.linalg.norm(g - g_d) <= 1e-8 * np.linalg.norm(g_d)
 
@@ -318,10 +322,10 @@ def fresh_design(d):
     return out
 
 
-def separate_eig_run(d, w, k, seed, eig=None):
+def separate_eig_run(d, w, k, eig=None):
     """J, gradient, KL spectral term and spectrum from the pairs ``eig``, by default a
     separate exact_eigs run of d.misfit_op(w), plus G.apply(U)."""
-    eig = exact_eigs(d.misfit_op(w), k, seed=seed) if eig is None else eig
+    eig = exact_eigs(d.misfit_op(w), k) if eig is None else eig
     lam = eig.lam
     S = (sensor_blocks(d.G.apply(eig.U), d.n_s, d.n_t) ** 2).sum(axis=0)
     grad = d.z - (S @ (lam / (1.0 + lam))) / d.noise.sigma**2
@@ -329,14 +333,14 @@ def separate_eig_run(d, w, k, seed, eig=None):
     return float(np.sum(np.log1p(lam))), grad, kl_spectral, lam
 
 
-def assert_matches_separate_run(d, w, k, seed, with_kl=True):
-    J_ref, g_ref, kl_ref, _ = separate_eig_run(d, w, k, seed)
-    J, g = d.objective_grad_eig(w, k, seed=seed)
+def assert_matches_separate_run(d, w, k, with_kl=True):
+    J_ref, g_ref, kl_ref, _ = separate_eig_run(d, w, k)
+    J, g = d.objective_grad_eig(w, k)
     assert J == pytest.approx(J_ref, rel=1e-12, abs=1e-300)
-    assert d.objective_eig(w, k, seed=seed) == J
+    assert d.objective_eig(w, k) == J
     assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
     if with_kl:  # a zero MAP point leaves the spectral term alone
-        kl = d.kl_estimate(w, np.zeros(d.G.n_y), "eig", k=k, seed=seed, theta_post=np.zeros(d.G.n))
+        kl = d.kl_estimate(w, np.zeros(d.G.n_y), "eig", k=k, theta_post=np.zeros(d.G.n))
         assert kl == pytest.approx(kl_ref, rel=1e-12, abs=1e-300)
 
 
@@ -359,102 +363,98 @@ def test_eig_rank_guard_is_shared(desk_design):
 
 
 def test_eig_run_is_shared_by_J_grad_and_kl(small_design):
-    """One eigensolve per design: the gradient adds no forward solve, and KL and
-    J on the same (w, k, seed) cost none."""
+    """One Eig-k run per design: KL, J and the gradient again on the same (w, k) cost no
+    solve."""
     d = fresh_design(small_design)
     rng = np.random.default_rng(21)
     w = rng.uniform(0.2, 1.0, d.n_s)
     y = np.zeros(d.G.n_y)
     theta = np.zeros(d.G.n)
-    k, seed = 8, 3
+    k = 8
     with count_solves() as c:
-        J, g = d.objective_grad_eig(w, k, seed=seed)
+        J, g = d.objective_grad_eig(w, k)
     assert (c.delta.forward, c.delta.adjoint) == (k, d.G.n_y)  # G U, and the factor's sweep
     with count_solves() as c:
-        kl = d.kl_estimate(w, y, "eig", k=k, seed=seed, theta_post=theta)
-        J2 = d.objective_eig(w, k, seed=seed)
-        J3, g3 = d.objective_grad_eig(w, k, seed=seed)
+        kl = d.kl_estimate(w, y, "eig", k=k, theta_post=theta)
+        J2 = d.objective_eig(w, k)
+        J3, g3 = d.objective_grad_eig(w, k)
     assert c.delta.total == 0
     assert J2 == J == J3 and np.array_equal(g3, g)
-    assert kl == pytest.approx(separate_eig_run(d, w, k, seed)[2], rel=1e-12)
+    assert kl == pytest.approx(separate_eig_run(d, w, k)[2], rel=1e-12)
 
 
 def test_eig_run_misses_on_new_w_k_or_seed(small_design):
+    """The run is keyed by w's bytes: a new w (here changed in place) costs the factor's
+    r adjoint solves and min(k, r) forward ones, a new k on the same w only the forward
+    ones, and a new seed, which the estimator does not read, nothing."""
     d = fresh_design(small_design)
     rng = np.random.default_rng(22)
     w = rng.uniform(0.2, 1.0, d.n_s)
-    k, seed = 6, 0
-    d.objective_grad_eig(w, k, seed=seed)
+    k, r = 6, d.G.n_y
+    d.objective_grad_eig(w, k, seed=0)
     w[2] *= 0.5  # changed in place after the first call
-    for args in ((w, k, seed), (w, k + 1, seed), (w, k + 1, seed + 1)):
+    for k_new, seed, cost in ((k, 0, (k, r)), (k + 1, 0, (k + 1, 0)), (k + 1, 1, (0, 0))):
         with count_solves() as c:
-            d.objective_grad_eig(*args[:2], seed=args[2])
-        assert (c.delta.forward, c.delta.adjoint) == (args[1], d.G.n_y), args[1:]
-        assert_matches_separate_run(d, *args)
+            d.objective_grad_eig(w, k_new, seed=seed)
+        assert (c.delta.forward, c.delta.adjoint) == cost, (k_new, seed)
+        assert_matches_separate_run(d, w, k_new)
 
 
 def test_eig_estimates_match_separate_run(small_design):
     """J, gradient and KL from the shared run equal exact_eigs + G.apply(U)."""
     d = fresh_design(small_design)
     rng = np.random.default_rng(23)
-    for k, seed in ((4, 0), (11, 5), (d.rank_bound, 1)):
-        assert_matches_separate_run(d, rng.uniform(0.1, 1.0, d.n_s), k, seed)
+    for k in (4, 11, d.rank_bound):
+        assert_matches_separate_run(d, rng.uniform(0.1, 1.0, d.n_s), k)
     # all-zero design: rank bound 0, an empty factor and no G U
     w0 = np.zeros(d.n_s)
     with count_solves() as c:
         J, g = d.objective_grad_eig(w0, 5)
     assert (J, c.delta.total) == (0.0, 0)
-    assert_matches_separate_run(d, w0, 5, 0)
+    assert_matches_separate_run(d, w0, 5)
 
 
 def test_eig_k_near_n_matches_separate_run():
-    """k > n - 2 leaves ARPACK no room, so the factor serves it (r = n_y = n = 20)."""
+    """k = n - 1 and k = n on a full-rank factor (r = n_y = n = 20)."""
     spectrum = 2.0 ** -np.arange(1, 21, dtype=float)
     d = synthetic_design(20, 5, 4, spectrum, seed=3)
     rng = np.random.default_rng(24)
     for k in (19, 20):
-        assert_matches_separate_run(d, rng.uniform(0.1, 1.0, d.n_s), k, 0, with_kl=False)
+        assert_matches_separate_run(d, rng.uniform(0.1, 1.0, d.n_s), k, with_kl=False)
 
 
-@pytest.mark.parametrize("branch", ["blocked", "arpack", "k_near_n"])
+@pytest.mark.parametrize("branch", ["blocked", "all_sensors", "k_near_n"])
 def test_held_block_is_the_last_runs_block(small_design, desk_design, branch):
-    """held_op(w) is the operator of the last Eig-k run for w's bytes.  After the factored
-    branch (a sparse design, or k > n - 2) it holds B^T's r columns, spanning U, and no
-    forward block; after ARPACK its last forward block (X, G X) is U itself.  A w = 0 run
-    holds B^T's 0 columns and no block.  It is None before a run, for other weights and
+    """held_op(w) is the operator of the last Eig-k run for w's bytes, any k: it holds
+    B^T's r columns, which span U, for a sparse design, all 35 desk sensors or k = n - 1.
+    A w = 0 run holds B^T's 0 columns.  It is None before a run, for other weights and
     for w changed in place."""
     if branch == "k_near_n":  # r = n = 20
         d = synthetic_design(20, 5, 4, 2.0 ** -np.arange(1, 21, dtype=float), seed=3)
         w, k, r = np.full(d.n_s, 0.5), 19, 20
-    elif branch == "arpack":  # r = n_y = 105 with k = 10 prices the factor above ARPACK
+    elif branch == "all_sensors":  # r = n_y = 105
         d = fresh_design(desk_design)
         w, k, r = np.full(d.n_s, 0.5), 10, 105
     else:  # rank bound 9
         d = fresh_design(small_design)
         w, k, r = np.isin(np.arange(d.n_s), [0, 4, 8]).astype(float), 9, 9
     assert d.held_op(w) is None
-    d.objective_grad_eig(w, k, seed=2)
-    eig = d._top_eigs(w, k, 2)[0]
+    d.objective_grad_eig(w, k)
+    eig = d._top_eigs(w, k)[0]
     op = d.held_op(w.copy())
-    assert op.rank_bound == r
-    if branch == "arpack":
-        X, GX = op.last_images
-        assert op.held_factor is None and X is eig.U and X.shape == (d.G.n, k)
-        assert np.allclose(X.T @ X, np.eye(k), atol=1e-12)
-        assert np.linalg.norm(GX - d.G.apply(X)) <= 1e-12 * np.linalg.norm(GX)
-    else:
-        assert op.last_images is None and op.held_factor.shape == (d.G.n, r)
-        assert np.linalg.norm(eig.U - op.held_factor @ np.linalg.lstsq(op.held_factor, eig.U)[0]) <= 1e-10
+    assert op.rank_bound == r and op.held_factor.shape == (d.G.n, r)
+    assert np.linalg.norm(eig.U - op.held_factor @ np.linalg.lstsq(op.held_factor, eig.U)[0]) <= 1e-10
+    d.objective_eig(w, k - 1)
+    assert d.held_op(w) is op
     w[0] = 0.25  # changed in place
     assert d.held_op(w) is None
     d.objective_grad_eig(np.zeros(d.n_s), k)
-    op = d.held_op(np.zeros(d.n_s))
-    assert op.held_factor.shape == (d.G.n, 0) and op.last_images is None
+    assert d.held_op(np.zeros(d.n_s)).held_factor.shape == (d.G.n, 0)
 
 
 def test_eig_k_near_n_with_r_above_n_takes_the_factor():
-    """nx = 3 (n = 16) with 4 sensors x 5 times: r = n_y = 20 >= n, and k = n - 1 = 15
-    leaves ARPACK no room, so the factor serves the run.  Its eigenvalues match the dense
+    """nx = 3 (n = 16) with 4 sensors x 5 times: r = n_y = 20 >= n, at k = n - 1 = 15.
+    The factor's eigenvalues match the dense
     Hessian's within 1e-8 of lam_max, J with the gradient costs exactly r adjoint and
     min(k, r) forward solves, and J and the gradient match the dense Hessian's top-k pairs."""
     problem = build_problem(
@@ -476,7 +476,7 @@ def test_eig_k_near_n_with_r_above_n_takes_the_factor():
     dense = dense_top_pairs(d, w, k)
     lam = d.estimator("eig", k=k).spectrum(w)
     assert np.all(np.abs(lam - dense.lam) <= 1e-8 * dense.lam[0])
-    J_d, g_d, _, _ = separate_eig_run(d, w, k, 0, dense)
+    J_d, g_d, _, _ = separate_eig_run(d, w, k, dense)
     assert J == pytest.approx(J_d, rel=1e-8)
     assert np.linalg.norm(g - g_d) <= 1e-8 * np.linalg.norm(g_d)
 
@@ -677,7 +677,7 @@ def test_kl_dense_matches_textbook_oracle(small_problem, small_design):
     M = p.mass.M.toarray()
     L = p.prior.L.toarray()
     n = p.G.n
-    dw = weighted_diag(w, d.noise.sigma, d.n_t)
+    dw = weighted_diag(w, d.noise, d.n_t)
     H_m = np.linalg.solve(M, F.T) @ (dw[:, None] * F)  # F* W F as an operator
     cov_pr = np.linalg.solve(L, M) @ np.linalg.solve(L, M) @ np.linalg.inv(M)  # L^{-1} M L^{-1}
     cov_pr_op = cov_pr @ M  # operator representation Gamma_pr = A^{-2}
@@ -738,9 +738,9 @@ def test_estimator_matches_kernels_bit_for_bit(small_design, method):
     d = fresh_design(small_design)
     cfg = SketchConfig(k=8, p=3, q=1, seed=4)
     frozen = d.build_frozen(10)
-    params = {"eig": {"k": 6, "seed": 2}, "rand": {"cfg": cfg}, "dense": {}, "frozen": {"frozen": frozen}}[method]
+    params = {"eig": {"k": 6}, "rand": {"cfg": cfg}, "dense": {}, "frozen": {"frozen": frozen}}[method]
     kernel = {
-        "eig": lambda w: d.objective_grad_eig(w, 6, seed=2)[0],
+        "eig": lambda w: d.objective_grad_eig(w, 6)[0],
         "rand": lambda w: d.objective_grad_rand(w, cfg)[0],  # a fresh sketch
         "dense": lambda w: d.dense_reference().evaluate(w)[0],
         "frozen": lambda w: d.objective_grad_frozen(w, frozen)[0],
@@ -852,7 +852,7 @@ def test_dense_reference_binary_design_matches_dense_route(small_design, case):
     assert np.allclose(lam, np.clip(np.linalg.eigvalsh(H)[::-1], 0, None), rtol=0, atol=1e-12 * lam[0])
     assert np.array_equal(ref.spectrum(w), lam)
     y = np.random.default_rng(6).standard_normal(d.G.n_y)
-    x = np.linalg.solve(A, G.T @ (weighted_diag(w, d.noise.sigma, d.n_t) * y))
+    x = np.linalg.solve(A, G.T @ (weighted_diag(w, d.noise, d.n_t) * y))
     assert ref.map_norm_sq(w, y) == pytest.approx(x @ x, rel=1e-10)
 
 
@@ -975,7 +975,6 @@ def test_exact_core_past_dense_n_limit(nx32_problem):
     """At nx = 32 (n = 1,089 > DENSE_GUARD) the exact reference, which needs only
     n_y = 105 <= DENSE_GUARD, agrees with three independent routes: the full-rank
     frozen SVD of G, Eig-k at the rank of a 16-sensor binary design, and MAP CG."""
-    from oed_dopt.inverse import map_estimate
     from oed_dopt.sketch import DENSE_GUARD
 
     problem = nx32_problem
@@ -1006,7 +1005,6 @@ def test_eig_k_at_nx32_against_exact_core(nx32_problem):
     hold each eigenvalue to about eps * lam_max), its J error is within the truncation
     oracle plus the residual check's k * rtol * lam_max and equals the discarded tail,
     and the MAP point comes from the held factor: 0 solves, 0 CG iterations."""
-    from oed_dopt.inverse import map_estimate
 
     d, k, rtol = nx32_problem.design, 40, 1e-8
     ref = d.dense_reference()
@@ -1036,7 +1034,6 @@ def test_mesh_eig_shape_costs_and_bounds(nx32_problem):
     given MAP point then cost none.  J lies within the "frozen" tail bound of the exact
     core and each gradient entry within its "grad_eig_component" bound; at k = r the
     factor's spectrum is the whole spectrum and J matches the exact core to 1e-10."""
-    from oed_dopt.inverse import map_estimate
 
     d = DesignProblem(nx32_problem.design.G, nx32_problem.design.noise, n_t=nx32_problem.design.n_t)
     d.ensure_z()

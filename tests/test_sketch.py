@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import LinearOperator, aslinearoperator
+from scipy.sparse.linalg import aslinearoperator
 
 from conftest import random_psd
 from oed_dopt.errors import ConfigError
@@ -102,27 +102,18 @@ def test_low_rank_eig_diagonal_T_and_clipping():
     assert np.allclose(np.sort(overlap.max(axis=1)), 1.0, atol=1e-12)
 
 
-class DeclaredRankOp(LinearOperator):
-    """A = B^T B with a declared ``rank_bound`` and B^T's columns from ``factor_t()``;
-    records each application as (kind, shape), kind "A" for A and "Bt" for forming B^T."""
+class FactorOp:
+    """A = B^T B of shape (n, n) that exact_eigs reads only through ``factor_t()``, which
+    records each formation of B^T as its shape; it has no way to apply A."""
 
-    def __init__(self, B, rank_bound):
+    def __init__(self, B):
         self.B = B
         self.A = B.T @ B
-        self.rank_bound = rank_bound
+        self.shape = self.A.shape
         self.applied = []
-        super().__init__(dtype=float, shape=self.A.shape)
-
-    def _matvec(self, x):
-        self.applied.append(("A", np.shape(x)))
-        return self.A @ np.ravel(x)
-
-    def _matmat(self, X):
-        self.applied.append(("A", X.shape))
-        return self.A @ X
 
     def factor_t(self):
-        self.applied.append(("Bt", self.B.T.shape))
+        self.applied.append(self.B.T.shape)
         return self.B.T
 
 
@@ -139,22 +130,20 @@ def psd_factor(A):
 
 
 def test_exact_eigs_small_diagonal():
-    """n = 5 <= 16 is too small for ARPACK, so the factor gives the pairs."""
-    op = DeclaredRankOp(np.diag(np.sqrt([5.0, 4.0, 3.0, 2.0, 1.0])), 5)
+    op = FactorOp(np.diag(np.sqrt([5.0, 4.0, 3.0, 2.0, 1.0])))
     eig = exact_eigs(op, 2)
-    assert op.applied == [("Bt", (5, 5))]
+    assert op.applied == [(5, 5)]
     assert np.allclose(eig.lam, [5.0, 4.0], atol=1e-12)
 
 
 def test_exact_eigs_agrees_with_dense_oracle():
-    """Rank bound r = n = 200 at k = 7 prices the factor (207 solves) above ARPACK's
-    2(ncv + k + 1) = 56, so ARPACK runs (its first application is the one-column probe)
-    and never forms the factor; its pairs match the dense eigensolve."""
+    """A full-rank factor (r = n = 200) at k = 7: the thin SVD of B^T, formed once, gives
+    the dense eigensolve's top pairs, with residuals within 1e-8 of lam_max."""
     rng = np.random.default_rng(6)
     A = random_psd(200, rng, decay=np.sort(rng.uniform(0.1, 10.0, 200))[::-1])
-    op = DeclaredRankOp(psd_factor(A), 200)
-    eig = exact_eigs(op, 7, seed=1)
-    assert op.applied[0] == ("A", (200,)) and all(kind == "A" for kind, _ in op.applied)
+    op = FactorOp(psd_factor(A))
+    eig = exact_eigs(op, 7)
+    assert op.applied == [(200, 200)]
     lam_ref = np.sort(np.linalg.eigvalsh(op.A))[::-1][:7]
     assert np.allclose(eig.lam, lam_ref, rtol=1e-8)
     res = np.linalg.norm(op.A @ eig.U - eig.U * eig.lam, axis=0)
@@ -162,52 +151,52 @@ def test_exact_eigs_agrees_with_dense_oracle():
 
 
 def test_exact_eigs_full_spectrum_trace_identity():
-    """k = n = 30 leaves ARPACK no room; the factor's full spectrum sums to the trace."""
+    """k = n = 30: the factor's full spectrum sums to the trace."""
     rng = np.random.default_rng(7)
-    op = DeclaredRankOp(psd_factor(random_psd(30, rng)), 30)
+    op = FactorOp(psd_factor(random_psd(30, rng)))
     eig = exact_eigs(op, 30)
-    assert op.applied == [("Bt", (30, 30))]
+    assert op.applied == [(30, 30)]
     assert np.sum(eig.lam) == pytest.approx(np.trace(op.A), rel=1e-8)
 
 
 def test_exact_eigs_zero_operator():
-    """A zero operator gives lam = 0 and an orthonormal U on both branches: from the
-    factor (r = n = 25 at k = 3 costs 28 <= 48 solves), and from ARPACK's probe, which
-    maps the start vector to zero (r = n = 200), with no other application."""
-    for n, kind in ((25, "Bt"), (200, "A")):
-        op = DeclaredRankOp(np.zeros((n, n)), n)
+    """A zero operator gives lam = 0 exactly and an orthonormal U, at n = 25 and n = 200."""
+    for n in (25, 200):
+        op = FactorOp(np.zeros((n, n)))
         eig = exact_eigs(op, 3)
-        assert [a for a, _ in op.applied] == [kind]
+        assert op.applied == [(n, n)]
         assert np.array_equal(eig.lam, np.zeros(3))
         assert np.allclose(eig.U.T @ eig.U, np.eye(3), atol=1e-12)
 
 
 def test_exact_eigs_bad_k():
-    with pytest.raises(ConfigError):
-        exact_eigs(DeclaredRankOp(np.eye(5), 5), 6)
+    """k outside [1, n] is refused before B^T is formed."""
+    for k in (0, 6):
+        op = FactorOp(np.eye(5))
+        with pytest.raises(ConfigError):
+            exact_eigs(op, k)
+        assert op.applied == []
 
 
 def test_exact_eigs_k_near_n_takes_the_factor_at_any_n():
-    """k > n - 2 leaves ARPACK no room, and the factor serves it at any n, here
-    DENSE_GUARD + 1: one formation of B^T and no application of A."""
+    """k = n - 1 at n = DENSE_GUARD + 1: one formation of B^T, no dense guard."""
     n = DENSE_GUARD + 1
     d = np.linspace(1.0, 2.0, n)
-    op = DeclaredRankOp(np.diag(np.sqrt(d)), n)
+    op = FactorOp(np.diag(np.sqrt(d)))
     eig = exact_eigs(op, n - 1)
-    assert op.applied == [("Bt", (n, n))]
+    assert op.applied == [(n, n)]
     assert np.allclose(eig.lam, d[::-1][: n - 1], rtol=1e-12)
 
 
 def test_exact_eigs_blocked_branch_is_exact_and_silent():
-    """rank_bound r = 10, k = 9: r + k = 19 <= 2(ncv + k + 1) = 60, so the pairs come from
-    the thin SVD of B^T's r columns, formed once, and the residual check reads the same
-    columns: no other application and no warning."""
+    """r = 10 columns of B^T at k = 9: the thin SVD of the r columns, formed once, gives
+    the pairs, and the residual check reads the same columns; no warning."""
     n, r, k = 200, 10, 9
-    op = DeclaredRankOp(low_rank_factor(n, r, np.random.default_rng(8)), r)
+    op = FactorOp(low_rank_factor(n, r, np.random.default_rng(8)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        eig = exact_eigs(op, k, seed=2)
-    assert op.applied == [("Bt", (n, r))]
+        eig = exact_eigs(op, k)
+    assert op.applied == [(n, r)]
     lam_ref = np.sort(np.linalg.eigvalsh(op.A))[::-1][:k]
     assert np.allclose(eig.lam, lam_ref, rtol=1e-8)
     res = np.linalg.norm(op.A @ eig.U - eig.U * eig.lam, axis=0)
@@ -219,33 +208,20 @@ def test_exact_eigs_factor_pads_k_above_rank():
     """k = 14 > r = 10: the r pairs of the factor's SVD, then 4 orthonormal columns
     orthogonal to range(B^T) at lam = 0 exactly."""
     n, r, k = 200, 10, 14
-    op = DeclaredRankOp(low_rank_factor(n, r, np.random.default_rng(8)), r)
-    eig = exact_eigs(op, k, seed=2)
-    assert op.applied == [("Bt", (n, r))]
+    op = FactorOp(low_rank_factor(n, r, np.random.default_rng(8)))
+    eig = exact_eigs(op, k)
+    assert op.applied == [(n, r)]
     assert np.allclose(eig.lam[:r], np.sort(np.linalg.eigvalsh(op.A))[::-1][:r], rtol=1e-8)
     assert np.array_equal(eig.lam[r:], np.zeros(k - r))
     assert np.allclose(eig.U.T @ eig.U, np.eye(k), atol=1e-12)
     assert np.linalg.norm(op.B @ eig.U[:, r:]) <= 1e-12
 
 
-def test_exact_eigs_blocked_branch_selection():
-    """r = 50 and ncv = 20 for k <= 9: k = 8 costs r + k = 58 <= 2(ncv + k + 1) = 58
-    solves and takes the factor; one column fewer in k makes 57 > 56, and ARPACK runs
-    (its first application is the one-column probe); r = n = 200 at k = 8 keeps ARPACK too."""
-    n, r = 200, 50
-    B = low_rank_factor(n, r, np.random.default_rng(9))
-    for rank_bound, k, first in ((r, 8, ("Bt", (n, r))), (r, 7, ("A", (n,))), (n, 8, ("A", (n,)))):
-        op = DeclaredRankOp(B, rank_bound)
-        eig = exact_eigs(op, k, seed=2)
-        assert op.applied[0] == first
-        assert np.allclose(eig.lam, np.sort(np.linalg.eigvalsh(op.A))[::-1][:k], rtol=1e-8)
-
-
 def test_exact_eigs_zero_rank_bound_applies_nothing():
-    """r = 0: the factor has no column, so lam = 0 with an orthonormal U and A is never applied."""
-    op = DeclaredRankOp(np.zeros((0, 30)), 0)
+    """r = 0: the factor has no column, so lam = 0 with an orthonormal U."""
+    op = FactorOp(np.zeros((0, 30)))
     eig = exact_eigs(op, 4)
-    assert op.applied == [("Bt", (30, 0))]
+    assert op.applied == [(30, 0)]
     assert np.array_equal(eig.lam, np.zeros(4))
     assert np.allclose(eig.U.T @ eig.U, np.eye(4), atol=1e-12)
 
