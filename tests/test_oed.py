@@ -257,8 +257,9 @@ def test_eig_factor_disagreeing_with_forward_map_raises(small_design, monkeypatc
 def test_eig_all_sensor_design_takes_the_factor(desk_design, k):
     """All 35 desk sensors (r = n_y = 105): (J, grad) costs exactly r adjoint solves for
     B^T's columns and k forward solves for G U, the MAP point after it costs no solve and
-    no CG iteration, and the eigenvalues match the exact reference's within 1e-8 of
-    lam_max; J and the gradient match the dense Hessian's top-k pairs."""
+    no CG iteration and matches the dense MAP point, and the eigenvalues match the exact
+    reference's within 1e-8 of lam_max; J and the gradient match the dense Hessian's
+    top-k pairs."""
     d = fresh_design(desk_design)
     rng = np.random.default_rng(21)
     w = rng.uniform(0.2, 1.0, d.n_s)
@@ -269,6 +270,8 @@ def test_eig_all_sensor_design_takes_the_factor(desk_design, k):
     with count_solves() as c:
         rep = map_estimate(d, w, y)
     assert (c.delta.forward, c.delta.adjoint, rep.iterations) == (0, 0, 0)
+    theta_ref = dense_theta_post(d, w, y)
+    assert np.linalg.norm(rep.theta_post - theta_ref) <= 1e-8 * np.linalg.norm(theta_ref)
     lam_ref = d.dense_reference().spectrum(w)
     lam = d.estimator("eig", k=k).spectrum(w)
     assert np.all(np.abs(lam - lam_ref[:k]) <= 1e-8 * lam_ref[0])
