@@ -6,9 +6,9 @@ The MAP point solves the whitened normal equations
 
 by plain conjugate gradients; the whitened system is I plus a PSD operator so
 its condition number is 1 + lam_max and no further preconditioning is needed.
-The held factor of an Eig-k run (a w = 0 run included) gives the MAP point at
-0 solves; without one, CG starts at zero for 1 adjoint solve; each iteration
-costs one forward and one adjoint solve.
+The held SVD of an Eig-k run's factor (a w = 0 run included) gives the MAP
+point at 0 solves; without one, CG starts at zero for 1 adjoint solve; each
+iteration costs one forward and one adjoint solve.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConfigError, ConvergenceError
 from .oed import DesignProblem, check_design_weights, check_tol
@@ -40,8 +39,9 @@ def map_estimate(
 ) -> MapSolveReport:
     """MAP point by matrix-free CG on the whitened normal equations.
 
-    With B^T's active columns Bt held for w (:meth:`DesignProblem.held_op`),
-    x0 = Bt (I + Bt^T Bt)^{-1} S_a y_a is the MAP point, b = Bt S_a y_a, at no
+    With B^T's active columns Bt = U diag(s) Vh held for w with their thin SVD
+    (:meth:`DesignProblem.held_op`), x0 = Bt (I + Bt^T Bt)^{-1} S_a y_a
+    = U diag(s / (1 + s^2)) Vh S_a y_a is the MAP point, b = Bt S_a y_a, at no
     solve; else x0 = 0 and b costs 1 adjoint solve.  A tol that is not a
     finite number > 0 is a :class:`ConfigError`; a breakdown (p^T A p <= 0)
     or a residual above ``tol`` after ``max_iter`` iterations is a
@@ -55,7 +55,8 @@ def map_estimate(
     op = design.held_op(w) or design.misfit_op(w)
     if op.held_factor is not None:
         Bt, sy = op.held_factor, np.sqrt(op.diag_w[op.active_rows]) * y_obs[op.active_rows]
-        x = Bt @ sla.cho_solve(sla.cho_factor(np.eye(Bt.shape[1]) + Bt.T @ Bt), sy)
+        U, s, Vh = op.factor_svd()
+        x = U @ (s / (1.0 + s**2) * (Vh @ sy))
         b = Bt @ sy
         r = b - x - Bt @ (Bt.T @ x)
     else:

@@ -11,9 +11,11 @@ is J(w) = log det(I + H(w)) with componentwise derivative
     dJ/dw_j = z_j - sum_i [lam_i/(1+lam_i)] <q_i, E_j q_i / sigma_j^2>,
 
 where z_j = tr(dH/dw_j) are design-independent constants.  Three estimators
-are provided: truncated spectral (top-k exact eigenpairs), randomized
-(subspace-iteration sketch), and frozen, the exact rank-k_f truncated SVD of
-G that needs zero PDE solves per evaluation.  The exact reference works in
+are provided: truncated spectral (top-k exact eigenpairs, sliced from one thin
+SVD per design of B^T's active columns, B = W^{1/2} G, which also gives the
+MAP point), randomized (subspace-iteration sketch), and frozen, whose factor
+U diag(s) of G's exact rank-k_f truncated SVD needs zero PDE solves per
+evaluation.  The exact reference works in
 observation space: with C = G G^T (n_y x n_y) and S = W^{1/2}, Sylvester's
 identity gives log det(I + H(w)) = log det(I + S C S); J, the gradient, the
 spectrum and the MAP norm follow from one eigendecomposition of its active
@@ -40,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse.linalg import LinearOperator
 
 from .errors import ConfigError, ConvergenceError
 from .sketch import (
@@ -111,13 +112,14 @@ def sensor_blocks(Y: np.ndarray, n_s: int, n_t: int) -> np.ndarray:
     return Y.reshape(n_t, n_s, *Y.shape[1:])
 
 
-class MisfitHessianOp(LinearOperator):
-    """x -> G^T (W (G x)) = B^T B x, B = W^{1/2} G (n_y rows); symmetric PSD.
+class MisfitHessianOp:
+    """x -> G^T (W (G x)) = B^T B x, B = W^{1/2} G (n_y rows); symmetric PSD, (n, n) ``shape``.
 
-    A column of op X costs one forward and one adjoint solve.  Only the
+    A column of ``matmat(X)`` costs one forward and one adjoint solve.  Only the
     r = n_t |supp w| ``active_rows`` of W are nonzero (``rank_bound``);
     :meth:`factor_t` forms those r columns of B^T by one ``G.sensor_adjoints``
-    sweep (r adjoint solves) and keeps them as ``held_factor``.
+    sweep (r adjoint solves) and keeps them as ``held_factor``, and
+    :meth:`factor_svd` decomposes them once, at no solve, as ``held_svd``.
     """
 
     def __init__(self, G, w: np.ndarray, noise: NoiseModel, n_t: int):
@@ -126,13 +128,14 @@ class MisfitHessianOp(LinearOperator):
         self.diag_w = weighted_diag(self.w, noise, n_t)
         self.active_rows = np.flatnonzero(np.tile(self.w, n_t))  # time-major, as sensor_adjoints orders its columns
         self.rank_bound = len(self.active_rows)
+        self.shape = (G.n, G.n)
         self.held_factor = None  # B^T's r nonzero columns once factor_t has run
-        super().__init__(dtype=float, shape=(G.n, G.n))
+        self.held_svd = None  # their thin SVD once factor_svd has run
 
-    def _matvec(self, x):
+    def matvec(self, x):
         return self.G.apply_transpose(self.diag_w * self.G.apply(np.asarray(x).ravel()))
 
-    def _matmat(self, X):
+    def matmat(self, X):
         return self.G.apply_transpose(self.diag_w[:, None] * self.G.apply(X))
 
     def factor_t(self) -> np.ndarray:
@@ -140,6 +143,12 @@ class MisfitHessianOp(LinearOperator):
         if self.held_factor is None:
             self.held_factor = self.G.sensor_adjoints(np.flatnonzero(self.w)) * np.sqrt(self.diag_w[self.active_rows])
         return self.held_factor
+
+    def factor_svd(self):
+        """Thin SVD (U, s, Vh) of :meth:`factor_t`, formed once: U (n, m), s (m,) descending, m = min(n, r)."""
+        if self.held_svd is None:
+            self.held_svd = np.linalg.svd(self.factor_t(), full_matrices=False)
+        return self.held_svd
 
 
 def _zcache_write(path, config_hash: bytes, z: np.ndarray, C: np.ndarray) -> None:
@@ -207,24 +216,6 @@ def precompute_z(
     if cache_path is not None:
         _zcache_write(cache_path, config_hash, z, C)
     return SensorDerivConstants(z=z, C=C)
-
-
-@dataclass
-class FrozenSVD:
-    """Thin SVD of the whitened forward map, G ~ U diag(s) V^T; V is not kept (C = U diag(s^2) U^T)."""
-
-    U: np.ndarray  # (n_y, k_f), orthonormal columns
-    s: np.ndarray  # (k_f,), descending
-
-    @property
-    def k(self) -> int:
-        return len(self.s)
-
-    @classmethod
-    def from_gram(cls, C: np.ndarray, k_f: int) -> "FrozenSVD":
-        """Exact rank-k_f truncation from C = G G^T: the top eigenpairs, s = sqrt(eigenvalue)."""
-        lam, U = np.linalg.eigh(C)
-        return cls(U=U[:, ::-1][:, :k_f], s=np.sqrt(np.clip(lam[::-1][:k_f], 0.0, None)))
 
 
 class DesignProblem:
@@ -296,8 +287,9 @@ class DesignProblem:
 
         J, the gradient, the KL term and the MAP point of one design share
         one Eig-k run, keyed by the bytes of w: its operator holds B^T's
-        active columns, so a repeat costs no solve and a new k reads the held
-        factor again at no solve; G U is formed once per k, when asked for.
+        active columns and their thin SVD, so a repeat costs no solve and a
+        new k slices the held SVD at no solve; G U is formed once per k, when
+        asked for.  Past the factor's rank, eig has fewer than k pairs.
         """
         w = check_design_weights(w, self.n_s)
         if k > self.rank_bound:
@@ -309,18 +301,16 @@ class DesignProblem:
             run[2:] = [k, exact_eigs(run[1], k), None]
         _, op, _, eig, GU = run
         if GU is None and images:
-            run[4] = GU = self._eig_images(op, eig, k)
+            run[4] = GU = self._eig_images(op, eig)
         return eig, GU
 
-    def _eig_images(self, op: MisfitHessianOp, eig, k: int) -> np.ndarray:
-        """G U at min(k, r) forward solves (columns past r have lam = 0 and stay zero), checked
-        against the held B U = Bt^T U within rtol * sqrt(lam_max)."""
-        m, rows = min(k, op.rank_bound), op.active_rows
-        U = eig.U[:, :m]
-        GU = np.zeros((self.G.n_y, k))
-        GU[:, :m] = self.G.apply(U)
-        gap = np.linalg.norm(np.sqrt(op.diag_w[rows])[:, None] * GU[rows, :m] - op.held_factor.T @ U, axis=0)
-        if np.any(gap > _RTOL * np.sqrt(eig.lam[0] if eig.lam[0] > 0 else 1.0)):
+    def _eig_images(self, op: MisfitHessianOp, eig) -> np.ndarray:
+        """G U at one forward solve per pair, min(k, r), checked against the held
+        B U = Bt^T U within rtol * sqrt(lam_max)."""
+        rows = op.active_rows
+        GU = self.G.apply(eig.U)
+        gap = np.linalg.norm(np.sqrt(op.diag_w[rows])[:, None] * GU[rows] - op.held_factor.T @ eig.U, axis=0)
+        if np.any(gap > _RTOL * np.sqrt(np.max(eig.lam, initial=0.0) or 1.0)):
             raise ConvergenceError("forward images disagree with the held adjoint factor", residuals=gap)
         return GU
 
@@ -379,26 +369,30 @@ class DesignProblem:
 
     # -- frozen low-rank estimator -------------------------------------------
 
-    def build_frozen(self, k_f: int, seed: int = 0) -> FrozenSVD:
-        """Exact rank-k_f truncated SVD of G from C; ``seed`` is unused.
+    def build_frozen(self, k_f: int, seed: int = 0) -> np.ndarray:
+        """The (n_y, k_f) factor U diag(s) of G's exact rank-k_f truncated SVD
+        G ~ U diag(s) V^T, from the top eigenpairs of C = G G^T (s^2 the
+        eigenvalues); ``seed`` is unused.
 
         Costs no PDE solve once the z step has run, else that step's.
         """
         if not 1 <= k_f <= self.rank_bound:
             raise ConfigError(f"k_f = {k_f} is below 1 or exceeds min(n_y, n) = {self.rank_bound}")
-        return FrozenSVD.from_gram(self.C, k_f)
+        lam, U = np.linalg.eigh(self.C)
+        return U[:, ::-1][:, :k_f] * np.sqrt(np.clip(lam[::-1][:k_f], 0.0, None))
 
-    def objective_grad_frozen(self, w, frozen: FrozenSVD):
-        """Objective and gradient from the frozen SVD; zero PDE solves.
+    def objective_grad_frozen(self, w, frozen: np.ndarray):
+        """Objective and gradient from the frozen factor A = U diag(s) of
+        :meth:`build_frozen`; zero PDE solves.
 
-        J_froz(w) = log det(I + S U^T W U S) with the noise scaling folded
+        J_froz(w) = log det(I + A^T W A) with the noise scaling folded
         into W, and the gradient is the exact derivative of that k_f x k_f
         form.
         """
         w = check_design_weights(w, self.n_s)
         dw = weighted_diag(w, self.noise, self.n_t)
-        A = frozen.U * frozen.s  # (n_y, k_f) = U diag(s)
-        B = np.eye(frozen.k) + A.T @ (dw[:, None] * A)
+        A = frozen
+        B = np.eye(A.shape[1]) + A.T @ (dw[:, None] * A)
         cf = sla.cho_factor(B)
         J = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
         X = sla.cho_solve(cf, A.T)  # (k_f, n_y) = B^{-1} A^T
@@ -448,13 +442,13 @@ class DesignProblem:
         *,
         k: int | None = None,
         cfg: SketchConfig | None = None,
-        frozen: FrozenSVD | Callable[[], FrozenSVD] | None = None,
+        frozen: np.ndarray | Callable[[], np.ndarray] | None = None,
     ) -> "Estimator":
         """The estimator named ``method``; the one place a method name is read.
 
-        "eig" needs the rank k, "rand" a SketchConfig and "frozen" a
-        FrozenSVD, or a function that builds one and is called only for
-        "frozen"; "dense" needs nothing.  An unknown name or a missing
+        "eig" needs the rank k, "rand" a SketchConfig and "frozen" the factor
+        of :meth:`build_frozen`, or a function that builds it and is called
+        only for "frozen"; "dense" needs nothing.  An unknown name or a missing
         parameter is a :class:`ConfigError`.
         """
         if method == "eig":
@@ -467,7 +461,7 @@ class DesignProblem:
             return RandEstimator(self, cfg)
         if method == "frozen":
             if frozen is None:
-                raise ConfigError("the frozen estimator needs a FrozenSVD")
+                raise ConfigError("the frozen estimator needs a factor from build_frozen")
             return FrozenEstimator(self, frozen() if callable(frozen) else frozen)
         if method == "dense":
             return DenseEstimator(self)
@@ -608,7 +602,7 @@ class RandEstimator(Estimator):
 class FrozenEstimator(Estimator):
     name = "frozen"
 
-    def __init__(self, design, frozen: FrozenSVD):
+    def __init__(self, design, frozen: np.ndarray):
         super().__init__(design)
         self.frozen = frozen
 

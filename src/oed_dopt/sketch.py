@@ -4,8 +4,8 @@ The sketch of a symmetric PSD operator H is T = Q^T H Q where Q spans
 H^q Omega for a Gaussian test matrix Omega with l = k + p columns.  The
 idealized iteration is hardened by re-orthonormalizing after every operator
 application.  Eigen-reconstruction, the exact top-k eigenpairs of an operator
-B^T B from the thin SVD of B^T, and the closed-form expected-error bounds used
-to validate the estimators all live here.
+B^T B from the thin SVD of B^T that it holds, and the closed-form expected-error
+bounds used to validate the estimators all live here.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ class SketchConfig:
 
 @dataclass
 class LowRankEig:
-    """Approximate dominant eigenpairs: U (n, l) orthonormal, lam descending >= 0."""
+    """Dominant eigenpairs: U (n, m) orthonormal, lam (m,) descending >= 0.  The sketch gives
+    m = l; :func:`exact_eigs` at rank k gives m = min(k, rank of its factor), as the rest have lam = 0."""
 
     U: np.ndarray
     lam: np.ndarray
@@ -88,7 +89,7 @@ def _orthonormalize(Y: np.ndarray) -> np.ndarray:
 
 
 def subspace_iteration(op, cfg: SketchConfig):
-    """Randomized subspace iteration on a symmetric PSD LinearOperator.
+    """Randomized subspace iteration on a symmetric PSD operator with ``shape`` and ``matmat``.
 
     Draws a Gaussian n x l test matrix from the seeded generator, applies the
     operator q times with re-orthonormalization after every application, and
@@ -126,22 +127,23 @@ _RTOL = 1e-8  # of exact_eigs's residual check
 
 
 def exact_eigs(op, k: int) -> LowRankEig:
-    """Top-k eigenpairs of a PSD operator op = B^T B of shape (n, n) from ``op.factor_t()``,
-    the r nonzero columns Bt of B^T (``oed.MisfitHessianOp``).
+    """Top-k eigenpairs of a PSD operator op = B^T B of shape (n, n), sliced from the thin
+    SVD (U, s, Vh) that ``op.factor_svd()`` holds of the r nonzero columns Bt = ``op.factor_t()``
+    of B^T (``oed.MisfitHessianOp``), so no k decomposes again.
 
-    The thin SVD of Bt, zero-padded to k columns, gives U and lam = s^2, exact
-    for any r; columns past r have lam = 0.  Each pair must satisfy
+    U and lam = s^2 are exact for any r; past min(n, r) there are no more pairs
+    (:class:`LowRankEig`).  Each pair must satisfy
     ||Bt Bt^T u - lam u|| <= 1e-8 lam_max (``_RTOL``), or a
     :class:`ConvergenceError` is raised.
     """
     n = op.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"need 1 <= k <= n, got k = {k}, n = {n}")
-    Bt = op.factor_t()
-    U, s, _ = np.linalg.svd(np.pad(Bt, ((0, 0), (0, max(0, k - Bt.shape[1])))), full_matrices=False)
+    U, s, _ = op.factor_svd()
     U, lam = U[:, :k], s[:k] ** 2
+    Bt = op.factor_t()
     residuals = np.linalg.norm(Bt @ (Bt.T @ U) - U * lam, axis=0)
-    if np.any(residuals > _RTOL * (lam[0] if lam[0] > 0 else 1.0)):
+    if np.any(residuals > _RTOL * (np.max(lam, initial=0.0) or 1.0)):
         raise ConvergenceError(f"eigenpair residuals exceed {_RTOL:g} * lam_max", residuals=residuals)
     return LowRankEig(U=U, lam=lam)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oed_dopt.config import ExperimentConfig
-from oed_dopt.oed import DesignProblem, FrozenSVD, NoiseModel, weighted_diag
+from oed_dopt.oed import DesignProblem, NoiseModel, weighted_diag
 from oed_dopt.problem import build_problem
 
 warnings.filterwarnings("ignore", message="sketch subspace is numerically rank deficient")
@@ -163,9 +163,9 @@ def sensor_z_norms(design):
 
 
 def frozen_from_dense(G_dense, k_f):
-    """Exact rank-k_f truncation of a dense (n_y, n) G, by its SVD."""
+    """The factor U diag(s) of the exact rank-k_f truncation of a dense (n_y, n) G, by its SVD."""
     U, s, _ = np.linalg.svd(np.asarray(G_dense, dtype=float), full_matrices=False)
-    return FrozenSVD(U=U[:, :k_f], s=s[:k_f])
+    return U[:, :k_f] * s[:k_f]
 
 
 def random_psd(n, rng, decay=None):

@@ -104,17 +104,26 @@ def test_low_rank_eig_diagonal_T_and_clipping():
 
 class FactorOp:
     """A = B^T B of shape (n, n) that exact_eigs reads only through ``factor_t()``, which
-    records each formation of B^T as its shape; it has no way to apply A."""
+    forms B^T once and records that as its shape, and ``factor_svd()``, whose thin SVD of
+    B^T is also formed once; it has no way to apply A."""
 
     def __init__(self, B):
         self.B = B
         self.A = B.T @ B
         self.shape = self.A.shape
         self.applied = []
+        self.held_factor = self.held_svd = None
 
     def factor_t(self):
-        self.applied.append(self.B.T.shape)
-        return self.B.T
+        if self.held_factor is None:
+            self.applied.append(self.B.T.shape)
+            self.held_factor = self.B.T
+        return self.held_factor
+
+    def factor_svd(self):
+        if self.held_svd is None:
+            self.held_svd = np.linalg.svd(self.factor_t(), full_matrices=False)
+        return self.held_svd
 
 
 def low_rank_factor(n, r, rng):
@@ -204,26 +213,28 @@ def test_exact_eigs_blocked_branch_is_exact_and_silent():
     assert np.allclose(eig.U.T @ eig.U, np.eye(k), atol=1e-12)
 
 
-def test_exact_eigs_factor_pads_k_above_rank():
-    """k = 14 > r = 10: the r pairs of the factor's SVD, then 4 orthonormal columns
-    orthogonal to range(B^T) at lam = 0 exactly."""
+def test_exact_eigs_k_above_rank_returns_the_r_pairs():
+    """k = 14 > r = 10: the r pairs of the factor's SVD and no more, as at k = r; every k
+    slices the one SVD held after the first call, with B^T formed once."""
     n, r, k = 200, 10, 14
     op = FactorOp(low_rank_factor(n, r, np.random.default_rng(8)))
     eig = exact_eigs(op, k)
-    assert op.applied == [(n, r)]
-    assert np.allclose(eig.lam[:r], np.sort(np.linalg.eigvalsh(op.A))[::-1][:r], rtol=1e-8)
-    assert np.array_equal(eig.lam[r:], np.zeros(k - r))
-    assert np.allclose(eig.U.T @ eig.U, np.eye(k), atol=1e-12)
-    assert np.linalg.norm(op.B @ eig.U[:, r:]) <= 1e-12
+    assert eig.U.shape == (n, r) and eig.lam.shape == (r,)
+    assert np.allclose(eig.lam, np.sort(np.linalg.eigvalsh(op.A))[::-1][:r], rtol=1e-8)
+    assert np.allclose(eig.U.T @ eig.U, np.eye(r), atol=1e-12)
+    held = op.held_svd
+    for k_new in (3, r, k):
+        again = exact_eigs(op, k_new)
+        assert np.array_equal(again.lam, eig.lam[:k_new]) and np.array_equal(again.U, eig.U[:, :k_new])
+    assert op.held_svd is held and op.applied == [(n, r)]
 
 
 def test_exact_eigs_zero_rank_bound_applies_nothing():
-    """r = 0: the factor has no column, so lam = 0 with an orthonormal U."""
+    """r = 0: the factor has no column, so there is no pair: an empty lam and U (n, 0)."""
     op = FactorOp(np.zeros((0, 30)))
     eig = exact_eigs(op, 4)
     assert op.applied == [(30, 0)]
-    assert np.array_equal(eig.lam, np.zeros(4))
-    assert np.allclose(eig.U.T @ eig.U, np.eye(4), atol=1e-12)
+    assert eig.lam.shape == (0,) and eig.U.shape == (30, 0)
 
 
 def test_cge_requires_p_at_least_two():

@@ -1,10 +1,13 @@
-"""Every public function, method and class of the package is used outside tests.
+"""Every public function, method and class of the package is used outside tests,
+and every name a package module imports is used in that module.
 
 A name that only tests reach is surface the package carries for no caller.  The
 guard parses ``src/``, ``scripts/`` and ``perfbench/`` and collects every name
 they use: ``Name`` ids, ``Attribute`` attrs, imported names, and string
 constants that are identifiers (perfbench patches functions by name).  Each
-public ``def`` or ``class`` in ``src/oed_dopt`` must be among them.
+public ``def`` or ``class`` in ``src/oed_dopt`` must be among them.  An import
+the module never reads is dead weight unless its line says ``# noqa: F401``
+(a name kept for others to patch or import).
 """
 
 import ast
@@ -53,3 +56,18 @@ def test_every_public_definition_is_used_outside_tests():
     assert ALLOWED <= set(defined)
     unused = {name: where for name, where in defined.items() if name not in used | ALLOWED}
     assert not unused, f"public names that only tests reach: {unused}"
+
+
+def test_every_import_is_used_in_its_module():
+    unused = []
+    for path, tree in _trees("src/oed_dopt"):
+        lines = path.read_text().splitlines()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.relative_to(ROOT)}:{alias.lineno} {bound}")
+    assert not unused, f"imported names the module never reads: {unused}"
