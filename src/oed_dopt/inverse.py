@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .oed import DesignProblem, check_design_weights, check_tol
+from .oed import DesignProblem, check_tol
 
 
 @dataclass
@@ -39,8 +39,8 @@ def map_estimate(
 ) -> MapSolveReport:
     """MAP point by matrix-free CG on the whitened normal equations.
 
-    With B^T's active columns Bt = U diag(s) Vh held for w with their thin SVD
-    (:meth:`DesignProblem.held_op`), x0 = Bt (I + Bt^T Bt)^{-1} S_a y_a
+    With B^T's active columns Bt = U diag(s) Vh and their thin SVD held by
+    ``design.misfit_op(w)`` after an Eig-k run, x0 = Bt (I + Bt^T Bt)^{-1} S_a y_a
     = U diag(s / (1 + s^2)) Vh S_a y_a is the MAP point, b = Bt S_a y_a, at no
     solve; else x0 = 0 and b costs 1 adjoint solve.  A tol that is not a
     finite number > 0 is a :class:`ConfigError`; a breakdown (p^T A p <= 0)
@@ -48,11 +48,10 @@ def map_estimate(
     :class:`ConvergenceError`, so a returned report has converged.
     """
     check_tol(tol)
-    w = check_design_weights(w, design.n_s)
+    op = design.misfit_op(w)
     y_obs = np.asarray(y_obs, dtype=float).ravel()
     if y_obs.shape[0] != design.G.n_y:
         raise ConfigError("y_obs has wrong length")
-    op = design.held_op(w) or design.misfit_op(w)
     if op.held_factor is not None:
         Bt, sy = op.held_factor, np.sqrt(op.diag_w[op.active_rows]) * y_obs[op.active_rows]
         U, s, Vh = op.factor_svd()

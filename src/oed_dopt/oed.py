@@ -115,6 +115,7 @@ def sensor_blocks(Y: np.ndarray, n_s: int, n_t: int) -> np.ndarray:
 class MisfitHessianOp:
     """x -> G^T (W (G x)) = B^T B x, B = W^{1/2} G (n_y rows); symmetric PSD, (n, n) ``shape``.
 
+    Made on validated weights that it owns, by :meth:`DesignProblem.misfit_op`.
     A column of ``matmat(X)`` costs one forward and one adjoint solve.  Only the
     r = n_t |supp w| ``active_rows`` of W are nonzero (``rank_bound``);
     :meth:`factor_t` forms those r columns of B^T by one ``G.sensor_adjoints``
@@ -124,13 +125,15 @@ class MisfitHessianOp:
 
     def __init__(self, G, w: np.ndarray, noise: NoiseModel, n_t: int):
         self.G = G
-        self.w = check_design_weights(w, noise.n_s)
+        self.w = w
         self.diag_w = weighted_diag(self.w, noise, n_t)
         self.active_rows = np.flatnonzero(np.tile(self.w, n_t))  # time-major, as sensor_adjoints orders its columns
         self.rank_bound = len(self.active_rows)
         self.shape = (G.n, G.n)
         self.held_factor = None  # B^T's r nonzero columns once factor_t has run
         self.held_svd = None  # their thin SVD once factor_svd has run
+        self.eig_run: list | None = None  # [k, pairs, G U or None] of the last Eig-k rank
+        self.sketch_run: tuple | None = None  # (cfg, T) of the last sketch
 
     def matvec(self, x):
         return self.G.apply_transpose(self.diag_w * self.G.apply(np.asarray(x).ravel()))
@@ -236,8 +239,7 @@ class DesignProblem:
             raise ConfigError("n_s * n_t must equal the observation dimension")
         self._z: SensorDerivConstants | None = None
         self._dense: DenseReference | None = None
-        self._eig_run: list | None = None  # [w bytes, op, k, eig, G U or None] of the last Eig-k run
-        self._sketch_run: tuple | None = None  # (key, T) of the last sketch
+        self._op: MisfitHessianOp | None = None  # of the last design, with its estimator data
 
     # -- constants ---------------------------------------------------------
 
@@ -270,7 +272,13 @@ class DesignProblem:
         return self.ensure_z().z
 
     def misfit_op(self, w) -> MisfitHessianOp:
-        return MisfitHessianOp(self.G, w, self.noise, self.n_t)
+        """H(w), held for the last design: the one place the Eig-k, randomized and MAP paths
+        validate w and key their data.  A w of equal values gets the held operator, with its
+        factor, Eig-k run and sketch; another w gets a new one, made and held on a copy of w."""
+        w = check_design_weights(w, self.n_s)
+        if self._op is None or not np.array_equal(self._op.w, w):
+            self._op = MisfitHessianOp(self.G, w.copy(), self.noise, self.n_t)
+        return self._op
 
     # -- shared gradient assembly -------------------------------------------
 
@@ -286,22 +294,19 @@ class DesignProblem:
         """(eig, G U): the top-k eigenpairs of H(w) and, if ``images``, their forward images.
 
         J, the gradient, the KL term and the MAP point of one design share
-        one Eig-k run, keyed by the bytes of w: its operator holds B^T's
-        active columns and their thin SVD, so a repeat costs no solve and a
-        new k slices the held SVD at no solve; G U is formed once per k, when
-        asked for.  Past the factor's rank, eig has fewer than k pairs.
+        one Eig-k run on :meth:`misfit_op`: it holds B^T's active columns
+        and their thin SVD, so a repeat costs no solve and a new k slices the
+        held SVD at no solve; G U is formed once per k, when asked for.  Past
+        the factor's rank, eig has fewer than k pairs.
         """
-        w = check_design_weights(w, self.n_s)
+        op = self.misfit_op(w)
         if k > self.rank_bound:
             raise ConfigError(f"k = {k} exceeds rank bound {self.rank_bound}")
-        if self.held_op(w) is None:
-            self._eig_run = [w.tobytes(), self.misfit_op(w), None, None, None]
-        run = self._eig_run
-        if run[2] != k:
-            run[2:] = [k, exact_eigs(run[1], k), None]
-        _, op, _, eig, GU = run
+        if op.eig_run is None or op.eig_run[0] != k:
+            op.eig_run = [k, exact_eigs(op, k), None]
+        _, eig, GU = op.eig_run
         if GU is None and images:
-            run[4] = GU = self._eig_images(op, eig)
+            op.eig_run[2] = GU = self._eig_images(op, eig)
         return eig, GU
 
     def _eig_images(self, op: MisfitHessianOp, eig) -> np.ndarray:
@@ -314,11 +319,6 @@ class DesignProblem:
             raise ConvergenceError("forward images disagree with the held adjoint factor", residuals=gap)
         return GU
 
-    def held_op(self, w) -> MisfitHessianOp | None:
-        """The operator of the last Eig-k run, any k, if it ran for w's bytes; else None."""
-        run = self._eig_run
-        return run[1] if run is not None and run[0] == check_design_weights(w, self.n_s).tobytes() else None
-
     def objective_grad_eig(self, w, k: int, seed: int = 0):
         """Objective and gradient from the top-k exact eigenpairs of H(w); ``seed`` is unused.
 
@@ -330,8 +330,8 @@ class DesignProblem:
         J = float(np.sum(np.log1p(eig.lam)))
         return J, self._gradient_from_pairs(eig.lam, GU)
 
-    def objective_eig(self, w, k: int, seed: int = 0) -> float:
-        """J from the top-k exact eigenpairs of H(w), at no forward solve; ``seed`` is unused."""
+    def objective_eig(self, w, k: int) -> float:
+        """J from the top-k exact eigenpairs of H(w), at no forward solve."""
         eig, _ = self._top_eigs(w, k, images=False)
         return float(np.sum(np.log1p(eig.lam)))
 
@@ -344,25 +344,24 @@ class DesignProblem:
         (l = k + p): the sketch spends l(q+1) of each and the gradient
         products G u_hat_i the remaining l forward solves.  T is kept for :meth:`_sketch`.
         """
-        w = check_design_weights(w, self.n_s)
+        op = self.misfit_op(w)
         self.ensure_z()
-        Q, T = subspace_iteration(self.misfit_op(w), cfg)
-        self._sketch_run = ((w.tobytes(), cfg), T)
+        Q, T = subspace_iteration(op, cfg)
+        op.sketch_run = (cfg, T)
         eig = low_rank_eig(Q, T)
         Qhat = self.G.apply(eig.U)  # l forward solves
         return sketched_logdet(T), self._gradient_from_pairs(eig.lam, Qhat)
 
     def _sketch(self, w, cfg: SketchConfig) -> np.ndarray:
-        """T = Q^T H(w) Q of the randomized sketch, kept for the last (w, cfg).
+        """T = Q^T H(w) Q of the randomized sketch, kept for the last cfg on :meth:`misfit_op`.
 
         J, the spectrum and the KL term of one design share one sketch, made here
         or by :meth:`objective_grad_rand`, which sketches afresh at its exact cost.
         """
-        w = check_design_weights(w, self.n_s)
-        key = (w.tobytes(), cfg)
-        if self._sketch_run is None or self._sketch_run[0] != key:
-            self._sketch_run = (key, subspace_iteration(self.misfit_op(w), cfg)[1])
-        return self._sketch_run[1]
+        op = self.misfit_op(w)
+        if op.sketch_run is None or op.sketch_run[0] != cfg:
+            op.sketch_run = (cfg, subspace_iteration(op, cfg)[1])
+        return op.sketch_run[1]
 
     def objective_rand(self, w, cfg: SketchConfig) -> float:
         return sketched_logdet(self._sketch(w, cfg))

@@ -20,6 +20,7 @@ from oed_dopt.errors import ConfigError, ConvergenceError
 from oed_dopt.inverse import map_estimate
 from oed_dopt.oed import (
     DesignProblem,
+    MisfitHessianOp,
     NoiseModel,
     check_design_weights,
     config_hash_bytes,
@@ -329,8 +330,8 @@ def fresh_design(d):
 
 def separate_eig_run(d, w, k, eig=None):
     """J, gradient, KL spectral term and spectrum from the pairs ``eig``, by default a
-    separate exact_eigs run of d.misfit_op(w), plus G.apply(U)."""
-    eig = exact_eigs(d.misfit_op(w), k) if eig is None else eig
+    separate exact_eigs run of an operator of its own, not d's held one, plus G.apply(U)."""
+    eig = exact_eigs(MisfitHessianOp(d.G, np.array(w, dtype=float), d.noise, d.n_t), k) if eig is None else eig
     lam = eig.lam
     S = (sensor_blocks(d.G.apply(eig.U), d.n_s, d.n_t) ** 2).sum(axis=0)
     grad = d.z - (S @ (lam / (1.0 + lam))) / d.noise.sigma**2
@@ -430,10 +431,10 @@ def test_eig_k_near_n_matches_separate_run():
 
 @pytest.mark.parametrize("branch", ["blocked", "all_sensors", "k_near_n"])
 def test_held_block_is_the_last_runs_block(small_design, desk_design, branch):
-    """held_op(w) is the operator of the last Eig-k run for w's bytes, any k: it holds
-    B^T's r columns, which span U, for a sparse design, all 35 desk sensors or k = n - 1.
-    A w = 0 run holds B^T's 0 columns.  It is None before a run, for other weights and
-    for w changed in place."""
+    """misfit_op(w) is the operator of the last Eig-k run while w's values match, any k: it
+    holds B^T's r columns, which span U, for a sparse design, all 35 desk sensors or
+    k = n - 1.  A w = 0 run holds B^T's 0 columns.  Before a run, and for w changed in
+    place, misfit_op(w) holds no factor."""
     if branch == "k_near_n":  # r = n = 20
         d = synthetic_design(20, 5, 4, 2.0 ** -np.arange(1, 21, dtype=float), seed=3)
         w, k, r = np.full(d.n_s, 0.5), 19, 20
@@ -443,18 +444,55 @@ def test_held_block_is_the_last_runs_block(small_design, desk_design, branch):
     else:  # rank bound 9
         d = fresh_design(small_design)
         w, k, r = np.isin(np.arange(d.n_s), [0, 4, 8]).astype(float), 9, 9
-    assert d.held_op(w) is None
+    assert d.misfit_op(w).held_factor is None
     d.objective_grad_eig(w, k)
     eig = d._top_eigs(w, k)[0]
-    op = d.held_op(w.copy())
+    op = d.misfit_op(w.copy())
     assert op.rank_bound == r and op.held_factor.shape == (d.G.n, r)
     assert np.linalg.norm(eig.U - op.held_factor @ np.linalg.lstsq(op.held_factor, eig.U)[0]) <= 1e-10
     d.objective_eig(w, k - 1)
-    assert d.held_op(w) is op
+    assert d.misfit_op(w) is op
     w[0] = 0.25  # changed in place
-    assert d.held_op(w) is None
+    assert d.misfit_op(w) is not op and d.misfit_op(w).held_factor is None
     d.objective_grad_eig(np.zeros(d.n_s), k)
-    assert d.held_op(np.zeros(d.n_s)).held_factor.shape == (d.G.n, 0)
+    assert d.misfit_op(np.zeros(d.n_s)).held_factor.shape == (d.G.n, 0)
+
+
+def test_misfit_op_holds_a_copy_of_w(small_design):
+    """misfit_op validates and copies w: after an in-place change of the caller's w, the
+    held operator keeps the original design's r columns of B^T, and misfit_op of the
+    changed w is a miss that holds a new operator."""
+    d = fresh_design(small_design)
+    w = np.random.default_rng(41).uniform(0.2, 1.0, d.n_s)
+    original, r = w.copy(), d.G.n_y
+    op = d.misfit_op(w)
+    w[0] = 0.0  # changed in place
+    Bt = op.factor_t()
+    assert Bt.shape == (d.G.n, r) and np.array_equal(op.w, original)
+    expect = MisfitHessianOp(d.G, original, d.noise, d.n_t).factor_t()
+    assert np.linalg.norm(Bt - expect) <= 1e-12 * np.linalg.norm(expect)
+    changed = d.misfit_op(w)
+    assert changed is not op and changed.rank_bound == r - d.n_t and changed.held_factor is None
+    assert d.misfit_op(w) is changed
+
+
+def test_one_held_operator_serves_one_design(small_design):
+    """The Eig-k run, the sketch and the MAP point share misfit_op's one operator: after
+    an Eig-k run on w1, a randomized evaluation on w2 holds w2's operator, so the MAP
+    point of w1 no longer reads the factor and takes the CG path, at 1 adjoint solve
+    plus 1 forward and 1 adjoint per iteration."""
+    d = fresh_design(small_design)
+    rng = np.random.default_rng(42)
+    w1, w2 = rng.uniform(0.2, 1.0, d.n_s), rng.uniform(0.2, 1.0, d.n_s)
+    y = rng.standard_normal(d.G.n_y) * d.noise.sigma[0]
+    d.objective_grad_eig(w1, 8)
+    d.objective_grad_rand(w2, SketchConfig(k=8, p=3, q=1, seed=6))
+    assert d.misfit_op(w2).sketch_run is not None
+    with count_solves() as c:
+        rep = map_estimate(d, w1, y)
+    assert rep.iterations > 0
+    assert (c.delta.forward, c.delta.adjoint) == (rep.iterations, rep.iterations + 1)
+    assert d.misfit_op(w1).held_factor is None
 
 
 def test_eig_k_near_n_with_r_above_n_takes_the_factor():
@@ -477,7 +515,7 @@ def test_eig_k_near_n_with_r_above_n_takes_the_factor():
     with count_solves() as c:
         J, g = d.objective_grad_eig(w, k)
     assert (c.delta.forward, c.delta.adjoint) == (min(k, r), r)
-    assert d.held_op(w).held_factor.shape == (n, r)
+    assert d.misfit_op(w).held_factor.shape == (n, r)
     dense = dense_top_pairs(d, w, k)
     lam = d.estimator("eig", k=k).spectrum(w)
     assert np.all(np.abs(lam - dense.lam) <= 1e-8 * dense.lam[0])
