@@ -187,21 +187,22 @@ def cmd_evaluate(config: ExperimentConfig, weights_file: str, out_dir: str) -> N
     y_obs, _ = problem.synthesize()
     sk = _sketch_config(config)
 
-    # KL has no frozen form: the frozen method reports the sketch's KL
-    kl_est = design.estimator("rand", cfg=sk) if est.name == "frozen" else est
-    lam = kl_est.spectrum(w)
-    J = est.objective(w)  # the same sketch or eigensolve as lam, unless frozen
-    metrics = {"J": J, "info_gain": 0.5 * J, "method": est.name, "kl_method": kl_est.name}
+    metrics = {}
     if design.dense_allowed and np.sum(w) > 0:
         J_dense = design.dense_reference().evaluate(w)[0]
         scale = max(abs(J_dense), 1e-300)
         errors = {"dense_J": J_dense}
-        errors["rand_rel_err"] = abs(design.objective_rand(w, sk) - J_dense) / scale
         errors["eig_rel_err"] = abs(design.objective_eig(w, min(sk.k, design.rank_bound)) - J_dense) / scale
+        errors["rand_rel_err"] = abs(design.objective_rand(w, sk) - J_dense) / scale
         frozen = design.build_frozen(min(design.rank_bound, sk.l))
         errors["frozen_rel_err"] = abs(design.objective_grad_frozen(w, frozen)[0] - J_dense) / scale
         metrics["errors_vs_dense"] = errors
-    # last, so that the MAP point reads the SVD of any Eig-k factor held for w, at no solve
+    # after the errors block, so that the sketch and the MAP point read any Eig-k factor held for w, at no solve
+    # KL has no frozen form: the frozen method reports the sketch's KL
+    kl_est = design.estimator("rand", cfg=sk) if est.name == "frozen" else est
+    lam = kl_est.spectrum(w)
+    J = est.objective(w)  # the same sketch or eigensolve as lam, unless frozen
+    metrics.update(J=J, info_gain=0.5 * J, method=est.name, kl_method=kl_est.name)
     report = map_estimate(design, w, y_obs, tol=min(config.opt.tol, 1e-8))
     metrics["D_KL"] = kl_divergence(lam, design.G.prior.weighted_norm_sq(report.theta_post))
     metrics["map_cg_iterations"] = report.iterations

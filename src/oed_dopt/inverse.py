@@ -7,8 +7,9 @@ The MAP point solves the whitened normal equations
 by plain conjugate gradients; the whitened system is I plus a PSD operator so
 its condition number is 1 + lam_max and no further preconditioning is needed.
 The held SVD of an Eig-k run's factor (a w = 0 run included) gives the MAP
-point at 0 solves; without one, CG starts at zero for 1 adjoint solve; each
-iteration costs one forward and one adjoint solve.
+point at 0 solves, and CG iterations on a held design cost no solve; without
+one, CG starts at zero for 1 adjoint solve, and each iteration costs one
+forward and one adjoint solve.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ def map_estimate(
     With B^T's active columns Bt = U diag(s) Vh and their thin SVD held by
     ``design.misfit_op(w)`` after an Eig-k run, x0 = Bt (I + Bt^T Bt)^{-1} S_a y_a
     = U diag(s / (1 + s^2)) Vh S_a y_a is the MAP point, b = Bt S_a y_a, at no
-    solve; else x0 = 0 and b costs 1 adjoint solve.  A tol that is not a
+    solve, and each CG iteration reads Bt at no solve; else x0 = 0, b costs 1
+    adjoint solve and an iteration 1 forward and 1 adjoint.  A tol that is not a
     finite number > 0 is a :class:`ConfigError`; a breakdown (p^T A p <= 0)
     or a residual above ``tol`` after ``max_iter`` iterations is a
     :class:`ConvergenceError`, so a returned report has converged.
@@ -57,7 +59,7 @@ def map_estimate(
         U, s, Vh = op.factor_svd()
         x = U @ (s / (1.0 + s**2) * (Vh @ sy))
         b = Bt @ sy
-        r = b - x - Bt @ (Bt.T @ x)
+        r = b - x - op.matvec(x)
     else:
         x = np.zeros(design.G.n)
         b = design.G.apply_transpose(op.diag_w * y_obs)

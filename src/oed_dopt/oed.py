@@ -116,11 +116,12 @@ class MisfitHessianOp:
     """x -> G^T (W (G x)) = B^T B x, B = W^{1/2} G (n_y rows); symmetric PSD, (n, n) ``shape``.
 
     Made on validated weights that it owns, by :meth:`DesignProblem.misfit_op`.
-    A column of ``matmat(X)`` costs one forward and one adjoint solve.  Only the
-    r = n_t |supp w| ``active_rows`` of W are nonzero (``rank_bound``);
+    Only the r = n_t |supp w| ``active_rows`` of W are nonzero (``rank_bound``);
     :meth:`factor_t` forms those r columns of B^T by one ``G.sensor_adjoints``
     sweep (r adjoint solves) and keeps them as ``held_factor``, and
     :meth:`factor_svd` decomposes them once, at no solve, as ``held_svd``.
+    A column of ``matmat(X)`` (or ``matvec``) costs one forward and one adjoint
+    solve until the factor is held, and no solve after: Bt (Bt^T X).
     """
 
     def __init__(self, G, w: np.ndarray, noise: NoiseModel, n_t: int):
@@ -136,9 +137,14 @@ class MisfitHessianOp:
         self.sketch_run: tuple | None = None  # (cfg, T) of the last sketch
 
     def matvec(self, x):
-        return self.G.apply_transpose(self.diag_w * self.G.apply(np.asarray(x).ravel()))
+        x = np.asarray(x).ravel()
+        if self.held_factor is not None:
+            return self.held_factor @ (self.held_factor.T @ x)
+        return self.G.apply_transpose(self.diag_w * self.G.apply(x))
 
     def matmat(self, X):
+        if self.held_factor is not None:
+            return self.held_factor @ (self.held_factor.T @ X)
         return self.G.apply_transpose(self.diag_w[:, None] * self.G.apply(X))
 
     def factor_t(self) -> np.ndarray:
@@ -240,6 +246,7 @@ class DesignProblem:
         self._z: SensorDerivConstants | None = None
         self._dense: DenseReference | None = None
         self._op: MisfitHessianOp | None = None  # of the last design, with its estimator data
+        self._frozen: tuple | None = None  # (k_f, factor) of the last build_frozen
 
     # -- constants ---------------------------------------------------------
 
@@ -342,7 +349,8 @@ class DesignProblem:
 
         Costs exactly l(q+2) forward and l(q+1) adjoint solves on every call
         (l = k + p): the sketch spends l(q+1) of each and the gradient
-        products G u_hat_i the remaining l forward solves.  T is kept for :meth:`_sketch`.
+        products G u_hat_i the remaining l forward solves; l forward only on a held
+        design, whose sketch reads the Eig-k factor.  T is kept for :meth:`_sketch`.
         """
         op = self.misfit_op(w)
         self.ensure_z()
@@ -373,12 +381,15 @@ class DesignProblem:
         G ~ U diag(s) V^T, from the top eigenpairs of C = G G^T (s^2 the
         eigenvalues); ``seed`` is unused.
 
-        Costs no PDE solve once the z step has run, else that step's.
+        Costs no PDE solve once the z step has run, else that step's.  The
+        factor of the last k_f is kept, so a repeat runs no second eigh of C.
         """
         if not 1 <= k_f <= self.rank_bound:
             raise ConfigError(f"k_f = {k_f} is below 1 or exceeds min(n_y, n) = {self.rank_bound}")
-        lam, U = np.linalg.eigh(self.C)
-        return U[:, ::-1][:, :k_f] * np.sqrt(np.clip(lam[::-1][:k_f], 0.0, None))
+        if self._frozen is None or self._frozen[0] != k_f:
+            lam, U = np.linalg.eigh(self.C)
+            self._frozen = (k_f, U[:, ::-1][:, :k_f] * np.sqrt(np.clip(lam[::-1][:k_f], 0.0, None)))
+        return self._frozen[1]
 
     def objective_grad_frozen(self, w, frozen: np.ndarray):
         """Objective and gradient from the frozen factor A = U diag(s) of

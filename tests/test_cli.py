@@ -367,6 +367,32 @@ def test_cli_evaluate_rand_sketches_once(tmp_path, monkeypatch):
     assert len(sketches) == 1
 
 
+def test_cli_evaluate_frozen_runs_one_eigh_of_C(tmp_path, monkeypatch):
+    """With opt.method = "frozen", the estimator's factor and frozen_rel_err's, both at
+    k_f = k + p = 17, come from one eigh of C: build_frozen keeps the last k_f's factor."""
+    cfg_path = write_config(tmp_path, {**SMALL, "opt": {**SMALL["opt"], "method": "frozen"}})
+    out = str(tmp_path / "frozen")
+    weights = write_weights(out, 1.0)
+    problems, eigh_args = [], []
+    build_problem, eigh = cli.build_problem, np.linalg.eigh
+
+    def built(config):
+        problems.append(build_problem(config))
+        return problems[-1]
+
+    def counted(a, *args, **kwargs):
+        eigh_args.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_problem", built)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert main(["evaluate", "--config", cfg_path, "--weights", weights, "--out", out]) == 0
+    with open(os.path.join(out, "metrics.json")) as f:
+        assert "frozen_rel_err" in json.load(f)["errors_vs_dense"]
+    (problem,) = problems
+    assert sum(a is problem.design.C for a in eigh_args) == 1
+
+
 @pytest.mark.parametrize("method", ["eig", "rand"])
 def test_cli_evaluate_map_reads_the_eig_block(tmp_path, monkeypatch, method):
     """evaluate reads the MAP point after every eigensolve, so it comes from the held
@@ -395,10 +421,11 @@ def test_cli_evaluate_map_reads_the_eig_block(tmp_path, monkeypatch, method):
 
 def test_cli_evaluate_all_sensor_eig_reads_one_factor(tmp_path):
     """The desk pipeline's config at seed 1 with Eig-k (k = 10) on all 35 sensors spends
-    exactly 91 forward + 300 adjoint solves: 1 forward for the data, 105 adjoint for the
-    z step, 105 adjoint for the factor's sensor sweep, which J, the spectrum and the
-    k = 40 eig_rel_err all read, and 90 + 90 for rand_rel_err's sketch (l = 45, q = 1).
-    The MAP point comes from the held factor at 0 CG iterations."""
+    exactly 1 forward + 210 adjoint solves: 1 forward for the data, 105 adjoint for the
+    z step and 105 adjoint for the factor's sensor sweep, which J, the spectrum, the
+    k = 40 eig_rel_err and rand_rel_err's sketch (l = 45, q = 1) all read; that sketch
+    cost 90 + 90 when it swept.  The MAP point comes from the held factor at 0 CG
+    iterations."""
     payload = json.loads(json.dumps(DESK_CONFIG))
     payload["opt"].update(method="eig", eig_k=10)
     out = str(tmp_path / "desk")
@@ -409,7 +436,7 @@ def test_cli_evaluate_all_sensor_eig_reads_one_factor(tmp_path):
     argv = ["evaluate", "--config", write_config(tmp_path, payload), "--weights", weights, "--out", out, "--seed", "1"]
     assert main(argv) == 0
     spent = solve_counter.snapshot()
-    assert (spent.forward, spent.adjoint) == (91, 300)
+    assert (spent.forward, spent.adjoint) == (1, 210)
     with open(os.path.join(out, "metrics.json")) as f:
         metrics = json.load(f)
     assert metrics["map_cg_iterations"] == 0

@@ -16,6 +16,7 @@ from conftest import (
     unit_probe_adjoints,
 )
 from oed_dopt.accounting import count_solves
+from oed_dopt.bench import error_vs_rank_sweep
 from oed_dopt.errors import ConfigError, ConvergenceError
 from oed_dopt.inverse import map_estimate
 from oed_dopt.oed import (
@@ -178,13 +179,18 @@ def test_misfit_op_rank_bound_counts_active_sensors(small_design):
 def test_misfit_op_factor_t_from_one_sensor_sweep(small_design):
     """factor_t() is G^T W^{1/2} on the unit probes of the r active rows; its first call
     sweeps the active sensors at r adjoint solves and holds the columns, later calls are
-    free, and op X still costs one forward and one adjoint solve per column of X."""
-    d = small_design
+    free.  op X costs one forward and one adjoint solve per column of X before factor_t,
+    and no solve after it."""
+    d = fresh_design(small_design)
     rng = np.random.default_rng(40)
     w = np.zeros(d.n_s)
     w[[1, 4, 7]] = [1.0, 0.3, 1e-9]
     op = d.misfit_op(w)
     r = op.rank_bound
+    for m in (1, 4):
+        with count_solves() as c:
+            op.matmat(rng.standard_normal((d.G.n, m)))
+        assert (c.delta.forward, c.delta.adjoint) == (m, m)
     assert np.array_equal(op.active_rows, np.flatnonzero(weighted_diag(w, d.noise, d.n_t)))
     spent = []
     for _ in range(3):
@@ -200,7 +206,75 @@ def test_misfit_op_factor_t_from_one_sensor_sweep(small_design):
     for m in (1, 4):
         with count_solves() as c:
             op.matmat(rng.standard_normal((d.G.n, m)))
-        assert (c.delta.forward, c.delta.adjoint) == (m, m)
+        assert (c.delta.forward, c.delta.adjoint) == (0, 0)
+
+
+def desk_weights(d, case, rng):
+    """16 of desk's 35 sensors on (r = 48), or every sensor at a weight in [0.1, 1)."""
+    if case == "blocked":
+        return np.isin(np.arange(d.n_s), rng.choice(d.n_s, 16, replace=False)).astype(float)
+    return rng.uniform(0.1, 1.0, d.n_s)
+
+
+@pytest.mark.parametrize("case", ["blocked", "all_sensors"])
+def test_factor_path_matches_the_sweep_path(desk_design, case):
+    """On desk, H(w) X from B^T's held columns equals the forward and adjoint sweeps'
+    within 1e-12 relative; and after an Eig-k run the randomized J, spectrum and KL term,
+    whose sketch then costs no solve, equal those of a design that holds no factor."""
+    rng = np.random.default_rng(50)
+    w = desk_weights(desk_design, case, rng)
+    op = MisfitHessianOp(desk_design.G, w, desk_design.noise, desk_design.n_t)
+    X = rng.standard_normal((desk_design.G.n, 7))
+    swept, swept_v = op.matmat(X), op.matvec(X[:, 0])
+    op.factor_t()
+    assert np.linalg.norm(op.matmat(X) - swept) <= 1e-12 * np.linalg.norm(swept)
+    assert np.linalg.norm(op.matvec(X[:, 0]) - swept_v) <= 1e-12 * np.linalg.norm(swept_v)
+
+    cfg = SketchConfig(k=40, p=5, q=1, seed=9)
+    theta = dense_theta_post(desk_design, w, rng.standard_normal(desk_design.G.n_y) * desk_design.noise.sigma[0])
+    read = {}
+    for name in ("held", "cold"):
+        d = fresh_design(desk_design)
+        if name == "held":
+            d.objective_eig(w, 10)
+        with count_solves() as c:
+            J = d.objective_rand(w, cfg)
+            lam = d.estimator("rand", cfg=cfg).spectrum(w)
+            kl = d.kl_estimate(w, np.zeros(desk_design.G.n_y), "rand", cfg=cfg, theta_post=theta)
+        read[name] = (J, lam, kl, c.delta.total)
+    (J_h, lam_h, kl_h, spent_h), (J_c, lam_c, kl_c, spent_c) = read["held"], read["cold"]
+    assert (spent_h, spent_c) == (0, 2 * cfg.l * (cfg.q + 1))
+    assert J_h == pytest.approx(J_c, rel=1e-12)
+    assert kl_h == pytest.approx(kl_c, rel=1e-12)
+    assert np.max(np.abs(lam_h - lam_c)) <= 1e-12 * lam_c.max()
+
+
+@pytest.mark.parametrize("case", ["blocked", "all_sensors"])
+def test_sweep_rand_rows_read_the_held_factor(desk_design, case, monkeypatch):
+    """error_vs_rank_sweep runs each rank's Eig-k row first, so every randomized row after
+    it sketches from the held factor: each (J, grad) spends exactly l forward solves (G U)
+    and 0 adjoint, and its spectrum reads that sketch.  The whole sweep spends one sensor
+    sweep (r adjoint) and min(k, r) forward per Eig-k row besides."""
+    d = fresh_design(desk_design)
+    w = desk_weights(d, case, np.random.default_rng(51))
+    r = d.misfit_op(w).rank_bound
+    spent = []
+    objective_grad_rand = DesignProblem.objective_grad_rand
+
+    def counted(self, w, cfg):
+        with count_solves() as c:
+            out = objective_grad_rand(self, w, cfg)
+        spent.append((c.delta.forward, c.delta.adjoint, cfg.l))
+        return out
+
+    monkeypatch.setattr(DesignProblem, "objective_grad_rand", counted)
+    ks, p, n_seeds = (5, 20), 5, 2
+    with count_solves() as c:
+        error_vs_rank_sweep(d, w, ks, p=p, q=1, n_seeds=n_seeds, seed0=3)
+    assert len(spent) == len(ks) * n_seeds
+    assert all((f, a) == (l, 0) for f, a, l in spent)
+    forward = sum(min(k, r) + n_seeds * (k + p) for k in ks)
+    assert (c.delta.forward, c.delta.adjoint) == (forward, r)
 
 
 def dense_top_pairs(d, w, k):
