@@ -137,10 +137,7 @@ class MisfitHessianOp:
         self.sketch_run: tuple | None = None  # (cfg, T) of the last sketch
 
     def matvec(self, x):
-        x = np.asarray(x).ravel()
-        if self.held_factor is not None:
-            return self.held_factor @ (self.held_factor.T @ x)
-        return self.G.apply_transpose(self.diag_w * self.G.apply(x))
+        return self.matmat(np.asarray(x).reshape(-1, 1))[:, 0]
 
     def matmat(self, X):
         if self.held_factor is not None:
