@@ -489,19 +489,15 @@ class DenseReference:
     def __init__(self, design: DesignProblem):
         if not design.dense_allowed:
             raise ConfigError(f"dense reference refused for n_y = {design.G.n_y} > {DENSE_GUARD}")
-        self.design = design
-        self.n = design.G.n
+        # what it reads of the design, not the design, which holds its reference
+        self.C = design.C  # runs the z step here, not in the first evaluation
+        self.noise, self.n_t, self.n_s, self.n = design.noise, design.n_t, design.n_s, design.G.n
         self._eig: tuple | None = None  # (S bytes, a, S_a V, lam) of the last design
-        design.ensure_z()  # run the z step here, not in the first evaluation
-
-    @property
-    def C(self) -> np.ndarray:
-        return self.design.C
 
     def _row_scale(self, w) -> np.ndarray:
         """The diagonal of S = W^{1/2} over the time-major observation rows."""
-        w = check_design_weights(w, self.design.n_s)
-        return np.sqrt(weighted_diag(w, self.design.noise, self.design.n_t))
+        w = check_design_weights(w, self.n_s)
+        return np.sqrt(weighted_diag(w, self.noise, self.n_t))
 
     def _decomposition(self, w):
         """(a, S_a V, lam) of S_a C_aa S_a = V diag(lam) V^T, lam clipped at 0; kept for the last S."""
@@ -521,9 +517,9 @@ class DenseReference:
         """(J, grad, spectrum) for one design, all exact; J sums the spectrum."""
         a, SV, lam = self._decomposition(w)
         diag_proj = np.diag(self.C) - (self.C[:, a] @ SV) ** 2 @ (1.0 / (1.0 + lam))  # P^2 (I + lam)^{-1}
-        per_sensor = sensor_blocks(diag_proj, self.design.n_s, self.design.n_t).sum(axis=0)
+        per_sensor = sensor_blocks(diag_proj, self.n_s, self.n_t).sum(axis=0)
         spectrum = self.spectrum(w)
-        return float(np.sum(np.log1p(spectrum))), per_sensor / self.design.noise.sigma_sq, spectrum
+        return float(np.sum(np.log1p(spectrum))), per_sensor / self.noise.sigma_sq, spectrum
 
     def map_norm_sq(self, w, y_obs: np.ndarray) -> float:
         """||x||^2 = (S u)^T C (S u) = sum lam c^2 of the whitened MAP point."""

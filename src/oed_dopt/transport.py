@@ -5,7 +5,9 @@ The forward map F takes a nodal initial state theta0, marches
 state at the sensor nodes at the observation time steps.  The transpose map is
 the exact discrete transpose of that recursion: a reverse-order sweep with the
 transposed step matrix, injecting observation residuals at the observed steps.
-The step matrix and its transpose are each factorized once, so both
+Every sweep is one march, run gap by gap between observation steps: forward it
+records the sensor rows after each gap, in reverse it injects data before each
+gap.  The step matrix and its transpose are each factorized once, so both
 directions solve blocks of columns with SuperLU's plain solve.
 
 Observation vectors are stacked time-major: block m holds all sensors at
@@ -165,9 +167,10 @@ class ForwardMap:
 
     The step matrix A = M + dt (kappa K + N) and its transpose are each
     factorized once (``_lu`` and ``_lu_t``), so both sweep directions solve
-    blocks with a plain solve; forward and transpose applications accept a
-    vector or a matrix of stacked columns (each column counts as one PDE
-    solve in the global tally).
+    blocks with a plain solve.  :meth:`_march` is the one loop over time
+    steps; every sweep calls it once per gap between observation steps.
+    Forward and transpose applications accept a vector or a matrix of
+    stacked columns (each column counts as one PDE solve in the global tally).
     """
 
     def __init__(
@@ -186,10 +189,21 @@ class ForwardMap:
         A = (self.M + dt * (kappa * ops.K + ops.N)).tocsc()
         self._lu = _factorize(A, 0.1, "time-step matrix")
         self._lu_t = _factorize(A.T.tocsc(), 0.1, "transposed time-step matrix")
+        self._gaps = np.diff(obs.obs_steps, prepend=0).tolist()  # steps between observation steps, from step 0
 
     @property
     def n_y(self) -> int:
         return self.obs.n_y
+
+    def _march(self, X: np.ndarray, steps: int, adjoint: bool = False) -> np.ndarray:
+        """``steps`` implicit-Euler steps on the block X: A^{-1} M X per step, or
+        M A^{-T} X if ``adjoint``.  The one place the step factors solve."""
+        for _ in range(steps):
+            if adjoint:
+                X = self.M @ _solve_by_width(self._lu_t, self._lu, X)
+            else:
+                X = _solve_by_width(self._lu, self._lu_t, self.M @ X)
+        return X
 
     def apply(self, theta: np.ndarray) -> np.ndarray:
         """y = F theta for a vector (n,) or matrix (n, m) of initial states."""
@@ -201,13 +215,9 @@ class ForwardMap:
         ncols = U.shape[1]
         obs = self.obs
         Y = np.empty((obs.n_y, ncols))
-        obs_lookup = {step: i for i, step in enumerate(obs.obs_steps)}
-        last = obs.obs_steps[-1]
-        for m in range(1, last + 1):
-            U = _solve_by_width(self._lu, self._lu_t, self.M @ U)
-            i = obs_lookup.get(m)
-            if i is not None:
-                Y[i * obs.n_s : (i + 1) * obs.n_s, :] = U[obs.sensor_nodes, :]
+        for i, gap in enumerate(self._gaps):
+            U = self._march(U, gap)
+            Y[i * obs.n_s : (i + 1) * obs.n_s, :] = U[obs.sensor_nodes, :]
         solve_counter.add_forward(ncols)
         return Y[:, 0] if single else Y
 
@@ -221,15 +231,11 @@ class ForwardMap:
         Y = ybar.reshape(obs.n_y, -1)
         ncols = Y.shape[1]
         G = np.zeros((self.n, ncols))
-        obs_lookup = {step: i for i, step in enumerate(obs.obs_steps)}
-        # the adjoint state is exactly zero until the latest step that holds data
+        # the adjoint state is exactly zero until the latest observation that holds data
         live = np.flatnonzero(Y.reshape(obs.n_t, -1).any(axis=1))
-        last = obs.obs_steps[live[-1]] if live.size else 0
-        for m in range(last, 0, -1):
-            i = obs_lookup.get(m)
-            if i is not None:
-                G[obs.sensor_nodes, :] += Y[i * obs.n_s : (i + 1) * obs.n_s, :]
-            G = self.M @ _solve_by_width(self._lu_t, self._lu, G)
+        for i in range(live.max(initial=-1), -1, -1):
+            G[obs.sensor_nodes, :] += Y[i * obs.n_s : (i + 1) * obs.n_s, :]
+            G = self._march(G, self._gaps[i], adjoint=True)
         solve_counter.add_adjoint(ncols)
         return G[:, 0] if single else G
 
@@ -245,32 +251,21 @@ class ForwardMap:
         out = np.empty((self.n, obs.n_t * ns))
         X = np.zeros((self.n, ns))
         X[obs.sensor_nodes[sensors], np.arange(ns)] = 1.0
-        done = 0
-        for i, step in enumerate(obs.obs_steps if ns else ()):
-            for _ in range(done, step):
-                X = self.M @ _solve_by_width(self._lu_t, self._lu, X)
-            done = step
+        for i, gap in enumerate(self._gaps if ns else ()):
+            X = self._march(X, gap, adjoint=True)
             out[:, i * ns : (i + 1) * ns] = X
         solve_counter.add_adjoint(obs.n_t * ns)
         return out
 
     def solve_with_trajectory(self, theta0: np.ndarray):
         """Forward solve returning (snapshots, y); snapshots is (n_steps+1, n)."""
-        theta0 = np.asarray(theta0, dtype=float).ravel()
         obs = self.obs
         traj = np.empty((obs.n_steps + 1, self.n))
-        traj[0] = theta0
-        y = np.empty(obs.n_y)
-        obs_lookup = {step: i for i, step in enumerate(obs.obs_steps)}
-        u = theta0
+        traj[0] = np.asarray(theta0, dtype=float).ravel()
         for m in range(1, obs.n_steps + 1):
-            u = _solve_by_width(self._lu, self._lu_t, self.M @ u)
-            traj[m] = u
-            i = obs_lookup.get(m)
-            if i is not None:
-                y[i * obs.n_s : (i + 1) * obs.n_s] = u[obs.sensor_nodes]
+            traj[m] = self._march(traj[m - 1], 1)
         solve_counter.add_forward(1)
-        return traj, y
+        return traj, traj[np.ix_(obs.obs_steps, obs.sensor_nodes)].ravel()
 
 
 def synthesize_data(y_clean: np.ndarray, n_s: int, noise_pct: float, rng_seed: int):

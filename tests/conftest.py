@@ -141,9 +141,9 @@ def dense_G(design):
     return design.G.sensor_adjoints(np.arange(design.n_s)).T
 
 
-def dense_hessian(ref, w):
-    """H(w) = G^T W G as an (n, n) array from :func:`dense_G` of the dense reference's design."""
-    Gw = ref._row_scale(w)[:, None] * dense_G(ref.design)
+def dense_hessian(design, w):
+    """H(w) = G^T W G as an (n, n) array: the rows of :func:`dense_G` scaled by the design's dense reference."""
+    Gw = design.dense_reference()._row_scale(w)[:, None] * dense_G(design)
     return Gw.T @ Gw
 
 

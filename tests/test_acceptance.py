@@ -141,7 +141,7 @@ def test_criterion_04_expected_information_gain_monte_carlo():
     P = np.linalg.solve(L, R)  # fields from whitened prior draws
     F_dense = np.column_stack([p.forward.apply(np.eye(n)[:, i]) for i in range(n)])
     dw = weighted_diag(w, design.noise, design.n_t)
-    S = np.eye(n) + dense_hessian(ref, w)
+    S = np.eye(n) + dense_hessian(design, w)
     cho = sla.cho_factor(S)
 
     rng = np.random.default_rng(104)
@@ -234,7 +234,7 @@ def test_criterion_06_interlacing_and_lemmas(synthetic_instance):
     ref = design.dense_reference()
     w = np.ones(design.n_s)
     lam_true = ref.evaluate(w)[2]
-    H = dense_hessian(ref, w)
+    H = dense_hessian(design, w)
     for s in range(100):
         _, T = subspace_iteration(aslinearoperator(H), SketchConfig(k=10, p=5, q=1, seed=700 + s))
         lam_T = np.sort(np.linalg.eigvalsh(T))[::-1]

@@ -100,10 +100,9 @@ def test_map_breakdown_raises_convergence_error(small_design):
 
 def test_cg_energy_error_monotone(small_design, y_obs):
     """The operator-energy-norm error is nonincreasing across CG iterates."""
-    ref = small_design.dense_reference()
     w = np.full(small_design.n_s, 0.7)
     rep = map_estimate(fresh(small_design), w, y_obs, tol=1e-10, record_iterates=True)
-    A = np.eye(small_design.G.n) + dense_hessian(ref, w)
+    A = np.eye(small_design.G.n) + dense_hessian(small_design, w)
     dw = weighted_diag(w, small_design.noise, small_design.n_t)
     b = dense_G(small_design).T @ (dw * y_obs)
     x_star = np.linalg.solve(A, b)

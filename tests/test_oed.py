@@ -1,6 +1,8 @@
 """Misfit-Hessian estimators: z constants, Eig-k, randomized, frozen, KL, dense."""
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -55,10 +57,9 @@ def test_weighted_diag_layout():
 
 
 def test_misfit_op_matches_dense(small_design):
-    ref = small_design.dense_reference()
     rng = np.random.default_rng(0)
     w = rng.uniform(0, 1, small_design.n_s)
-    H = dense_hessian(ref, w)
+    H = dense_hessian(small_design, w)
     op = small_design.misfit_op(w)
     x = rng.standard_normal(small_design.G.n)
     assert np.allclose(op.matvec(x), H @ x, rtol=1e-9)
@@ -279,7 +280,7 @@ def test_sweep_rand_rows_read_the_held_factor(desk_design, case, monkeypatch):
 
 def dense_top_pairs(d, w, k):
     """The top-k eigenpairs of the dense H(w) of :func:`dense_hessian` (n_y adjoint solves)."""
-    lam, U = np.linalg.eigh(dense_hessian(d.dense_reference(), w))
+    lam, U = np.linalg.eigh(dense_hessian(d, w))
     return LowRankEig(U=U[:, ::-1][:, :k], lam=np.clip(lam[::-1][:k], 0.0, None))
 
 
@@ -958,7 +959,7 @@ def test_dense_reference_binary_design_matches_dense_route(small_design, case):
     d = small_design if case == "small" else synthetic_design(12, 8, 3, 2.0 ** -np.arange(12.0), seed=3)
     w = np.isin(np.arange(d.n_s), [0, 2, 3, 5, 7]).astype(float)
     ref = d.dense_reference()
-    G, H = dense_G(d), dense_hessian(ref, w)
+    G, H = dense_G(d), dense_hessian(d, w)
     A = np.eye(d.G.n) + H
     J, grad, lam = ref.evaluate(w)
     assert J == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-12)
@@ -1097,6 +1098,23 @@ def test_dense_reference_guard():
             build()
         assert c.delta.total == 0
     assert d._z is None
+
+
+def test_dense_reference_leaves_no_cycle(small_design):
+    """The dense reference keeps what it reads of its design, not the design, so a design
+    with a dense reference and a dense estimator is freed, with its factors, C and held
+    operators, as soon as its last reference goes: no cycle waits for a gc pass."""
+    gc.disable()
+    try:
+        d = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
+        d.dense_reference()
+        est = d.estimator("dense")
+        est.evaluate(np.ones(d.n_s))
+        alive = weakref.ref(d)
+        del d, est
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_nonnegative_objective_all_estimators(small_design):

@@ -8,7 +8,7 @@ from oed_dopt.accounting import count_solves
 from oed_dopt.errors import ConfigError
 from oed_dopt.fem import build_mesh
 from oed_dopt.problem import build_problem
-from oed_dopt.transport import VelocityField, make_observation_setup, synthesize_data
+from oed_dopt.transport import VelocityField, _solve_by_width, make_observation_setup, synthesize_data
 
 
 def test_velocity_divergence_free_and_tangential():
@@ -308,3 +308,108 @@ def test_sensor_adjoints_of_no_sensor(path_problem, which):
         Gt = F.sensor_adjoints([])
     assert Gt.shape == (F.n, 0)
     assert (c.delta.forward, c.delta.adjoint) == (0, 0)
+
+
+# -- the one time march, bit for bit against the per-step loops it replaced ----
+
+
+def _loop_apply(fwd, theta):
+    U = theta.reshape(fwd.n, -1)
+    obs = fwd.obs
+    Y = np.empty((obs.n_y, U.shape[1]))
+    obs_lookup = {step: i for i, step in enumerate(obs.obs_steps)}
+    for m in range(1, obs.obs_steps[-1] + 1):
+        U = _solve_by_width(fwd._lu, fwd._lu_t, fwd.M @ U)
+        i = obs_lookup.get(m)
+        if i is not None:
+            Y[i * obs.n_s : (i + 1) * obs.n_s, :] = U[obs.sensor_nodes, :]
+    return Y[:, 0] if theta.ndim == 1 else Y
+
+
+def _loop_apply_transpose(fwd, ybar):
+    obs = fwd.obs
+    Y = ybar.reshape(obs.n_y, -1)
+    G = np.zeros((fwd.n, Y.shape[1]))
+    obs_lookup = {step: i for i, step in enumerate(obs.obs_steps)}
+    live = np.flatnonzero(Y.reshape(obs.n_t, -1).any(axis=1))
+    for m in range(obs.obs_steps[live[-1]] if live.size else 0, 0, -1):
+        i = obs_lookup.get(m)
+        if i is not None:
+            G[obs.sensor_nodes, :] += Y[i * obs.n_s : (i + 1) * obs.n_s, :]
+        G = fwd.M @ _solve_by_width(fwd._lu_t, fwd._lu, G)
+    return G[:, 0] if ybar.ndim == 1 else G
+
+
+def _loop_sensor_adjoints(fwd, sensors):
+    obs, ns = fwd.obs, len(sensors)
+    out = np.empty((fwd.n, obs.n_t * ns))
+    X = np.zeros((fwd.n, ns))
+    X[obs.sensor_nodes[sensors], np.arange(ns)] = 1.0
+    done = 0
+    for i, step in enumerate(obs.obs_steps if ns else ()):
+        for _ in range(done, step):
+            X = fwd.M @ _solve_by_width(fwd._lu_t, fwd._lu, X)
+        done = step
+        out[:, i * ns : (i + 1) * ns] = X
+    return out
+
+
+def _loop_trajectory(fwd, theta0):
+    obs = fwd.obs
+    traj = np.empty((obs.n_steps + 1, fwd.n))
+    traj[0] = theta0
+    y = np.empty(obs.n_y)
+    obs_lookup = {step: i for i, step in enumerate(obs.obs_steps)}
+    u = theta0
+    for m in range(1, obs.n_steps + 1):
+        u = _solve_by_width(fwd._lu, fwd._lu_t, fwd.M @ u)
+        traj[m] = u
+        i = obs_lookup.get(m)
+        if i is not None:
+            y[i * obs.n_s : (i + 1) * obs.n_s] = u[obs.sensor_nodes]
+    return traj, y
+
+
+@pytest.fixture(scope="module", params=[10, 32])
+def march_problem(request, desk_problem):
+    """The desk instance (nx = 10) and its sensors and times on the nx = 32 mesh."""
+    if request.param == 10:
+        return desk_problem
+    return build_problem(
+        make_config(
+            mesh={"nx": 32},
+            pde={"kappa": 0.05, "T": 2.0, "n_steps": 20},
+            sensors={"grid": [7, 5], "margin": [0.2, 0.3]},
+            obs={"times": [0.5, 1.0, 2.0]},
+        )
+    )
+
+
+def test_march_matches_step_loops_bitwise(march_problem):
+    """Every sweep through ``ForwardMap._march`` runs the same solves in the same order as
+    the per-step loops: outputs equal bit for bit at every width, with adjoint data that
+    ends early or is absent, and for all, several, one or no sensors, raw and whitened."""
+    fwd, G = march_problem.forward, march_problem.G
+    n_s, n_t = fwd.obs.n_s, fwd.obs.n_t
+    rng = np.random.default_rng(31)
+    for width in (None, 45, 1, 0):
+        shape = () if width is None else (width,)
+        theta = rng.standard_normal((fwd.n, *shape))
+        assert np.array_equal(fwd.apply(theta), _loop_apply(fwd, theta))
+        Yb = rng.standard_normal((fwd.n_y, *shape))
+        for end in range(n_t, -1, -1):  # data up to the end-th observation time only
+            Yb[end * n_s :] = 0.0
+            assert np.array_equal(fwd.apply_transpose(Yb), _loop_apply_transpose(fwd, Yb))
+    Yb = rng.standard_normal((fwd.n_y, 45))
+    Yb[n_s : 2 * n_s] = 0.0  # a silent middle time between two that hold data
+    assert np.array_equal(fwd.apply_transpose(Yb), _loop_apply_transpose(fwd, Yb))
+    theta0 = rng.standard_normal(fwd.n)
+    for got, want in zip(fwd.solve_with_trajectory(theta0), _loop_trajectory(fwd, theta0)):
+        assert np.array_equal(got, want)
+    whiten = G.prior.mass.apply_Rt
+    for sensors in (np.arange(n_s), np.array([0, 3, n_s - 2]), np.array([n_s // 2]), np.array([], dtype=int)):
+        raw = _loop_sensor_adjoints(fwd, sensors)
+        assert np.array_equal(fwd.sensor_adjoints(sensors), raw)
+        ns = len(sensors)
+        blocks = [whiten(G.prior.solve_Lt(raw[:, i * ns : (i + 1) * ns])) for i in range(n_t if ns else 0)]
+        assert np.array_equal(G.sensor_adjoints(sensors), np.hstack(blocks) if ns else raw)
