@@ -5,16 +5,19 @@ Loads each tree's ``src/oed_dopt`` and ``perfbench/workloads.py`` (with the
 ``perfbench/exact.py`` it imports) into this process under module names of
 their own, so each tree has its own solve counter.  Each round runs the named
 workload's ``work`` once on each tree, alternating which tree goes first, and
-times it with ``time.perf_counter``; set-up runs outside the timed region,
+times it in wall seconds (``time.perf_counter``) and in this process's CPU
+seconds (``time.process_time``); set-up runs outside the timed region,
 once per tree or, for a workload that needs fresh state (desk), before every
 round.  Afterwards each tree's ``finish()`` runs its correctness checks.
 
-The JSON record holds, per tree, a SHA-256 of its package sources, the seconds
-of every round with their median and quartiles, the solves of every round and
-the checks; and the change's win count (rounds in which it took fewer seconds)
-and the ratio of the medians.  The exit code is 1 if a check failed, a round raised, or a tree's solves
-differed between its own rounds, else 0.  BLAS runs one thread, as in
-perfbench.
+The JSON record holds, per tree, a SHA-256 of its package sources, the wall
+and CPU seconds of every round with their medians and quartiles, the solves of
+every round and the checks; and the change's win count (rounds in which it took
+fewer wall seconds) and the change/parent ratios of the wall and CPU medians.
+CPU seconds leave out the time the process waits for a core, so they hold
+still where co-running load stretches the wall seconds.  The exit code is 1
+if a check failed, a round raised, or a tree's solves differed between its
+own rounds, else 0.  BLAS runs one thread, as in perfbench.
 
     python3 scripts/ab_inprocess.py --parent ../parent --change . --workload mesh-eig \\
         --rounds 20 --seed 1 --out AB.json
@@ -102,7 +105,7 @@ def source_digest(root: Path) -> str:
 def run_rounds(trees: dict, args, scratch: Path) -> dict:
     """Seconds and solves of every round per side, and the side's checks; ``raised`` if a
     round or a finish() raised."""
-    out = {side: {"seconds": [], "solves": []} for side in SIDES}
+    out = {side: {"seconds": [], "cpu_seconds": [], "solves": []} for side in SIDES}
     out["raised"] = False
     workloads, states = {}, {}
     for side, tree in trees.items():
@@ -117,9 +120,10 @@ def run_rounds(trees: dict, args, scratch: Path) -> dict:
                 with trees[side].active(), wl.probes():
                     if wl.fresh_state or side not in states:
                         states[side] = wl.setup()[0]
-                    t0 = time.perf_counter()
+                    t0, c0 = time.perf_counter(), time.process_time()
                     work = wl.work(states[side])
                     out[side]["seconds"].append(time.perf_counter() - t0)
+                    out[side]["cpu_seconds"].append(time.process_time() - c0)
                     out[side]["solves"].append(int(work["solves"]))
             print(f"round {i + 1}/{args.rounds}: " + ", ".join(
                 f"{side} {out[side]['seconds'][-1]:.4f} s" for side in SIDES), file=sys.stderr, flush=True)
@@ -157,6 +161,7 @@ def main(argv=None) -> int:
         shutil.rmtree(scratch, ignore_errors=True)
 
     seconds = {side: result[side]["seconds"] for side in SIDES}
+    cpu_seconds = {side: result[side]["cpu_seconds"] for side in SIDES}
     rounds_done = min(len(s) for s in seconds.values())
     record = {
         "command": f"python3 scripts/ab_inprocess.py --parent PARENT --change CHANGE --workload {args.workload} "
@@ -170,6 +175,7 @@ def main(argv=None) -> int:
         "src_sha256": {side: source_digest(root) for side, root in roots.items()},
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()},
         "seconds": {side: summary(s) for side, s in seconds.items() if s},
+        "cpu_seconds": {side: summary(s) for side, s in cpu_seconds.items() if s},
         "change_wins": sum(c < p for p, c in zip(seconds["parent"], seconds["change"])),
         "solves": {side: result[side]["solves"] for side in SIDES},
         "checks": {side: result[side]["checks"] for side in SIDES},
@@ -177,7 +183,8 @@ def main(argv=None) -> int:
         "raised": result["raised"],
     }
     if rounds_done:
-        record["median_ratio"] = record["seconds"]["change"]["median"] / record["seconds"]["parent"]["median"]
+        for key, ratio in (("seconds", "median_ratio"), ("cpu_seconds", "cpu_median_ratio")):
+            record[ratio] = record[key]["change"]["median"] / record[key]["parent"]["median"]
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 
     ok = not result["raised"]

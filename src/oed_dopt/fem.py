@@ -276,13 +276,12 @@ def peclet_number(velocity_amplitude: float, h: float, kappa: float) -> float:
     return velocity_amplitude * h / (2.0 * kappa)
 
 
-def warn_if_advection_dominated(velocity_amplitude: float, h: float, kappa: float, limit: float = 20.0) -> float:
-    """Warn when the mesh Peclet number exceeds the stability comfort zone."""
+def warn_if_advection_dominated(velocity_amplitude: float, h: float, kappa: float) -> None:
+    """Warn when the mesh Peclet number exceeds 20, the stability comfort zone."""
     pe = peclet_number(velocity_amplitude, h, kappa)
-    if pe > limit:
+    if pe > 20.0:
         warnings.warn(
-            f"mesh Peclet number {pe:.1f} exceeds {limit}; unstabilized Galerkin "
+            f"mesh Peclet number {pe:.1f} exceeds 20.0; unstabilized Galerkin "
             "may oscillate (raise kappa or refine the mesh)",
             stacklevel=2,
         )
-    return pe

@@ -18,8 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError
-from .oed import DesignProblem, check_tol
+from .errors import ConvergenceError
+from .oed import DesignProblem, check_observations, check_tol
+
+#: CG iterations before map_estimate gives up with a ConvergenceError.
+MAX_CG_ITER = 500
 
 
 @dataclass
@@ -35,7 +38,6 @@ def map_estimate(
     w,
     y_obs: np.ndarray,
     tol: float = 1e-8,
-    max_iter: int = 500,
     record_iterates: bool = False,
 ) -> MapSolveReport:
     """MAP point by matrix-free CG on the whitened normal equations.
@@ -45,15 +47,13 @@ def map_estimate(
     = U diag(s / (1 + s^2)) Vh S_a y_a is the MAP point, b = Bt S_a y_a, at no
     solve, and each CG iteration reads Bt at no solve; else x0 = 0, b costs 1
     adjoint solve and an iteration 1 forward and 1 adjoint.  A tol that is not a
-    finite number > 0 is a :class:`ConfigError`; a breakdown (p^T A p <= 0)
-    or a residual above ``tol`` after ``max_iter`` iterations is a
-    :class:`ConvergenceError`, so a returned report has converged.
+    finite number > 0, or a y_obs of the wrong length, is a :class:`ConfigError`;
+    a breakdown (p^T A p <= 0) or a residual above ``tol`` after ``MAX_CG_ITER``
+    iterations is a :class:`ConvergenceError`, so a returned report has converged.
     """
     check_tol(tol)
     op = design.misfit_op(w)
-    y_obs = np.asarray(y_obs, dtype=float).ravel()
-    if y_obs.shape[0] != design.G.n_y:
-        raise ConfigError("y_obs has wrong length")
+    y_obs = check_observations(y_obs, design.G.n_y)
     if op.held_factor is not None:
         Bt, sy = op.held_factor, np.sqrt(op.diag_w[op.active_rows]) * y_obs[op.active_rows]
         U, s, Vh = op.factor_svd()
@@ -74,7 +74,7 @@ def map_estimate(
     rs = float(r @ r)
     converged = bool(np.sqrt(rs) <= tol * bnorm)
     it = 0
-    while not converged and it < max_iter:
+    while not converged and it < MAX_CG_ITER:
         it += 1
         Ap = p + op.matvec(p)
         pAp = float(p @ Ap)

@@ -102,6 +102,14 @@ def check_tol(tol) -> None:
         raise ConfigError(f"tol must be a finite number > 0, got {tol!r}")
 
 
+def check_observations(y_obs, n_y: int) -> np.ndarray:
+    """y_obs as a flat float array of n_y entries; another length is a ConfigError."""
+    y_obs = np.asarray(y_obs, dtype=float).ravel()
+    if y_obs.shape != (n_y,):
+        raise ConfigError(f"y_obs has wrong length: {y_obs.shape[0]} entries for {n_y} observations")
+    return y_obs
+
+
 def weighted_diag(w: np.ndarray, noise: NoiseModel, n_t: int) -> np.ndarray:
     """Diagonal of W = sum_j w_j E_j / sigma_j^2 in time-major stacking."""
     return np.tile(w / noise.sigma_sq, n_t)
@@ -124,11 +132,12 @@ class MisfitHessianOp:
     solve until the factor is held, and no solve after: Bt (Bt^T X).
     """
 
-    def __init__(self, G, w: np.ndarray, noise: NoiseModel, n_t: int):
+    def __init__(self, G, w: np.ndarray, noise: NoiseModel):
         self.G = G
         self.w = w
-        self.diag_w = weighted_diag(self.w, noise, n_t)
-        self.active_rows = np.flatnonzero(np.tile(self.w, n_t))  # time-major, as sensor_adjoints orders its columns
+        self.diag_w = weighted_diag(self.w, noise, G.obs.n_t)
+        # time-major, as sensor_adjoints orders its columns
+        self.active_rows = np.flatnonzero(np.tile(self.w, G.obs.n_t))
         self.rank_bound = len(self.active_rows)
         self.shape = (G.n, G.n)
         self.held_factor = None  # B^T's r nonzero columns once factor_t has run
@@ -227,19 +236,18 @@ def precompute_z(
 class DesignProblem:
     """Objective, gradient and KL estimators for one sensor-placement problem.
 
-    Wraps the whitened forward map G together with the noise model and the
-    observation layout (n_s sensors times n_t observation times, time-major
-    stacking).  All estimators share the constants z of the design's one z
+    Wraps the whitened forward map G, whose ``obs`` is the observation layout
+    (n_s sensors times n_t times, time-major), and a noise model of one sigma
+    per sensor.  All estimators share the constants z of the design's one z
     step; the frozen factor and the dense reference share its C = G G^T.
     """
 
-    def __init__(self, G, noise: NoiseModel, n_t: int):
+    def __init__(self, G, noise: NoiseModel):
         self.G = G
         self.noise = noise
-        self.n_t = int(n_t)
-        self.n_s = noise.n_s
-        if self.n_s * self.n_t != G.n_y:
-            raise ConfigError("n_s * n_t must equal the observation dimension")
+        self.n_s, self.n_t = G.obs.n_s, G.obs.n_t
+        if noise.n_s != self.n_s:
+            raise ConfigError(f"the noise model has {noise.n_s} sensors, the forward map {self.n_s}")
         self._z: SensorDerivConstants | None = None
         self._dense: DenseReference | None = None
         self._op: MisfitHessianOp | None = None  # of the last design, with its estimator data
@@ -281,7 +289,7 @@ class DesignProblem:
         factor, Eig-k run and sketch; another w gets a new one, made and held on a copy of w."""
         w = check_design_weights(w, self.n_s)
         if self._op is None or not np.array_equal(self._op.w, w):
-            self._op = MisfitHessianOp(self.G, w.copy(), self.noise, self.n_t)
+            self._op = MisfitHessianOp(self.G, w.copy(), self.noise)
         return self._op
 
     # -- shared gradient assembly -------------------------------------------
@@ -427,9 +435,11 @@ class DesignProblem:
         the prior-precision norm of the MAP point: the norm of a supplied
         ``theta_post``, else the estimator's :meth:`Estimator.map_norm_sq`,
         read after the spectrum so that an Eig-k MAP reads the run's factor.
-        ``seed`` is unused.
+        A bad ``tol`` or a ``y_obs`` of the wrong length is refused before any
+        solve.  ``seed`` is unused.
         """
         check_tol(tol)
+        y_obs = check_observations(y_obs, self.G.n_y)
         est = self.estimator(method, k=k, cfg=cfg)
         lam = est.spectrum(w)
         if theta_post is None:

@@ -236,7 +236,6 @@ def solve_continuation(
     estimator: Estimator,
     penalty_gamma: float,
     schedule=DEFAULT_SCHEDULE,
-    w0: np.ndarray | None = None,
     tol: float = 1e-5,
     max_iters: int = 200,
     round_tol: float = 1e-2,
@@ -245,12 +244,12 @@ def solve_continuation(
     """Warm-started continuation over P_eps(w) = sum w_i/(w_i + eps).
 
     Each stage minimizes -J + gamma * P_eps for the next smaller eps, started
-    from the previous solution.  The final weights are rounded to {0,1} where
-    within ``round_tol`` of a bound; failure to reach a binary vector is
-    reported via ``reached_binary``, not rounded away.
+    from the previous solution, the first from all 0.5.  The final weights are
+    rounded to {0,1} where within ``round_tol`` of a bound; failure to reach a
+    binary vector is reported via ``reached_binary``, not rounded away.
     """
     check_solve(penalty_gamma, tol, max_iters, schedule=schedule)
-    w = w0
+    w = None
     history: list[IterationRecord] = []
     stages = []
     t_start = time.perf_counter()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -67,29 +67,17 @@ class Problem:
 
     @cached_property
     def design(self) -> DesignProblem:
-        return DesignProblem(self.G, NoiseModel(self.sigma), n_t=self.obs.n_t)
+        return DesignProblem(self.G, NoiseModel(self.sigma))
 
     def synthesize(self):
         """(y_obs, sigma) with the seeded noise generator."""
         return synthesize_data(self.y_clean, self.obs.n_s, self.config.noise.pct, self.seeds["noise"])
 
     def z_config_hash(self) -> bytes:
-        """Hash of the configuration subset that determines z."""
+        """Hash of every configuration section, in field order, but those that leave z unchanged."""
         cfg = self.config
-        payload = "|".join(
-            [
-                cfg.canonical_json_section("mesh"),
-                cfg.canonical_json_section("mass"),
-                cfg.canonical_json_section("pde"),
-                cfg.canonical_json_section("velocity"),
-                cfg.canonical_json_section("prior"),
-                cfg.canonical_json_section("sensors"),
-                cfg.canonical_json_section("obs"),
-                cfg.canonical_json_section("noise"),
-                cfg.canonical_json_section("theta_true"),
-            ]
-        )
-        return config_hash_bytes(payload)
+        sections = [f.name for f in fields(cfg) if f.name not in ("sketch", "opt", "seeds")]
+        return config_hash_bytes("|".join(cfg.canonical_json_section(name) for name in sections))
 
 
 def build_problem(config: ExperimentConfig) -> Problem:

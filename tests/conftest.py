@@ -6,6 +6,7 @@ spectra exercise the regime each test group needs (see comments).
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def small_design(small_problem):
     """Small problem with sigma pinned for moderate spectra (lam_1 ~ 1e3)."""
     p = small_problem
     peak = float(np.max(np.abs(p.forward.apply(p.theta_true))))
-    return DesignProblem(p.G, NoiseModel(np.full(p.obs.n_s, 3.0 * peak)), n_t=p.obs.n_t)
+    return DesignProblem(p.G, NoiseModel(np.full(p.obs.n_s, 3.0 * peak)))
 
 
 @pytest.fixture(scope="session")
@@ -73,7 +74,7 @@ def desk_design(desk_problem):
     """Desk instance with noise set so the relaxed l1 design is near-binary."""
     p = desk_problem
     peak = float(np.max(np.abs(p.forward.apply(p.theta_true))))
-    return DesignProblem(p.G, NoiseModel(np.full(p.obs.n_s, 4.0 * peak)), n_t=p.obs.n_t)
+    return DesignProblem(p.G, NoiseModel(np.full(p.obs.n_s, 4.0 * peak)))
 
 
 @pytest.fixture(scope="session")
@@ -87,7 +88,7 @@ def sweep_design(desk_problem):
     )
     p = build_problem(cfg)
     peak = float(np.max(np.abs(p.forward.apply(p.theta_true))))
-    return DesignProblem(p.G, NoiseModel(np.full(p.obs.n_s, peak)), n_t=p.obs.n_t)
+    return DesignProblem(p.G, NoiseModel(np.full(p.obs.n_s, peak)))
 
 
 def dense_forward_matrix(problem):
@@ -179,12 +180,13 @@ def random_psd(n, rng, decay=None):
 
 
 class MatrixWhitenedMap:
-    """Plain-matrix stand-in for the whitened forward map G (n_y x n, time-major rows)."""
+    """Plain-matrix stand-in for the whitened forward map G (n_y x n, time-major rows), with the
+    observation layout ``obs`` (n_s sensors, n_t times) that a design problem reads from the map."""
 
     def __init__(self, G: np.ndarray, n_t: int):
         self.G = np.asarray(G, dtype=float)
         self.n_y, self.n = self.G.shape
-        self.n_t = n_t
+        self.obs = SimpleNamespace(n_s=self.n_y // n_t, n_t=n_t)
 
     def apply(self, x):
         return self.G @ x
@@ -194,8 +196,7 @@ class MatrixWhitenedMap:
 
     def sensor_adjoints(self, sensors):
         """The columns of G^T at the given sensors, time-major (block i: every sensor at time i)."""
-        n_s = self.n_y // self.n_t
-        rows = (np.arange(self.n_t)[:, None] * n_s + np.asarray(sensors, dtype=int).ravel()).ravel()
+        rows = (np.arange(self.obs.n_t)[:, None] * self.obs.n_s + np.asarray(sensors, dtype=int).ravel()).ravel()
         return self.G[rows].T
 
 
@@ -212,4 +213,4 @@ def synthetic_design(n, n_s, n_t, spectrum, seed=0, sigma=1.0):
     U = np.linalg.qr(rng.standard_normal((n_y, r)))[0]
     V = np.linalg.qr(rng.standard_normal((n, r)))[0]
     G = (U * np.sqrt(np.asarray(spectrum[:r], dtype=float))) @ V.T
-    return DesignProblem(MatrixWhitenedMap(G, n_t), NoiseModel(np.full(n_s, sigma)), n_t=n_t)
+    return DesignProblem(MatrixWhitenedMap(G, n_t), NoiseModel(np.full(n_s, sigma)))

@@ -26,7 +26,8 @@ def ab(tmp_path, parent: Path, change: Path):
 
 def test_two_copies_spend_equal_solves(tmp_path):
     """Two copies of the same tree: exit 0, equal sources, the same solves in every round
-    of both trees, every check passed, and each round timed on both sides."""
+    of both trees, every check passed, and each round timed on both sides in wall and CPU
+    seconds, with the median, the quartiles and the change/parent ratio of each."""
     rc, record = ab(tmp_path, copy_tree(tmp_path / "a"), copy_tree(tmp_path / "b"))
     assert rc == 0
     assert record["src_sha256"]["parent"] == record["src_sha256"]["change"]
@@ -35,8 +36,12 @@ def test_two_copies_spend_equal_solves(tmp_path):
     assert len(solves["parent"]) == 2 and solves["parent"] == solves["change"] and len(set(solves["parent"])) == 1
     assert record["failed"] == {"parent": 0, "change": 0}
     assert all(row["failed"] == 0 and row["passed"] > 0 for side in record["checks"].values() for row in side.values())
-    assert all(len(record["seconds"][side]["runs"]) == 2 for side in ("parent", "change"))
-    assert 0 <= record["change_wins"] <= 2 and record["median_ratio"] > 0
+    for key in ("seconds", "cpu_seconds"):
+        for side in ("parent", "change"):
+            stats = record[key][side]
+            assert len(stats["runs"]) == 2 and all(t > 0 for t in stats["runs"])
+            assert stats["q1"] <= stats["median"] <= stats["q3"]
+    assert 0 <= record["change_wins"] <= 2 and record["median_ratio"] > 0 and record["cpu_median_ratio"] > 0
 
 
 def test_a_failed_check_in_one_tree_exits_1(tmp_path):

@@ -127,7 +127,7 @@ def test_criterion_04_expected_information_gain_monte_carlo():
     assert 70 <= n <= 90
     peak = float(np.max(np.abs(p.forward.apply(p.theta_true))))
     sigma = 2.0 * peak
-    design = DesignProblem(p.G, NoiseModel(np.full(9, sigma)), n_t=3)
+    design = DesignProblem(p.G, NoiseModel(np.full(9, sigma)))
     ref = design.dense_reference()
     w = np.ones(9)
 
@@ -351,7 +351,7 @@ def test_criterion_10_cost_accounting(desk_design):
         desk_design.objective_grad_frozen(w, frozen)
     assert c.delta.forward == 0 and c.delta.adjoint == 0
 
-    fresh = DesignProblem(desk_design.G, desk_design.noise, n_t=desk_design.n_t)
+    fresh = DesignProblem(desk_design.G, desk_design.noise)
     with count_solves() as c:
         fresh.ensure_z()
     assert c.delta.adjoint == desk_design.n_s * desk_design.n_t

@@ -323,6 +323,50 @@ def test_cli_truncated_z_cache_is_recomputed(tmp_path, monkeypatch):
     assert z_steps == [(0, n_y), (0, 0)]  # the warned miss, then a hit
 
 
+#: The z cache key's sections, in the order that keys every existing z_cache.bin.
+Z_SECTIONS = ("mesh", "mass", "pde", "velocity", "prior", "sensors", "obs", "noise", "theta_true")
+#: One valid change to each configuration section.
+SECTION_CHANGES = {
+    "mesh": {"nx": 11},
+    "mass": {"mode": "cholesky"},
+    "pde": {"kappa": 0.06},
+    "velocity": {"amplitude": 0.5},
+    "prior": {"alpha": 3e-3},
+    "sensors": {"margin": [0.25, 0.3]},
+    "obs": {"times": [0.5, 1.0, 1.5]},
+    "noise": {"sigma_rel": 3.0},
+    "theta_true": {"bumps": [{"center": [0.5, 0.5], "width": 0.1, "amplitude": 1.0}]},
+    "sketch": {"k": 30},
+    "opt": {"gamma": 0.7},
+    "seeds": {"master": 5},
+}
+
+
+def test_z_cache_key_is_the_nine_section_digest(tmp_path):
+    """On the desk config the key is the digest of the nine-section list, so a z_cache.bin written
+    under that list's key is a hit at 0 solves.  A change to any one of the nine sections changes
+    the key; a change to sketch, opt or seeds does not."""
+    assert set(SECTION_CHANGES) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    cfg = ExperimentConfig.from_dict(DESK_CONFIG)
+    problem = build_problem(cfg)
+    listed = oed.config_hash_bytes("|".join(cfg.canonical_json_section(name) for name in Z_SECTIONS))
+    assert problem.z_config_hash() == listed
+
+    cache = tmp_path / "z_cache.bin"
+    written = oed.precompute_z(problem.G, problem.design.noise, problem.obs.n_t, cache, listed)
+    design = oed.DesignProblem(problem.G, problem.design.noise)
+    with count_solves() as c:
+        read = design.ensure_z(cache, problem.z_config_hash())
+    assert c.delta.total == 0
+    assert np.array_equal(read.z, written.z) and np.array_equal(read.C, written.C)
+
+    for name, change in SECTION_CHANGES.items():
+        data = json.loads(json.dumps(DESK_CONFIG))
+        data.setdefault(name, {}).update(change)
+        variant = dataclasses.replace(problem, config=ExperimentConfig.from_dict(data))
+        assert (variant.z_config_hash() != listed) == (name in Z_SECTIONS), name
+
+
 @pytest.mark.parametrize("method", ["frozen", "rand", "eig", "dense"])
 def test_cli_evaluate_labels_kl_method(tmp_path, method):
     cfg_path = write_config(tmp_path, {**SMALL, "opt": {**SMALL["opt"], "method": method}})

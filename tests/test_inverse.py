@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import dense_G, dense_hessian, dense_theta_post
+from oed_dopt import inverse
 from oed_dopt.accounting import count_solves
 from oed_dopt.config import ExperimentConfig
 from oed_dopt.errors import ConfigError, ConvergenceError
 from oed_dopt.inverse import map_estimate
 from oed_dopt.oed import DesignProblem, NoiseModel, weighted_diag
 from oed_dopt.problem import build_problem
+from oed_dopt.sketch import SketchConfig
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +22,7 @@ def y_obs(small_design):
 
 def fresh(d):
     """A DesignProblem over d's map that holds no Eig-k run."""
-    return DesignProblem(d.G, d.noise, n_t=d.n_t)
+    return DesignProblem(d.G, d.noise)
 
 
 def binary(n_s, active):
@@ -58,15 +60,16 @@ def test_map_noise_scaling_shrinks_posterior(small_problem):
     w = np.ones(9)
     norms = []
     for scale in [1.0, 10.0, 100.0, 1000.0]:
-        d = DesignProblem(small_problem.G, NoiseModel(np.full(9, scale * peak)), n_t=3)
+        d = DesignProblem(small_problem.G, NoiseModel(np.full(9, scale * peak)))
         theta = dense_theta_post(d, w, y)
         norms.append(np.sqrt(theta @ (small_problem.mass.M @ theta)))
     assert np.all(np.diff(norms) < 0)
 
 
-def test_map_iteration_cap_raises(small_design, y_obs):
-    with pytest.raises(ConvergenceError):
-        map_estimate(small_design, np.ones(small_design.n_s), y_obs, tol=1e-14, max_iter=2)
+def test_map_iteration_cap_raises(small_design, y_obs, monkeypatch):
+    monkeypatch.setattr(inverse, "MAX_CG_ITER", 2)
+    with pytest.raises(ConvergenceError, match="after 2 iterations"):
+        map_estimate(small_design, np.ones(small_design.n_s), y_obs, tol=1e-14)
 
 
 def test_map_validation(small_design):
@@ -86,6 +89,18 @@ def test_map_and_kl_refuse_a_bad_tol_before_any_solve(desk_design, tol):
         with count_solves() as c, pytest.raises(ConfigError, match="tol"):
             call()
         assert c.delta.total == 0
+
+
+@pytest.mark.parametrize("method", ["eig", "rand", "dense"])
+@pytest.mark.parametrize("n_obs", [50, 112], ids=["short", "long"])
+def test_kl_refuses_y_obs_of_wrong_length_before_any_solve(desk_design, method, n_obs):
+    """kl_estimate checks y_obs's length as map_estimate does, before the estimator runs.
+    Without it a long y_obs passes the dense path unread, a short one raises IndexError
+    there, and the eig path spends its sensor sweep before map_estimate refuses it."""
+    d, w, y = fresh(desk_design), np.ones(desk_design.n_s), np.ones(n_obs)
+    with count_solves() as c, pytest.raises(ConfigError, match="y_obs has wrong length"):
+        d.kl_estimate(w, y, method, k=10, cfg=SketchConfig(k=10, p=5, q=1))
+    assert c.delta.total == 0
 
 
 def test_map_breakdown_raises_convergence_error(small_design):

@@ -42,6 +42,17 @@ def test_noise_model_validation():
     assert NoiseModel(np.array([1.0, 2.0])).n_s == 2
 
 
+def test_design_problem_reads_its_layout_from_the_map(desk_problem):
+    """n_s and n_t come from G.obs; a noise model of another sensor count is refused at
+    construction, even where n_s * n_t still equals n_y (7 sigma x 15 times = 105)."""
+    G = desk_problem.G
+    d = DesignProblem(G, NoiseModel(np.ones(35)))
+    assert (d.n_s, d.n_t) == (G.obs.n_s, G.obs.n_t) == (35, 3)
+    with count_solves() as c, pytest.raises(ConfigError, match="noise model has 7 sensors"):
+        DesignProblem(G, NoiseModel(np.ones(7)))
+    assert c.delta.total == 0
+
+
 def test_design_weight_validation():
     with pytest.raises(ConfigError):
         check_design_weights([0.5, 1.2], 2)
@@ -90,8 +101,8 @@ def test_z_sum_hutchinson_oracle(small_design):
 
 def test_z_sigma_scaling(small_problem):
     peak = float(np.max(np.abs(small_problem.forward.apply(small_problem.theta_true))))
-    d1 = DesignProblem(small_problem.G, NoiseModel(np.full(9, peak)), n_t=3)
-    d2 = DesignProblem(small_problem.G, NoiseModel(np.full(9, 2 * peak)), n_t=3)
+    d1 = DesignProblem(small_problem.G, NoiseModel(np.full(9, peak)))
+    d2 = DesignProblem(small_problem.G, NoiseModel(np.full(9, 2 * peak)))
     assert np.allclose(d2.z, d1.z / 4.0, rtol=1e-12)
 
 
@@ -224,7 +235,7 @@ def test_factor_path_matches_the_sweep_path(desk_design, case):
     whose sketch then costs no solve, equal those of a design that holds no factor."""
     rng = np.random.default_rng(50)
     w = desk_weights(desk_design, case, rng)
-    op = MisfitHessianOp(desk_design.G, w, desk_design.noise, desk_design.n_t)
+    op = MisfitHessianOp(desk_design.G, w, desk_design.noise)
     X = rng.standard_normal((desk_design.G.n, 7))
     swept, swept_v = op.matmat(X), op.matvec(X[:, 0])
     op.factor_t()
@@ -398,7 +409,7 @@ def test_eig_gradient_bound(small_design):
 
 def fresh_design(d):
     """A new DesignProblem over d's map, with its z constants computed."""
-    out = DesignProblem(d.G, d.noise, n_t=d.n_t)
+    out = DesignProblem(d.G, d.noise)
     out.ensure_z()
     return out
 
@@ -406,7 +417,7 @@ def fresh_design(d):
 def separate_eig_run(d, w, k, eig=None):
     """J, gradient, KL spectral term and spectrum from the pairs ``eig``, by default a
     separate exact_eigs run of an operator of its own, not d's held one, plus G.apply(U)."""
-    eig = exact_eigs(MisfitHessianOp(d.G, np.array(w, dtype=float), d.noise, d.n_t), k) if eig is None else eig
+    eig = exact_eigs(MisfitHessianOp(d.G, np.array(w, dtype=float), d.noise), k) if eig is None else eig
     lam = eig.lam
     S = (sensor_blocks(d.G.apply(eig.U), d.n_s, d.n_t) ** 2).sum(axis=0)
     grad = d.z - (S @ (lam / (1.0 + lam))) / d.noise.sigma**2
@@ -544,7 +555,7 @@ def test_misfit_op_holds_a_copy_of_w(small_design):
     w[0] = 0.0  # changed in place
     Bt = op.factor_t()
     assert Bt.shape == (d.G.n, r) and np.array_equal(op.w, original)
-    expect = MisfitHessianOp(d.G, original, d.noise, d.n_t).factor_t()
+    expect = MisfitHessianOp(d.G, original, d.noise).factor_t()
     assert np.linalg.norm(Bt - expect) <= 1e-12 * np.linalg.norm(expect)
     changed = d.misfit_op(w)
     assert changed is not op and changed.rank_bound == r - d.n_t and changed.held_factor is None
@@ -612,7 +623,7 @@ def test_first_reader_runs_the_one_z_step(tmp_path, small_design):
             "dense": lambda d: d.dense_reference(),
             "frozen": lambda d: d.build_frozen(8),
         }
-        d = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
+        d = DesignProblem(small_design.G, small_design.noise)
         spent = []
         for name in [first] + [name for name in readers if name != first] + ["ensure_z"]:
             with count_solves() as c:
@@ -628,7 +639,7 @@ def test_z_step_C_and_dense_G(small_design):
     """Without a cache file the z step's C is the Gram matrix of G^T, formed by
     apply_transpose on unit probes, bit for bit; G itself costs n_y adjoint solves
     and equals that G^T transposed, and the exact MAP point costs one adjoint solve."""
-    d = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
+    d = DesignProblem(small_design.G, small_design.noise)
     Gt = unit_probe_adjoints(d.G, np.arange(d.n_s))
     assert np.array_equal(d.ensure_z().C, Gt.T @ Gt)
     with count_solves() as c:
@@ -761,7 +772,7 @@ def test_held_Gt_is_built_once(tmp_path, small_design, first):
     h = config_hash_bytes("payload-a")
     n_y = small_design.G.n_y
     for cache_hit in (False, True):
-        d = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
+        d = DesignProblem(small_design.G, small_design.noise)
         d.ensure_z(tmp_path / "z.bin", h)
         spent = []
         for name in order:
@@ -996,7 +1007,7 @@ def count_decompositions(monkeypatch):
 def test_dense_reference_one_decomposition_per_design(small_design, monkeypatch):
     """objective, kl_estimate(..., "dense") and evaluate on one w share one eigh and no other
     factorization; a new w runs one more, and the reference holds only the last design."""
-    d = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
+    d = DesignProblem(small_design.G, small_design.noise)
     d.ensure_z()
     calls = count_decompositions(monkeypatch)
     rng = np.random.default_rng(7)
@@ -1052,7 +1063,7 @@ def test_dense_reference_accuracy_at_high_lambda(small_problem):
         C = Gt_mp.T * Gt_mp
         n_y = C.rows
         for rel in (3.0, 0.05, 1e-3, 1e-4):
-            d = DesignProblem(p.G, NoiseModel(np.full(n_s, rel * peak)), n_t=n_t)
+            d = DesignProblem(p.G, NoiseModel(np.full(n_s, rel * peak)))
             J, g, lam = d.dense_reference().evaluate(w)
             lam_max.append(lam[0])
             sig_sq = [mp.mpf(float(sig)) ** 2 for sig in d.noise.sigma]
@@ -1106,7 +1117,7 @@ def test_dense_reference_leaves_no_cycle(small_design):
     operators, as soon as its last reference goes: no cycle waits for a gc pass."""
     gc.disable()
     try:
-        d = DesignProblem(small_design.G, small_design.noise, n_t=small_design.n_t)
+        d = DesignProblem(small_design.G, small_design.noise)
         d.dense_reference()
         est = d.estimator("dense")
         est.evaluate(np.ones(d.n_s))
@@ -1232,7 +1243,7 @@ def test_mesh_eig_shape_costs_and_bounds(nx32_problem):
     core and each gradient entry within its "grad_eig_component" bound; at k = r the
     factor's spectrum is the whole spectrum and J matches the exact core to 1e-10."""
 
-    d = DesignProblem(nx32_problem.design.G, nx32_problem.design.noise, n_t=nx32_problem.design.n_t)
+    d = DesignProblem(nx32_problem.design.G, nx32_problem.design.noise)
     d.ensure_z()
     ref = d.dense_reference()
     k = 40

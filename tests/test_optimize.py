@@ -69,7 +69,7 @@ def test_penalty_config_validation():
     assert DEFAULT_SCHEDULE == tuple(0.5**i for i in range(1, 7))
 
 
-@pytest.mark.parametrize("solve", [solve_l1, solve_continuation])
+@pytest.mark.parametrize("solve", [solve_l1])  # continuation always starts from all 0.5
 def test_nan_w0_refused_before_any_evaluation(solve):
     est = CountingQuadratic()
     with pytest.raises(ConfigError, match="design weights"):
