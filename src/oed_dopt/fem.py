@@ -127,6 +127,7 @@ class MassFactor:
             lumped = np.asarray(M.sum(axis=1)).ravel()
             if np.any(lumped <= 0):
                 raise NumericalError("lumped mass has a nonpositive entry; M is not SPD")
+            self._lumped = lumped
             self._diag = np.sqrt(lumped)
             self.M = sp.diags(lumped).tocsr()
         else:
@@ -137,6 +138,12 @@ class MassFactor:
                 raise NumericalError("Cholesky factorization failed; M not SPD") from exc
             self._dense_R = C
             self.M = M
+
+    def apply_M(self, x: np.ndarray) -> np.ndarray:
+        """M x; lumped, a row scaling by the lumped entries that keeps x's memory order."""
+        if self.mode == "lumped":
+            return (x.T * self._lumped).T
+        return self.M @ x
 
     def apply_R(self, x: np.ndarray) -> np.ndarray:
         if self.mode == "lumped":

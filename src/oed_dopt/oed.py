@@ -213,8 +213,11 @@ def precompute_z(
     formed from that G^T, which is then dropped.  With a cache path, the file
     (keyed by a 32-byte configuration hash) holds z and C: a hit costs no
     solve, a miss writes it, and a file of another format is a warned miss.
+    An ``n_t`` other than the map's ``G.obs.n_t`` is refused before any solve.
     """
     n_s = noise.n_s
+    if n_t != G.obs.n_t:
+        raise ConfigError(f"n_t = {n_t}, but the forward map observes {G.obs.n_t} times")
     if cache_path is not None:
         if config_hash is None or len(config_hash) != 32:
             raise ConfigError("z cache needs a 32-byte configuration hash")
@@ -532,9 +535,10 @@ class DenseReference:
         return float(np.sum(np.log1p(spectrum))), per_sensor / self.noise.sigma_sq, spectrum
 
     def map_norm_sq(self, w, y_obs: np.ndarray) -> float:
-        """||x||^2 = (S u)^T C (S u) = sum lam c^2 of the whitened MAP point."""
+        """||x||^2 = (S u)^T C (S u) = sum lam c^2 of the whitened MAP point; y_obs of another length is refused."""
+        y_obs = check_observations(y_obs, self.n_s * self.n_t)
         a, SV, lam = self._decomposition(w)
-        c = (SV.T @ np.asarray(y_obs)[a]) / (1.0 + lam)
+        c = (SV.T @ y_obs[a]) / (1.0 + lam)
         return float(lam @ c**2)
 
 

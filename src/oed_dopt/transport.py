@@ -8,7 +8,11 @@ transposed step matrix, injecting observation residuals at the observed steps.
 Every sweep is one march, run gap by gap between observation steps: forward it
 records the sensor rows after each gap, in reverse it injects data before each
 gap.  The step matrix and its transpose are each factorized once, so both
-directions solve blocks of columns with SuperLU's plain solve.
+directions solve blocks of columns with SuperLU's plain solve.  A block wider
+than one column panel (a multiple of 8 columns of n doubles within 256 KiB)
+marches panel by panel through all of a gap's steps, so each panel stays in
+cache from step to step; the lumped mass multiplies as a vector, and blocks
+stay Fortran-ordered as SuperLU reads them.
 
 Observation vectors are stacked time-major: block m holds all sensors at
 observation time t_m, so entry (m, j) sits at position m * n_s + j (0-based).
@@ -132,6 +136,9 @@ def make_observation_setup(
     )
 
 
+# A column panel holds at most this many bytes of a block (n doubles a column).
+_PANEL_BYTES = 256 * 1024
+
 # Minimum-degree ordering on the pattern of A^T + A: the step matrix is nearly
 # symmetric and the prior operator symmetric, so it fills far less than COLAMD.
 _ORDERING = dict(permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
@@ -169,6 +176,8 @@ class ForwardMap:
     factorized once (``_lu`` and ``_lu_t``), so both sweep directions solve
     blocks with a plain solve.  :meth:`_march` is the one loop over time
     steps; every sweep calls it once per gap between observation steps.
+    ``_panel`` is its column-panel width: the largest multiple of 8 columns
+    whose n doubles fit in 256 KiB, and never fewer than 8.
     Forward and transpose applications accept a vector or a matrix of
     stacked columns (each column counts as one PDE solve in the global tally).
     """
@@ -184,7 +193,9 @@ class ForwardMap:
             raise ConfigError("kappa must be nonnegative")
         self.obs = obs
         self.M = mass.M  # effective mass matrix (lumped or consistent)
+        self.mass = mass
         self.n = ops.n
+        self._panel = max(8, _PANEL_BYTES // (8 * self.n) // 8 * 8)
         dt = obs.dt
         A = (self.M + dt * (kappa * ops.K + ops.N)).tocsc()
         self._lu = _factorize(A, 0.1, "time-step matrix")
@@ -197,13 +208,26 @@ class ForwardMap:
 
     def _march(self, X: np.ndarray, steps: int, adjoint: bool = False) -> np.ndarray:
         """``steps`` implicit-Euler steps on the block X: A^{-1} M X per step, or
-        M A^{-T} X if ``adjoint``.  The one place the step factors solve."""
-        for _ in range(steps):
-            if adjoint:
-                X = self.M @ _solve_by_width(self._lu_t, self._lu, X)
-            else:
-                X = _solve_by_width(self._lu, self._lu_t, self.M @ X)
-        return X
+        M A^{-T} X if ``adjoint``.  The one place the step factors solve.
+
+        The block is marched one column panel at a time, each through all the
+        steps.  Every panel of a block of two or more columns takes the plain
+        solve, a 1-column tail too, and a panel starts at a multiple of 8
+        columns, so each column meets the same BLAS kernels as in one
+        whole-block solve and the output is bitwise the same.  A single column
+        takes the other factor's transposed solve, as in :func:`_solve_by_width`.
+        """
+        own, other = (self._lu_t, self._lu) if adjoint else (self._lu, self._lu_t)
+        B = np.asfortranarray(X.reshape(self.n, -1))
+        solve = own.solve if B.shape[1] > 1 else lambda b: other.solve(b, trans="T")
+        apply_M, w = self.mass.apply_M, self._panel
+        out = np.empty(B.shape, order="F")
+        for j in range(0, B.shape[1], w):
+            P = B[:, j : j + w]
+            for _ in range(steps):
+                P = apply_M(solve(P)) if adjoint else solve(apply_M(P))
+            out[:, j : j + w] = P
+        return out.reshape(X.shape)
 
     def apply(self, theta: np.ndarray) -> np.ndarray:
         """y = F theta for a vector (n,) or matrix (n, m) of initial states."""

@@ -961,6 +961,25 @@ def test_dense_reference_zero_design(small_design):
     assert ref.map_norm_sq(w, np.random.default_rng(5).standard_normal(small_design.G.n_y)) == 0.0
 
 
+@pytest.mark.parametrize("n_obs", [50, 112], ids=["short", "long"])
+def test_dense_map_norm_refuses_y_obs_of_wrong_length(desk_design, n_obs):
+    """A direct DenseEstimator.map_norm_sq call checks y_obs's length: a long one is not
+    read in part, a short one is no IndexError.  Both are a ConfigError at 0 solves."""
+    est, w = desk_design.estimator("dense"), np.ones(desk_design.n_s)
+    with count_solves() as c, pytest.raises(ConfigError, match="y_obs has wrong length"):
+        est.map_norm_sq(w, np.ones(n_obs))
+    assert c.delta.total == 0
+
+
+def test_precompute_z_refuses_another_n_t_before_any_solve(desk_design):
+    """An n_t that is not the map's is a ConfigError before the z step's sweep, not a
+    reshape error after it."""
+    d = desk_design
+    with count_solves() as c, pytest.raises(ConfigError, match="observes 3 times"):
+        precompute_z(d.G, d.noise, 5)
+    assert c.delta.total == 0
+
+
 @pytest.mark.parametrize("case", ["small", "rows_above_n"])
 def test_dense_reference_binary_design_matches_dense_route(small_design, case):
     """On a binary design with inactive sensors the exact core agrees with the dense route:

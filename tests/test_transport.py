@@ -370,29 +370,40 @@ def _loop_trajectory(fwd, theta0):
     return traj, y
 
 
-@pytest.fixture(scope="module", params=[10, 32])
+@pytest.fixture(scope="module", params=[10, 32, "cholesky"])
 def march_problem(request, desk_problem):
-    """The desk instance (nx = 10) and its sensors and times on the nx = 32 mesh."""
+    """The desk instance (nx = 10), its sensors and times on the nx = 32 mesh, and the
+    desk instance with the consistent ("cholesky") mass in place of the lumped one."""
     if request.param == 10:
         return desk_problem
     return build_problem(
         make_config(
-            mesh={"nx": 32},
+            mesh={"nx": 10 if request.param == "cholesky" else 32},
             pde={"kappa": 0.05, "T": 2.0, "n_steps": 20},
             sensors={"grid": [7, 5], "margin": [0.2, 0.3]},
             obs={"times": [0.5, 1.0, 2.0]},
+            mass={"mode": "cholesky" if request.param == "cholesky" else "lumped"},
         )
     )
+
+
+@pytest.mark.parametrize("nx, panel", [(10, 264), (32, 24), (64, 8)])
+def test_march_panel_width(nx, panel):
+    """The column panel is the largest multiple of 8 columns of n doubles within 256 KiB,
+    and never fewer than 8: desk blocks (n = 121) are never split."""
+    problem = build_problem(make_config(mesh={"nx": nx}))
+    assert problem.forward._panel == panel
 
 
 def test_march_matches_step_loops_bitwise(march_problem):
     """Every sweep through ``ForwardMap._march`` runs the same solves in the same order as
     the per-step loops: outputs equal bit for bit at every width, with adjoint data that
-    ends early or is absent, and for all, several, one or no sensors, raw and whitened."""
+    ends early or is absent, and for all, several, one or no sensors, raw and whitened.
+    Blocks wider than a column panel are split, with a ragged tail of 5 columns or of 1."""
     fwd, G = march_problem.forward, march_problem.G
     n_s, n_t = fwd.obs.n_s, fwd.obs.n_t
     rng = np.random.default_rng(31)
-    for width in (None, 45, 1, 0):
+    for width in (None, 45, 1, 0, 2 * fwd._panel + 5, 2 * fwd._panel + 1):
         shape = () if width is None else (width,)
         theta = rng.standard_normal((fwd.n, *shape))
         assert np.array_equal(fwd.apply(theta), _loop_apply(fwd, theta))
