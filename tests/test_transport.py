@@ -396,8 +396,8 @@ def test_march_panel_width(nx, panel):
 
 
 def test_march_matches_step_loops_bitwise(march_problem):
-    """Every sweep through ``ForwardMap._march`` runs the same solves in the same order as
-    the per-step loops: outputs equal bit for bit at every width, with adjoint data that
+    """Every sweep through ``ForwardMap._march`` runs each column through the same solves
+    in the same order as the per-step loops: outputs equal bit for bit at every width, with adjoint data that
     ends early or is absent, and for all, several, one or no sensors, raw and whitened.
     Blocks wider than a column panel are split, with a ragged tail of 5 columns or of 1."""
     fwd, G = march_problem.forward, march_problem.G
