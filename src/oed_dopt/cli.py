@@ -95,7 +95,7 @@ def write_field_csv(path, values) -> None:
 
 
 def _prepare_design(problem, out_dir):
-    """Design problem with the z constants served from the on-disk cache."""
+    """Design problem with the z step's C = G G^T served from the on-disk cache."""
     design = problem.design
     design.ensure_z(os.path.join(out_dir, "z_cache.bin"), problem.z_config_hash())
     return design

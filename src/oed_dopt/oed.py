@@ -24,9 +24,9 @@ block per design, for any n once n_y <= DENSE_GUARD (checked only by
 method name to one of these four as an :class:`Estimator`.  The z step
 (:func:`precompute_z`) is the one producer of a DesignProblem's
 observation-space data: it forms G^T by one reverse sweep of the n_s sensor
-probes (n_y adjoint solves), forms z and C from it and drops it, or reads z
-and C from the z cache; the frozen factor and the dense reference read C with
-no solve, and no path forms G itself.
+probes (n_y adjoint solves), forms C from it and drops it, or reads C from the
+z cache.  z is sigma_j^{-2} times sensor j's share of diag(C); the frozen
+factor and the dense reference read C with no solve, and no path forms G itself.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .sketch import (
     subspace_iteration,
 )
 
-_ZCACHE_MAGIC = b"OEDZ0002"
+_ZCACHE_MAGIC = b"OEDZ0003"
 
 
 @dataclass(frozen=True)
@@ -78,14 +78,6 @@ class NoiseModel:
     @property
     def n_s(self) -> int:
         return len(self.sigma)
-
-
-@dataclass
-class SensorDerivConstants:
-    """z_j = tr(dH/dw_j) >= 0 and C = G G^T (n_y x n_y), both independent of the design weights."""
-
-    z: np.ndarray
-    C: np.ndarray
 
 
 def check_design_weights(w, n_s: int) -> np.ndarray:
@@ -166,15 +158,14 @@ class MisfitHessianOp:
         return self.held_svd
 
 
-def _zcache_write(path, config_hash: bytes, z: np.ndarray, C: np.ndarray) -> None:
+def _zcache_write(path, config_hash: bytes, C: np.ndarray) -> None:
     """Write the cache atomically: a temp file in the same directory, then a rename."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(_ZCACHE_MAGIC)
             f.write(config_hash)
-            f.write(struct.pack("<II", len(z), len(C)))
-            f.write(np.asarray(z, dtype="<f8").tobytes())
+            f.write(struct.pack("<I", len(C)))
             f.write(np.asarray(C, dtype="<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
@@ -182,20 +173,18 @@ def _zcache_write(path, config_hash: bytes, z: np.ndarray, C: np.ndarray) -> Non
         raise
 
 
-def _zcache_read(path, config_hash: bytes, n_s: int, n_y: int):
-    """Cached (z, C), or None for a malformed or older file or one keyed to another configuration."""
+def _zcache_read(path, config_hash: bytes, n_y: int):
+    """Cached C, or None for a malformed or older file or one keyed to another configuration."""
     with open(path, "rb") as f:
         raw = f.read()
-    off = len(_ZCACHE_MAGIC) + 32 + 8
+    off = len(_ZCACHE_MAGIC) + 32 + 4
     if len(raw) < off or raw[: len(_ZCACHE_MAGIC)] != _ZCACHE_MAGIC:
         return None
     if raw[len(_ZCACHE_MAGIC) : len(_ZCACHE_MAGIC) + 32] != config_hash:
         return None
-    if struct.unpack_from("<II", raw, off - 8) != (n_s, n_y) or len(raw) != off + 8 * (n_s + n_y * n_y):
+    if struct.unpack_from("<I", raw, off - 4) != (n_y,) or len(raw) != off + 8 * n_y * n_y:
         return None
-    z = np.frombuffer(raw, dtype="<f8", count=n_s, offset=off)
-    C = np.frombuffer(raw, dtype="<f8", count=n_y * n_y, offset=off + 8 * n_s)
-    return np.array(z), np.array(C).reshape(n_y, n_y)
+    return np.frombuffer(raw, dtype="<f8", offset=off).reshape(n_y, n_y).copy()
 
 
 def precompute_z(
@@ -204,36 +193,34 @@ def precompute_z(
     n_t: int,
     cache_path=None,
     config_hash: bytes | None = None,
-) -> SensorDerivConstants:
-    """Design-independent constants z and C = G G^T, one adjoint solve per (sensor, time).
+) -> np.ndarray:
+    """C = G G^T (n_y x n_y), design-independent, at one adjoint solve per (sensor, time).
 
-    z_j = sigma_j^{-2} sum_m ||G^T (v_m (x) e_j)||^2, the squared norms of
-    sensor j's columns of G^T.  A miss costs n_s * n_t adjoint solves (one
-    reverse sweep of the n_s probes, ``G.sensor_adjoints``); z and C are
-    formed from that G^T, which is then dropped.  With a cache path, the file
-    (keyed by a 32-byte configuration hash) holds z and C: a hit costs no
-    solve, a miss writes it, and a file of another format is a warned miss.
-    An ``n_t`` other than the map's ``G.obs.n_t`` is refused before any solve.
+    z_j = sigma_j^{-2} sum_m ||G^T (v_m (x) e_j)||^2 is sigma_j^{-2} times sensor
+    j's share of diag(C) (:attr:`DesignProblem.z`).  A miss costs n_s * n_t
+    adjoint solves (one reverse sweep of the n_s probes, ``G.sensor_adjoints``);
+    C is formed from that G^T, which is then dropped.  With a cache path, the
+    file (keyed by a 32-byte configuration hash) holds C: a hit costs no solve,
+    a miss writes it, and a file of another format is a warned miss.  An
+    ``n_t`` other than the map's ``G.obs.n_t`` is refused before any solve;
+    ``noise`` is unused, as C does not depend on it.
     """
-    n_s = noise.n_s
     if n_t != G.obs.n_t:
         raise ConfigError(f"n_t = {n_t}, but the forward map observes {G.obs.n_t} times")
     if cache_path is not None:
         if config_hash is None or len(config_hash) != 32:
             raise ConfigError("z cache needs a 32-byte configuration hash")
         if os.path.exists(cache_path):
-            cached = _zcache_read(cache_path, config_hash, n_s, n_s * n_t)
-            if cached is not None:
-                return SensorDerivConstants(z=cached[0], C=cached[1])
+            C = _zcache_read(cache_path, config_hash, G.n_y)
+            if C is not None:
+                return C
             warnings.warn("z cache is malformed or does not match configuration; recomputing", stacklevel=2)
 
-    Gt = G.sensor_adjoints(np.arange(n_s))
-    col_sq = np.einsum("ny,ny->y", Gt, Gt)
-    z = sensor_blocks(col_sq, n_s, n_t).sum(axis=0) / noise.sigma_sq
+    Gt = G.sensor_adjoints(np.arange(G.obs.n_s))
     C = Gt.T @ Gt
     if cache_path is not None:
-        _zcache_write(cache_path, config_hash, z, C)
-    return SensorDerivConstants(z=z, C=C)
+        _zcache_write(cache_path, config_hash, C)
+    return C
 
 
 class DesignProblem:
@@ -241,8 +228,9 @@ class DesignProblem:
 
     Wraps the whitened forward map G, whose ``obs`` is the observation layout
     (n_s sensors times n_t times, time-major), and a noise model of one sigma
-    per sensor.  All estimators share the constants z of the design's one z
-    step; the frozen factor and the dense reference share its C = G G^T.
+    per sensor.  The design's one z step gives C = G G^T: the estimators share
+    the constants z read off its diagonal, and the frozen factor and the dense
+    reference share C itself.
     """
 
     def __init__(self, G, noise: NoiseModel):
@@ -251,7 +239,7 @@ class DesignProblem:
         self.n_s, self.n_t = G.obs.n_s, G.obs.n_t
         if noise.n_s != self.n_s:
             raise ConfigError(f"the noise model has {noise.n_s} sensors, the forward map {self.n_s}")
-        self._z: SensorDerivConstants | None = None
+        self._C: np.ndarray | None = None
         self._dense: DenseReference | None = None
         self._op: MisfitHessianOp | None = None  # of the last design, with its estimator data
         self._frozen: tuple | None = None  # (k_f, factor) of the last build_frozen
@@ -262,20 +250,20 @@ class DesignProblem:
     def rank_bound(self) -> int:
         return min(self.G.n_y, self.G.n)
 
-    def ensure_z(self, cache_path=None, config_hash=None) -> SensorDerivConstants:
-        """z and C of the design's one z step, run on the first call of any reader.
+    def ensure_z(self, cache_path=None, config_hash=None) -> np.ndarray:
+        """C = G G^T of the design's one z step, run on the first call of any reader.
 
         The cache arguments apply to that first step only; a later call
-        returns the held constants whatever it is given.
+        returns the held C whatever it is given.
         """
-        if self._z is None:
-            self._z = precompute_z(self.G, self.noise, self.n_t, cache_path, config_hash)
-        return self._z
+        if self._C is None:
+            self._C = precompute_z(self.G, self.noise, self.n_t, cache_path, config_hash)
+        return self._C
 
     @property
     def C(self) -> np.ndarray:
         """C = G G^T as an (n_y, n_y) array, from the design's one z step."""
-        return self.ensure_z().C
+        return self.ensure_z()
 
     @property
     def dense_allowed(self) -> bool:
@@ -284,7 +272,8 @@ class DesignProblem:
 
     @property
     def z(self) -> np.ndarray:
-        return self.ensure_z().z
+        """z_j = tr(dH/dw_j) = sigma_j^{-2} sum over sensor j's rows r of C_rr, each >= 0."""
+        return sensor_blocks(np.diag(self.C), self.n_s, self.n_t).sum(axis=0) / self.noise.sigma_sq
 
     def misfit_op(self, w) -> MisfitHessianOp:
         """H(w), held for the last design: the one place the Eig-k, randomized and MAP paths
@@ -524,7 +513,9 @@ class DenseReference:
     def spectrum(self, w) -> np.ndarray:
         """The n eigenvalues of H(w), descending: those of S_a C_aa S_a, zero-padded or cut to n."""
         lam = self._decomposition(w)[2][::-1][: self.n]
-        return np.pad(lam, (0, self.n - len(lam)))
+        out = np.zeros(self.n)
+        out[: len(lam)] = lam
+        return out
 
     def evaluate(self, w):
         """(J, grad, spectrum) for one design, all exact; J sums the spectrum."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fem import AssembledOperators, MassFactor
-from .transport import ForwardMap, _factorize, _solve_by_width
+from .transport import ForwardMap, _factorize, _solver
 
 
 class PriorOperator:
@@ -41,11 +41,13 @@ class PriorOperator:
         self._lu = _factorize(self.L, 0.0, "prior operator")
 
     def solve_L(self, b: np.ndarray) -> np.ndarray:
-        return _solve_by_width(self._lu, self._lu, np.asarray(b, dtype=float))
+        b = np.asarray(b, dtype=float)
+        return _solver(self._lu, self._lu, b)(b)
 
     def solve_Lt(self, b: np.ndarray) -> np.ndarray:
         # L is assembled exactly symmetric, so L^{-T} b = L^{-1} b
-        return _solve_by_width(self._lu, self._lu, np.asarray(b, dtype=float))
+        b = np.asarray(b, dtype=float)
+        return _solver(self._lu, self._lu, b)(b)
 
     def weighted_norm_sq(self, theta: np.ndarray) -> float:
         """Squared prior-precision norm theta^T L M^{-1} L theta = ||R^{-1} L theta||^2."""

@@ -74,7 +74,7 @@ class Problem:
         return synthesize_data(self.y_clean, self.obs.n_s, self.config.noise.pct, self.seeds["noise"])
 
     def z_config_hash(self) -> bytes:
-        """Hash of every configuration section, in field order, but those that leave z unchanged."""
+        """Hash of every configuration section, in field order, but those that leave the z step's C unchanged."""
         cfg = self.config
         sections = [f.name for f in fields(cfg) if f.name not in ("sketch", "opt", "seeds")]
         return config_hash_bytes("|".join(cfg.canonical_json_section(name) for name in sections))

@@ -156,17 +156,17 @@ def _factorize(A: sp.csc_matrix, diag_pivot_thresh: float, what: str):
         raise NumericalError(f"{what} factorization failed: {exc}") from exc
 
 
-def _solve_by_width(own, other, B: np.ndarray) -> np.ndarray:
-    """X = S^{-1} B, where ``own`` factors S and ``other`` factors S^T.
+def _solver(own, other, B: np.ndarray):
+    """The solve b -> S^{-1} b for blocks as wide as B; ``own`` factors S, ``other`` S^T.
 
     A block of two or more columns takes ``own``'s plain solve, SuperLU's
-    blocked supernodal path.  A single column takes ``other``'s transposed
-    solve, a per-column triangular sweep that is faster for one right-hand
-    side.  For a symmetric S both arguments are the same factor.
+    blocked supernodal path.  A single column (or a vector) takes ``other``'s
+    transposed solve, a per-column triangular sweep that is faster for one
+    right-hand side.  For a symmetric S both arguments are the same factor.
     """
     if B.ndim == 2 and B.shape[1] > 1:
-        return own.solve(B)
-    return other.solve(B, trans="T")
+        return own.solve
+    return lambda b: other.solve(b, trans="T")
 
 
 class ForwardMap:
@@ -215,11 +215,11 @@ class ForwardMap:
         solve, a 1-column tail too, and a panel starts at a multiple of 8
         columns, so each column meets the same BLAS kernels as in one
         whole-block solve and the output is bitwise the same.  A single column
-        takes the other factor's transposed solve, as in :func:`_solve_by_width`.
+        takes the other factor's transposed solve (:func:`_solver`).
         """
         own, other = (self._lu_t, self._lu) if adjoint else (self._lu, self._lu_t)
         B = np.asfortranarray(X.reshape(self.n, -1))
-        solve = own.solve if B.shape[1] > 1 else lambda b: other.solve(b, trans="T")
+        solve = _solver(own, other, B)
         apply_M, w = self.mass.apply_M, self._panel
         out = np.empty(B.shape, order="F")
         for j in range(0, B.shape[1], w):

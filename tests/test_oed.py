@@ -109,22 +109,26 @@ def test_z_sigma_scaling(small_problem):
 def test_z_cache_round_trip(tmp_path, small_design):
     h = config_hash_bytes("payload-a")
     path = tmp_path / "z.bin"
+    n_y = small_design.G.n_y
     with count_solves() as c1:
-        z1 = precompute_z(small_design.G, small_design.noise, small_design.n_t, path, h)
-    assert c1.delta.adjoint == small_design.G.n_y
+        C1 = precompute_z(small_design.G, small_design.noise, small_design.n_t, path, h)
+    assert c1.delta.adjoint == n_y
+    assert isinstance(C1, np.ndarray) and C1.shape == (n_y, n_y)
+    # magic, hash, n_y and C
+    assert path.read_bytes()[:8] == b"OEDZ0003" and path.stat().st_size == 8 + 32 + 4 + 8 * n_y**2
     with count_solves() as c2:
-        z2 = precompute_z(small_design.G, small_design.noise, small_design.n_t, path, h)
+        C2 = precompute_z(small_design.G, small_design.noise, small_design.n_t, path, h)
     assert c2.delta.adjoint == 0  # served from cache
-    assert np.array_equal(z1.z, z2.z)
+    assert np.array_equal(C1, C2)
     with pytest.warns(UserWarning, match="cache"):
-        z3 = precompute_z(small_design.G, small_design.noise, small_design.n_t, path, config_hash_bytes("payload-b"))
-    assert np.allclose(z3.z, z1.z)
+        C3 = precompute_z(small_design.G, small_design.noise, small_design.n_t, path, config_hash_bytes("payload-b"))
+    assert np.allclose(C3, C1)
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda raw: raw[:-5],  # truncated inside z
+        lambda raw: raw[:-5],  # truncated inside C
         lambda raw: raw[:20],  # truncated inside the header
         lambda raw: raw + b"\x00" * 8,  # trailing bytes
         lambda raw: raw[:40] + b"\xff\xff\xff\xff" + raw[44:],  # absurd length field
@@ -136,12 +140,12 @@ def test_z_cache_malformed_is_a_miss(tmp_path, small_design, corrupt):
     d = small_design
     h = config_hash_bytes("payload-a")
     path = tmp_path / "z.bin"
-    z1 = precompute_z(d.G, d.noise, d.n_t, path, h)
+    C1 = precompute_z(d.G, d.noise, d.n_t, path, h)
     path.write_bytes(corrupt(path.read_bytes()))
     with count_solves() as c, pytest.warns(UserWarning, match="malformed"):
-        z2 = precompute_z(d.G, d.noise, d.n_t, path, h)
+        C2 = precompute_z(d.G, d.noise, d.n_t, path, h)
     assert (c.delta.forward, c.delta.adjoint) == (0, d.G.n_y)
-    assert np.array_equal(z1.z, z2.z)
+    assert np.array_equal(C1, C2)
     # rewritten whole, with no temp file left beside it
     assert [p.name for p in tmp_path.iterdir()] == ["z.bin"]
     with count_solves() as c:
@@ -150,25 +154,31 @@ def test_z_cache_malformed_is_a_miss(tmp_path, small_design, corrupt):
 
 
 def test_z_cache_old_format_is_recomputed(tmp_path, small_design):
-    """A well-formed cache of the previous format (z alone, magic OEDZ0001) is a warned
-    miss, and is rewritten in the current format, with C = G G^T beside z."""
+    """A well-formed cache of either earlier format (z alone, magic OEDZ0001; z and C,
+    magic OEDZ0002) is a warned miss at n_y adjoint solves, and is rewritten in the
+    current format, C alone."""
     import struct
 
     d = small_design
     h = config_hash_bytes("payload-a")
-    path = tmp_path / "z.bin"
-    path.write_bytes(b"OEDZ0001" + h + struct.pack("<I", d.n_s) + np.asarray(d.z, dtype="<f8").tobytes())
-    with count_solves() as c, pytest.warns(UserWarning, match="malformed"):
-        z1 = precompute_z(d.G, d.noise, d.n_t, path, h)
-    assert (c.delta.forward, c.delta.adjoint) == (0, d.G.n_y)
-    assert path.read_bytes()[:8] == b"OEDZ0002"
-    with count_solves() as c:
-        z2 = precompute_z(d.G, d.noise, d.n_t, path, h)
-    assert c.delta.total == 0
-    assert np.array_equal(z2.z, z1.z) and np.array_equal(z2.C, z1.C)
-    # with or without a cache file, the z step returns the same z and C
-    plain = precompute_z(d.G, d.noise, d.n_t)
-    assert np.array_equal(plain.z, z1.z) and np.array_equal(plain.C, z1.C)
+    z, C = (np.asarray(a, dtype="<f8").tobytes() for a in (d.z, d.C))
+    older = {
+        b"OEDZ0001": struct.pack("<I", d.n_s) + z,
+        b"OEDZ0002": struct.pack("<II", d.n_s, d.G.n_y) + z + C,
+    }
+    for magic, body in older.items():
+        path = tmp_path / f"{magic.decode()}.bin"
+        path.write_bytes(magic + h + body)
+        with count_solves() as c, pytest.warns(UserWarning, match="malformed"):
+            C1 = precompute_z(d.G, d.noise, d.n_t, path, h)
+        assert (c.delta.forward, c.delta.adjoint) == (0, d.G.n_y), magic
+        assert path.read_bytes()[:8] == b"OEDZ0003"
+        with count_solves() as c:
+            C2 = precompute_z(d.G, d.noise, d.n_t, path, h)
+        assert c.delta.total == 0
+        assert np.array_equal(C2, C1)
+    # with or without a cache file, the z step returns the same C
+    assert np.array_equal(precompute_z(d.G, d.noise, d.n_t), C1)
 
 
 def test_objective_grad_eig_zero_design(small_design):
@@ -641,7 +651,7 @@ def test_z_step_C_and_dense_G(small_design):
     and equals that G^T transposed, and the exact MAP point costs one adjoint solve."""
     d = DesignProblem(small_design.G, small_design.noise)
     Gt = unit_probe_adjoints(d.G, np.arange(d.n_s))
-    assert np.array_equal(d.ensure_z().C, Gt.T @ Gt)
+    assert np.array_equal(d.ensure_z(), Gt.T @ Gt)
     with count_solves() as c:
         G = dense_G(d)
     assert (c.delta.forward, c.delta.adjoint) == (0, d.G.n_y)
@@ -783,7 +793,7 @@ def test_held_Gt_is_built_once(tmp_path, small_design, first):
             dense_G(d)
         spent.append((c.delta.forward, c.delta.adjoint))
         assert spent == [(0, 0), (0, 0), (0, n_y)], f"cache hit: {cache_hit}"
-        assert d.C is d.ensure_z().C
+        assert d.C is d.ensure_z()
 
 
 def test_kl_zero_design_is_zero(small_design):
@@ -1127,7 +1137,7 @@ def test_dense_reference_guard():
         with count_solves() as c, pytest.raises(ConfigError, match="refused for n_y = 602 > 600"):
             build()
         assert c.delta.total == 0
-    assert d._z is None
+    assert d._C is None
 
 
 def test_dense_reference_leaves_no_cycle(small_design):
@@ -1289,3 +1299,50 @@ def test_mesh_eig_shape_costs_and_bounds(nx32_problem):
         assert abs(g_ref[j] - g[j]) <= bound + 1e-10 * np.abs(g_ref).max()
 
     assert d.objective_eig(w, r) == pytest.approx(J_ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("which", ["desk", "nx32"])
+def test_z_is_read_off_the_diagonal_of_C(request, which):
+    """z is sigma^-2 times each sensor's share of diag(C), bit for bit, and agrees to 1e-14
+    relative with its definition: the squared norms of sensor j's columns of G^T."""
+    d = request.getfixturevalue("desk_design") if which == "desk" else request.getfixturevalue("nx32_problem").design
+    assert np.array_equal(d.z, sensor_blocks(np.diag(d.C), d.n_s, d.n_t).sum(axis=0) / d.noise.sigma**2)
+    Gt = d.G.sensor_adjoints(np.arange(d.n_s))
+    z_cols = sensor_blocks(np.einsum("ny,ny->y", Gt, Gt), d.n_s, d.n_t).sum(axis=0) / d.noise.sigma**2
+    assert np.max(np.abs(d.z - z_cols) / z_cols) <= 1e-14
+
+
+def test_rand_ladder_at_nx32_within_expectation_bounds(nx32_problem):
+    """At nx = 32 (n = 1,089) and w = 0.5, the randomized estimator (k=40 p=5 q=1) over 5 seeds
+    has a mean J error within the "logdet_rand" bound and a mean gradient-norm error within
+    the "grad_norm_rand" bound of the exact core's spectrum."""
+    d = nx32_problem.design
+    w = np.full(d.n_s, 0.5)
+    J_ref, g_ref, lam = d.dense_reference().evaluate(w)
+    cfg = SketchConfig(k=40, p=5, q=1)
+    split = SpectrumSplit.from_spectrum(lam, cfg.k)
+    e_J, e_grad = [], []
+    for seed in range(5):
+        J, g = d.estimator("rand", cfg=SketchConfig(k=40, p=5, q=1, seed=seed)).evaluate(w)
+        e_J.append(abs(J_ref - J))
+        e_grad.append(np.linalg.norm(g_ref - g))
+    assert np.mean(e_J) <= error_bounds(split, cfg, "logdet_rand")
+    assert np.mean(e_grad) <= error_bounds(split, cfg, "grad_norm_rand", z_norms=sensor_z_norms(d))
+
+
+def test_frozen_ladder_at_nx32_within_truncation_bound(nx32_problem):
+    """At nx = 32 the frozen factor of build_frozen(45) gives 0 <= J - J_froz <= the "frozen"
+    bound on 20 random designs; the discarded part is that of eig(C) / sigma^2, the squared
+    singular values of the noise-whitened G (one sigma for every sensor)."""
+    d = nx32_problem.design
+    sigma = d.noise.sigma[0]
+    assert np.all(d.noise.sigma == sigma)
+    k_f = 45
+    frozen = d.build_frozen(k_f)
+    bound = error_bounds(SpectrumSplit.from_spectrum(np.linalg.eigvalsh(d.C) / sigma**2, k_f), None, "frozen")
+    ref = d.dense_reference()
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        w = rng.uniform(0.0, 1.0, d.n_s)
+        gap = ref.evaluate(w)[0] - d.objective_grad_frozen(w, frozen)[0]
+        assert -1e-10 <= gap <= bound + 1e-10

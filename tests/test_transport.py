@@ -8,7 +8,7 @@ from oed_dopt.accounting import count_solves
 from oed_dopt.errors import ConfigError
 from oed_dopt.fem import build_mesh
 from oed_dopt.problem import build_problem
-from oed_dopt.transport import VelocityField, _solve_by_width, make_observation_setup, synthesize_data
+from oed_dopt.transport import VelocityField, _solver, make_observation_setup, synthesize_data
 
 
 def test_velocity_divergence_free_and_tangential():
@@ -319,7 +319,7 @@ def _loop_apply(fwd, theta):
     Y = np.empty((obs.n_y, U.shape[1]))
     obs_lookup = {step: i for i, step in enumerate(obs.obs_steps)}
     for m in range(1, obs.obs_steps[-1] + 1):
-        U = _solve_by_width(fwd._lu, fwd._lu_t, fwd.M @ U)
+        U = _solver(fwd._lu, fwd._lu_t, U)(fwd.M @ U)
         i = obs_lookup.get(m)
         if i is not None:
             Y[i * obs.n_s : (i + 1) * obs.n_s, :] = U[obs.sensor_nodes, :]
@@ -336,7 +336,7 @@ def _loop_apply_transpose(fwd, ybar):
         i = obs_lookup.get(m)
         if i is not None:
             G[obs.sensor_nodes, :] += Y[i * obs.n_s : (i + 1) * obs.n_s, :]
-        G = fwd.M @ _solve_by_width(fwd._lu_t, fwd._lu, G)
+        G = fwd.M @ _solver(fwd._lu_t, fwd._lu, G)(G)
     return G[:, 0] if ybar.ndim == 1 else G
 
 
@@ -348,7 +348,7 @@ def _loop_sensor_adjoints(fwd, sensors):
     done = 0
     for i, step in enumerate(obs.obs_steps if ns else ()):
         for _ in range(done, step):
-            X = fwd.M @ _solve_by_width(fwd._lu_t, fwd._lu, X)
+            X = fwd.M @ _solver(fwd._lu_t, fwd._lu, X)(X)
         done = step
         out[:, i * ns : (i + 1) * ns] = X
     return out
@@ -362,7 +362,7 @@ def _loop_trajectory(fwd, theta0):
     obs_lookup = {step: i for i, step in enumerate(obs.obs_steps)}
     u = theta0
     for m in range(1, obs.n_steps + 1):
-        u = _solve_by_width(fwd._lu, fwd._lu_t, fwd.M @ u)
+        u = _solver(fwd._lu, fwd._lu_t, u)(fwd.M @ u)
         traj[m] = u
         i = obs_lookup.get(m)
         if i is not None:
