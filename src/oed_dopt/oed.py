@@ -198,8 +198,10 @@ def precompute_z(
 
     z_j = sigma_j^{-2} sum_m ||G^T (v_m (x) e_j)||^2 is sigma_j^{-2} times sensor
     j's share of diag(C) (:attr:`DesignProblem.z`).  A miss costs n_s * n_t
-    adjoint solves (one reverse sweep of the n_s probes, ``G.sensor_adjoints``);
-    C is formed from that G^T, which is then dropped.  With a cache path, the
+    adjoint solves (one reverse sweep of the n_s probes, ``G.sensor_adjoints``),
+    which marches into one (n, n_y) G^T and whitens it in place, panel by panel,
+    so the step's peak is G^T and a few column panels; C is formed from that
+    G^T, which is then dropped.  With a cache path, the
     file (keyed by a 32-byte configuration hash) holds C: a hit costs no solve,
     a miss writes it, and a file of another format is a warned miss.  An
     ``n_t`` other than the map's ``G.obs.n_t`` is refused before any solve;

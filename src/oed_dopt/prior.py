@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fem import AssembledOperators, MassFactor
-from .transport import ForwardMap, _factorize, _solver
+from .transport import ForwardMap, _factorize, _panels, _solver
 
 
 class PriorOperator:
@@ -82,12 +82,18 @@ class WhitenedForwardMap:
         return self.prior.mass.apply_Rt(self.prior.solve_Lt(self.forward.apply_transpose(y)))
 
     def sensor_adjoints(self, sensors) -> np.ndarray:
-        """G^T on unit probes, as :meth:`ForwardMap.sensor_adjoints`; whitened in place, block by block."""
+        """G^T on unit probes, as :meth:`ForwardMap.sensor_adjoints`, whitened in place.
+
+        Each time's block is whitened in the forward map's column panels, from its
+        first column, so the sweep's peak is its one output plus a few panels, and
+        each column meets the same solves as in one whole-block solve.
+        """
         Gt = self.forward.sensor_adjoints(sensors)
         ns = Gt.shape[1] // self.obs.n_t
         for i in range(self.obs.n_t if ns else 0):
-            cols = slice(i * ns, (i + 1) * ns)
-            Gt[:, cols] = self.prior.mass.apply_Rt(self.prior.solve_Lt(Gt[:, cols]))
+            block = Gt[:, i * ns : (i + 1) * ns]
+            for cols in _panels(ns, self.forward._panel):
+                block[:, cols] = self.prior.mass.apply_Rt(self.prior.solve_Lt(block[:, cols]))
         return Gt
 
     def field_from_whitened(self, x: np.ndarray) -> np.ndarray:

@@ -29,11 +29,14 @@ def gaussian_bumps(nodes: np.ndarray, bumps: list) -> np.ndarray:
 
 @dataclass
 class Problem:
-    """Everything a command or test needs for one configuration."""
+    """Everything a command or test needs for one configuration.
+
+    The assembled K, M and N are not kept: the forward map and the prior hold
+    the sparse matrices and factors they solve with, and the mass factor M.
+    """
 
     config: ExperimentConfig
     mesh: object
-    ops: object
     mass: object
     obs: object
     forward: ForwardMap
@@ -99,7 +102,6 @@ def build_problem(config: ExperimentConfig) -> Problem:
     return Problem(
         config=config,
         mesh=mesh,
-        ops=ops,
         mass=mass,
         obs=obs,
         forward=forward,

@@ -8,11 +8,17 @@ transposed step matrix, injecting observation residuals at the observed steps.
 Every sweep is one march, run gap by gap between observation steps: forward it
 records the sensor rows after each gap, in reverse it injects data before each
 gap.  The step matrix and its transpose are each factorized once, so both
-directions solve blocks of columns with SuperLU's plain solve.  A block wider
-than one column panel (a multiple of 8 columns of n doubles within 256 KiB)
-marches panel by panel through all of a gap's steps, so each panel stays in
-cache from step to step; the lumped mass multiplies as a vector, and blocks
-stay Fortran-ordered as SuperLU reads them.
+directions solve blocks of columns with SuperLU's plain solve.  The transpose
+is factorized with the map, because every problem reads it: its transposed
+solve serves a single forward column (the clean data) and its plain solve the
+adjoint blocks of the z sweep.  The step matrix itself is factorized on the
+first solve that reads it, a forward block or a single adjoint column, so a
+set-up that runs neither holds one factor.  A block wider than one column
+panel (a multiple of 8 columns of n doubles within 256 KiB) marches panel by
+panel through all of a gap's steps, so each panel stays in cache from step to
+step; the lumped mass multiplies as a vector, and blocks stay Fortran-ordered
+as SuperLU reads them.  The sensor sweep writes each gap's panels straight
+into its one Fortran-ordered output.
 
 Observation vectors are stacked time-major: block m holds all sensors at
 observation time t_m, so entry (m, j) sits at position m * n_s + j (0-based).
@@ -21,6 +27,7 @@ observation time t_m, so entry (m, j) sits at position m * n_s + j (0-based).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -156,6 +163,11 @@ def _factorize(A: sp.csc_matrix, diag_pivot_thresh: float, what: str):
         raise NumericalError(f"{what} factorization failed: {exc}") from exc
 
 
+def _wide(B: np.ndarray) -> bool:
+    """The width rule: whether B is a block of two or more columns (not one column or a vector)."""
+    return B.ndim == 2 and B.shape[1] > 1
+
+
 def _solver(own, other, B: np.ndarray):
     """The solve b -> S^{-1} b for blocks as wide as B; ``own`` factors S, ``other`` S^T.
 
@@ -164,9 +176,23 @@ def _solver(own, other, B: np.ndarray):
     transposed solve, a per-column triangular sweep that is faster for one
     right-hand side.  For a symmetric S both arguments are the same factor.
     """
-    if B.ndim == 2 and B.shape[1] > 1:
+    if _wide(B):
         return own.solve
     return lambda b: other.solve(b, trans="T")
+
+
+def _panels(m: int, w: int):
+    """Column slices of a block of m columns, w at a time from column 0.
+
+    A 1-column tail joins the panel before it, so every panel of a block of two
+    or more columns is itself wide.  With w a multiple of 8, each panel starts at
+    a multiple of 8 columns, so each column meets the same BLAS kernels as in one
+    whole-block solve, and the output is bitwise the same.
+    """
+    starts = list(range(0, m, w))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]
 
 
 class ForwardMap:
@@ -174,7 +200,9 @@ class ForwardMap:
 
     The step matrix A = M + dt (kappa K + N) and its transpose are each
     factorized once (``_lu`` and ``_lu_t``), so both sweep directions solve
-    blocks with a plain solve.  :meth:`_march` is the one loop over time
+    blocks with a plain solve.  ``_lu_t`` is built with the map; ``_lu`` on
+    first use, by the first forward block or single adjoint column, and until
+    then the map holds A in CSC form.  :meth:`_march` is the one loop over time
     steps; every sweep calls it once per gap between observation steps.
     ``_panel`` is its column-panel width: the largest multiple of 8 columns
     whose n doubles fit in 256 KiB, and never fewer than 8.
@@ -196,37 +224,43 @@ class ForwardMap:
         self.mass = mass
         self.n = ops.n
         self._panel = max(8, _PANEL_BYTES // (8 * self.n) // 8 * 8)
-        dt = obs.dt
-        A = (self.M + dt * (kappa * ops.K + ops.N)).tocsc()
-        self._lu = _factorize(A, 0.1, "time-step matrix")
-        self._lu_t = _factorize(A.T.tocsc(), 0.1, "transposed time-step matrix")
+        self._A = (self.M + obs.dt * (kappa * ops.K + ops.N)).tocsc()
+        self._lu_t = _factorize(self._A.T.tocsc(), 0.1, "transposed time-step matrix")
         self._gaps = np.diff(obs.obs_steps, prepend=0).tolist()  # steps between observation steps, from step 0
+
+    @cached_property
+    def _lu(self):
+        """The factor of A itself, built on first use; the map then drops its A."""
+        lu = _factorize(self._A, 0.1, "time-step matrix")
+        del self._A
+        return lu
 
     @property
     def n_y(self) -> int:
         return self.obs.n_y
 
-    def _march(self, X: np.ndarray, steps: int, adjoint: bool = False) -> np.ndarray:
+    def _march(self, X: np.ndarray, steps: int, adjoint: bool = False, out: np.ndarray | None = None) -> np.ndarray:
         """``steps`` implicit-Euler steps on the block X: A^{-1} M X per step, or
         M A^{-T} X if ``adjoint``.  The one place the step factors solve.
 
-        The block is marched one column panel at a time, each through all the
-        steps.  Every panel of a block of two or more columns takes the plain
-        solve, a 1-column tail too, and a panel starts at a multiple of 8
-        columns, so each column meets the same BLAS kernels as in one
-        whole-block solve and the output is bitwise the same.  A single column
-        takes the other factor's transposed solve (:func:`_solver`).
+        The block is marched one column panel at a time (:func:`_panels`), each
+        through all the steps, and each panel is written to ``out`` (a new array
+        if None; X itself is allowed) once its last step is done.  A block of two
+        or more columns takes its direction's own factor's plain solve, a single
+        column the other factor's transposed solve (:func:`_solver`); the factor
+        is picked before either is touched, so ``_lu`` is built only to solve.
         """
-        own, other = (self._lu_t, self._lu) if adjoint else (self._lu, self._lu_t)
         B = np.asfortranarray(X.reshape(self.n, -1))
-        solve = _solver(own, other, B)
-        apply_M, w = self.mass.apply_M, self._panel
-        out = np.empty(B.shape, order="F")
-        for j in range(0, B.shape[1], w):
-            P = B[:, j : j + w]
+        factor = self._lu_t if adjoint == _wide(B) else self._lu
+        solve = _solver(factor, factor, B)
+        apply_M = self.mass.apply_M
+        if out is None:
+            out = np.empty(B.shape, order="F")
+        for cols in _panels(B.shape[1], self._panel):
+            P = B[:, cols]
             for _ in range(steps):
                 P = apply_M(solve(P)) if adjoint else solve(apply_M(P))
-            out[:, j : j + w] = P
+            out[:, cols] = P
         return out.reshape(X.shape)
 
     def apply(self, theta: np.ndarray) -> np.ndarray:
@@ -268,16 +302,20 @@ class ForwardMap:
 
         The reverse step is time-invariant, so a probe's adjoint at step m is the
         probe after m reverse steps: one sweep to the last observation step records
-        every time's block.  Each column counts one adjoint solve, as in apply_transpose.
+        every time's block.  The probes start in the first time's block, and each
+        gap marches the previous block into the next, panel by panel, so the sweep
+        holds the Fortran-ordered output and a few panels.  Each column counts one
+        adjoint solve, as in apply_transpose.
         """
         sensors = np.asarray(sensors, dtype=int).ravel()
         obs, ns = self.obs, len(sensors)
-        out = np.empty((self.n, obs.n_t * ns))
-        X = np.zeros((self.n, ns))
-        X[obs.sensor_nodes[sensors], np.arange(ns)] = 1.0
+        out = np.zeros((self.n, obs.n_t * ns), order="F")
+        out[obs.sensor_nodes[sensors], np.arange(ns)] = 1.0
+        prev = slice(0, ns)
         for i, gap in enumerate(self._gaps if ns else ()):
-            X = self._march(X, gap, adjoint=True)
-            out[:, i * ns : (i + 1) * ns] = X
+            cols = slice(i * ns, (i + 1) * ns)
+            self._march(out[:, prev], gap, adjoint=True, out=out[:, cols])
+            prev = cols
         solve_counter.add_adjoint(obs.n_t * ns)
         return out
 

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from oed_dopt.config import ExperimentConfig
+from oed_dopt.fem import assemble
 from oed_dopt.oed import DesignProblem, NoiseModel, weighted_diag
 from oed_dopt.problem import build_problem
+from oed_dopt.transport import VelocityField
 
 warnings.filterwarnings("ignore", message="sketch subspace is numerically rank deficient")
 
@@ -91,9 +93,14 @@ def sweep_design(desk_problem):
     return DesignProblem(p.G, NoiseModel(np.full(p.obs.n_s, peak)))
 
 
+def assembled_operators(problem):
+    """K, M and N of the problem's mesh and velocity, assembled afresh (the problem keeps none of them)."""
+    return assemble(problem.mesh, VelocityField(amplitude=problem.config.velocity.amplitude))
+
+
 def dense_forward_matrix(problem):
     """Dense F by an independent dense implicit-Euler stepper (numpy only)."""
-    ops, mass, obs = problem.ops, problem.mass, problem.obs
+    ops, mass, obs = assembled_operators(problem), problem.mass, problem.obs
     kappa = problem.config.pde.kappa
     M = mass.M.toarray()
     A = M + obs.dt * (kappa * ops.K.toarray() + ops.N.toarray())

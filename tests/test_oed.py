@@ -1,6 +1,7 @@
 """Misfit-Hessian estimators: z constants, Eig-k, randomized, frozen, KL, dense."""
 
 import gc
+import tracemalloc
 import warnings
 import weakref
 
@@ -1301,6 +1302,26 @@ def test_mesh_eig_shape_costs_and_bounds(nx32_problem):
     assert d.objective_eig(w, r) == pytest.approx(J_ref, rel=1e-10)
 
 
+def test_z_step_peak_is_one_gt_and_a_few_panels():
+    """At nx = 64 (n = 4,225, n_y = 105) the traced peak of the z step stays under 1.4 times the
+    8 n n_y bytes of G^T: the sweep marches into its one output and whitens it in column panels
+    (measured 1.23x; 2.23x when the sweep copied each gap's block and whitened each time whole)."""
+    design = build_problem(
+        make_config(
+            mesh={"nx": 64},
+            pde={"kappa": 0.05, "T": 2.0, "n_steps": 20},
+            sensors={"grid": [7, 5], "margin": [0.2, 0.3]},
+        )
+    ).design  # the noise scale spends its one forward solve here, outside the trace
+    tracemalloc.start()
+    try:
+        design.ensure_z()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * 8 * design.G.n * design.G.n_y
+
+
 @pytest.mark.parametrize("which", ["desk", "nx32"])
 def test_z_is_read_off_the_diagonal_of_C(request, which):
     """z is sigma^-2 times each sensor's share of diag(C), bit for bit, and agrees to 1e-14
@@ -1315,7 +1336,8 @@ def test_z_is_read_off_the_diagonal_of_C(request, which):
 def test_rand_ladder_at_nx32_within_expectation_bounds(nx32_problem):
     """At nx = 32 (n = 1,089) and w = 0.5, the randomized estimator (k=40 p=5 q=1) over 5 seeds
     has a mean J error within the "logdet_rand" bound and a mean gradient-norm error within
-    the "grad_norm_rand" bound of the exact core's spectrum."""
+    the "grad_norm_rand" bound of the exact core's spectrum.  That bound reads 1.39e7 here, so
+    the gradient error also stays under 1e-6, about 3x its measured 3.45e-7 (||grad|| 7.30)."""
     d = nx32_problem.design
     w = np.full(d.n_s, 0.5)
     J_ref, g_ref, lam = d.dense_reference().evaluate(w)
@@ -1328,6 +1350,7 @@ def test_rand_ladder_at_nx32_within_expectation_bounds(nx32_problem):
         e_grad.append(np.linalg.norm(g_ref - g))
     assert np.mean(e_J) <= error_bounds(split, cfg, "logdet_rand")
     assert np.mean(e_grad) <= error_bounds(split, cfg, "grad_norm_rand", z_norms=sensor_z_norms(d))
+    assert np.mean(e_grad) <= 1e-6
 
 
 def test_frozen_ladder_at_nx32_within_truncation_bound(nx32_problem):

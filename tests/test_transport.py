@@ -7,6 +7,8 @@ from conftest import dense_forward_matrix, make_config, unit_probe_adjoints
 from oed_dopt.accounting import count_solves
 from oed_dopt.errors import ConfigError
 from oed_dopt.fem import build_mesh
+from oed_dopt import transport
+from oed_dopt.optimize import solve_l1
 from oed_dopt.problem import build_problem
 from oed_dopt.transport import VelocityField, _solver, make_observation_setup, synthesize_data
 
@@ -308,6 +310,40 @@ def test_sensor_adjoints_of_no_sensor(path_problem, which):
         Gt = F.sensor_adjoints([])
     assert Gt.shape == (F.n, 0)
     assert (c.delta.forward, c.delta.adjoint) == (0, 0)
+
+
+def test_forward_factor_is_built_on_first_use(monkeypatch):
+    """A frozen-only desk pipeline (build_problem, the z step, build_frozen and a frozen l1
+    solve) never factors the step matrix itself: its one forward column takes the transposed
+    factor, and its sweep is adjoint.  The first forward block builds that factor once and
+    drops the CSC step matrix; the next block reuses the factor."""
+    built = []
+    factorize = transport._factorize
+
+    def counted(A, diag_pivot_thresh, what):
+        built.append(what)
+        return factorize(A, diag_pivot_thresh, what)
+
+    monkeypatch.setattr(transport, "_factorize", counted)
+    problem = build_problem(
+        make_config(
+            mesh={"nx": 10},
+            pde={"kappa": 0.05, "T": 2.0, "n_steps": 20},
+            sensors={"grid": [7, 5], "margin": [0.2, 0.3]},
+        )
+    )
+    design, fwd = problem.design, problem.forward
+    design.ensure_z()
+    solve_l1(design.estimator("frozen", frozen=design.build_frozen(20)), 0.6)
+    assert built == ["transposed time-step matrix"]
+    assert "_lu" not in vars(fwd)
+
+    theta = np.random.default_rng(5).standard_normal((fwd.n, 3))
+    fwd.apply(theta)
+    lu = fwd._lu
+    assert built == ["transposed time-step matrix", "time-step matrix"] and not hasattr(fwd, "_A")
+    fwd.apply(theta)
+    assert fwd._lu is lu and built.count("time-step matrix") == 1
 
 
 # -- the one time march, bit for bit against the per-step loops it replaced ----
