@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import dense_forward_matrix, make_config, unit_probe_adjoints
+from oed_dopt import transport
 from oed_dopt.accounting import count_solves
 from oed_dopt.errors import ConfigError
 from oed_dopt.fem import build_mesh
-from oed_dopt import transport
 from oed_dopt.optimize import solve_l1
 from oed_dopt.problem import build_problem
 from oed_dopt.transport import VelocityField, _solver, make_observation_setup, synthesize_data
