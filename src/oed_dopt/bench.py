@@ -34,39 +34,24 @@ def error_vs_rank_sweep(
     J_scale = max(abs(J_true), 1e-300)
     kl_scale = max(abs(kl_true), 1e-300)
 
+    def errors(est):
+        """(err_J, err_grad, err_kl) of one estimator; spectrum reads the eigensolve or sketch evaluate made."""
+        (J, g), lam = est.evaluate(w), est.spectrum(w)
+        return (
+            abs(J_true - J) / J_scale,
+            np.linalg.norm(grad_true - g) / gnorm,
+            abs(kl_true - kl_divergence(lam)) / kl_scale,
+        )
+
+    keys = ("err_J", "err_grad", "err_kl")
     rows = []
     for k in ks:
-        eig = design.estimator("eig", k=k)
-        J_e, g_e = eig.evaluate(w)
-        lam_e = eig.spectrum(w)  # the eigensolve evaluate just made
-        rows.append(
-            {
-                "k": int(k),
-                "method": "eig",
-                "err_J": abs(J_true - J_e) / J_scale,
-                "err_grad": np.linalg.norm(grad_true - g_e) / gnorm,
-                "err_kl": abs(kl_true - kl_divergence(lam_e)) / kl_scale,
-            }
-        )
-        errs = np.zeros((n_seeds, 3))
-        for s in range(n_seeds):
-            rand = design.estimator("rand", cfg=SketchConfig(k=int(k), p=p, q=q, seed=seed0 + 1000 * s + int(k)))
-            (J_r, g_r), lam_r = rand.evaluate(w), rand.spectrum(w)  # one sketch serves both
-            errs[s] = (
-                abs(J_true - J_r) / J_scale,
-                np.linalg.norm(grad_true - g_r) / gnorm,
-                abs(kl_true - kl_divergence(lam_r)) / kl_scale,
-            )
-        mean = errs.mean(axis=0)
-        rows.append(
-            {
-                "k": int(k),
-                "method": "rand",
-                "err_J": float(mean[0]),
-                "err_grad": float(mean[1]),
-                "err_kl": float(mean[2]),
-            }
-        )
+        rows.append({"k": int(k), "method": "eig", **dict(zip(keys, errors(design.estimator("eig", k=k))))})
+        errs = [
+            errors(design.estimator("rand", cfg=SketchConfig(k=int(k), p=p, q=q, seed=seed0 + 1000 * s + int(k))))
+            for s in range(n_seeds)
+        ]
+        rows.append({"k": int(k), "method": "rand", **dict(zip(keys, np.mean(errs, axis=0).tolist()))})
     return rows
 
 

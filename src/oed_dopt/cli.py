@@ -29,7 +29,6 @@ from .accounting import solve_counter
 from .bench import error_vs_rank_sweep, mesh_refinement_sweep
 from .config import ExperimentConfig
 from .errors import ConfigError, NumericalError
-from .fem import export_mesh_csv
 from .inverse import map_estimate
 from .oed import check_design_weights, check_tol, kl_divergence
 from .optimize import IterationRecord, check_solve, random_binary_designs, solve_continuation, solve_l1
@@ -49,6 +48,12 @@ def write_csv(path, header, rows) -> None:
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
+
+
+def export_mesh_csv(mesh, nodes_path, triangles_path) -> None:
+    """Write the node table (id,x,y) and triangle table (id,n0,n1,n2)."""
+    write_csv(nodes_path, ["id", "x", "y"], [[i, x, y] for i, (x, y) in enumerate(mesh.nodes)])
+    write_csv(triangles_path, ["id", "n0", "n1", "n2"], [[i, *tri] for i, tri in enumerate(mesh.triangles)])
 
 
 def write_json(path, payload) -> None:
@@ -89,11 +94,6 @@ def _sketch_config(config: ExperimentConfig) -> SketchConfig:
     return SketchConfig(k=config.sketch.k, p=config.sketch.p, q=config.sketch.q, seed=seeds["sketch"])
 
 
-def write_field_csv(path, values) -> None:
-    """Nodal field as (node_id, value) rows, the mesh-compatible export format."""
-    write_csv(path, ["node_id", "value"], [[i, v] for i, v in enumerate(values)])
-
-
 def _prepare_design(problem, out_dir):
     """Design problem with the z step's C = G G^T served from the on-disk cache."""
     design = problem.design
@@ -124,7 +124,11 @@ def cmd_synthesize(config: ExperimentConfig, out_dir: str) -> None:
         ["sensor_id", "sigma"],
         [[j, s] for j, s in enumerate(sigma)],
     )
-    write_field_csv(os.path.join(out_dir, "theta_true.csv"), problem.theta_true)
+    write_csv(
+        os.path.join(out_dir, "theta_true.csv"),
+        ["node_id", "value"],
+        [[i, v] for i, v in enumerate(problem.theta_true)],
+    )
     export_mesh_csv(
         problem.mesh,
         os.path.join(out_dir, "mesh_nodes.csv"),

@@ -209,13 +209,6 @@ class ExperimentConfig:
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    def canonical_json_section(self, name: str) -> str:
-        if name not in _SECTIONS:
-            raise ConfigError(f"unknown config section {name!r}")
-        return json.dumps(
-            dataclasses.asdict(getattr(self, name)), sort_keys=True, separators=(",", ":")
-        )
-
     def content_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 

@@ -10,7 +10,6 @@ one-point (centroid) quadrature.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -261,20 +260,6 @@ def assemble(mesh: Mesh, velocity=None) -> AssembledOperators:
         N.eliminate_zeros()
 
     return AssembledOperators(M=M, K=K, N=N, n=n)
-
-
-def export_mesh_csv(mesh: Mesh, nodes_path, triangles_path) -> None:
-    """Write the node table (id,x,y) and triangle table (id,n0,n1,n2)."""
-    with open(nodes_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "x", "y"])
-        for i, (x, y) in enumerate(mesh.nodes):
-            w.writerow([i, f"{x:.17g}", f"{y:.17g}"])
-    with open(triangles_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "n0", "n1", "n2"])
-        for i, (a, b, c) in enumerate(mesh.triangles):
-            w.writerow([i, a, b, c])
 
 
 def peclet_number(velocity_amplitude: float, h: float, kappa: float) -> float:

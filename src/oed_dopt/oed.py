@@ -31,7 +31,6 @@ factor and the dense reference read C with no solve, and no path forms G itself.
 
 from __future__ import annotations
 
-import hashlib
 import numbers
 import os
 import struct
@@ -555,17 +554,9 @@ class Estimator:
     the eigenvalues of H(w) behind J, in the order J sums them (the sketch's ascending).
     """
 
-    name = "base"
-
     def __init__(self, design: DesignProblem):
         self.design = design
         self.n_s = design.n_s
-
-    def evaluate(self, w):
-        raise NotImplementedError
-
-    def spectrum(self, w) -> np.ndarray:
-        raise NotImplementedError
 
     def objective(self, w) -> float:
         return float(np.sum(np.log1p(self.spectrum(w))))
@@ -642,8 +633,3 @@ class DenseEstimator(Estimator):
     def map_norm_sq(self, w, y_obs: np.ndarray, tol: float = 1e-8) -> float:
         """Exact, from C with no PDE solve; ``tol`` is unused."""
         return self.ref.map_norm_sq(w, y_obs)
-
-
-def config_hash_bytes(payload: str) -> bytes:
-    """32-byte digest used to key the z cache."""
-    return hashlib.sha256(payload.encode()).digest()

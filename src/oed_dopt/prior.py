@@ -42,12 +42,10 @@ class PriorOperator:
 
     def solve_L(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        return _solver(self._lu, self._lu, b)(b)
+        return _solver(self._lu, b)(b)
 
-    def solve_Lt(self, b: np.ndarray) -> np.ndarray:
-        # L is assembled exactly symmetric, so L^{-T} b = L^{-1} b
-        b = np.asarray(b, dtype=float)
-        return _solver(self._lu, self._lu, b)(b)
+    # L is assembled exactly symmetric, so L^{-T} b = L^{-1} b
+    solve_Lt = solve_L
 
     def weighted_norm_sq(self, theta: np.ndarray) -> float:
         """Squared prior-precision norm theta^T L M^{-1} L theta = ||R^{-1} L theta||^2."""

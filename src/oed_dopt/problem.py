@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import hashlib
+import json
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -10,7 +12,7 @@ import numpy as np
 from .config import ExperimentConfig, float_array
 from .errors import ConfigError
 from .fem import MassFactor, assemble, build_mesh, warn_if_advection_dominated
-from .oed import DesignProblem, NoiseModel, config_hash_bytes
+from .oed import DesignProblem, NoiseModel
 from .prior import PriorOperator, WhitenedForwardMap
 from .transport import ForwardMap, VelocityField, make_observation_setup, synthesize_data
 
@@ -77,10 +79,12 @@ class Problem:
         return synthesize_data(self.y_clean, self.obs.n_s, self.config.noise.pct, self.seeds["noise"])
 
     def z_config_hash(self) -> bytes:
-        """Hash of every configuration section, in field order, but those that leave the z step's C unchanged."""
+        """The z cache's 32-byte key: the SHA-256 of the canonical JSON of every configuration
+        section, in field order and joined by "|", but those that leave the z step's C unchanged."""
         cfg = self.config
-        sections = [f.name for f in fields(cfg) if f.name not in ("sketch", "opt", "seeds")]
-        return config_hash_bytes("|".join(cfg.canonical_json_section(name) for name in sections))
+        sections = (asdict(getattr(cfg, f.name)) for f in fields(cfg) if f.name not in ("sketch", "opt", "seeds"))
+        payload = "|".join(json.dumps(s, sort_keys=True, separators=(",", ":")) for s in sections)
+        return hashlib.sha256(payload.encode()).digest()
 
 
 def build_problem(config: ExperimentConfig) -> Problem:

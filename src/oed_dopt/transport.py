@@ -168,17 +168,17 @@ def _wide(B: np.ndarray) -> bool:
     return B.ndim == 2 and B.shape[1] > 1
 
 
-def _solver(own, other, B: np.ndarray):
-    """The solve b -> S^{-1} b for blocks as wide as B; ``own`` factors S, ``other`` S^T.
+def _solver(lu, B: np.ndarray):
+    """The factor ``lu``'s solve for blocks as wide as B, picked once per block.
 
-    A block of two or more columns takes ``own``'s plain solve, SuperLU's
-    blocked supernodal path.  A single column (or a vector) takes ``other``'s
-    transposed solve, a per-column triangular sweep that is faster for one
-    right-hand side.  For a symmetric S both arguments are the same factor.
+    A block of two or more columns takes the plain solve, SuperLU's blocked
+    supernodal path.  A single column (or a vector) takes the transposed solve,
+    a per-column triangular sweep that is faster for one right-hand side; so a
+    caller hands it the factor of S for a block and of S^T for one column.
     """
     if _wide(B):
-        return own.solve
-    return lambda b: other.solve(b, trans="T")
+        return lu.solve
+    return lambda b: lu.solve(b, trans="T")
 
 
 def _panels(m: int, w: int):
@@ -251,8 +251,7 @@ class ForwardMap:
         is picked before either is touched, so ``_lu`` is built only to solve.
         """
         B = np.asfortranarray(X.reshape(self.n, -1))
-        factor = self._lu_t if adjoint == _wide(B) else self._lu
-        solve = _solver(factor, factor, B)
+        solve = _solver(self._lu_t if adjoint == _wide(B) else self._lu, B)
         apply_M = self.mass.apply_M
         if out is None:
             out = np.empty(B.shape, order="F")

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -147,6 +148,14 @@ def write_weights(out, weight):
     return path
 
 
+#: SHA-256 of the tables ``synthesize`` writes for SMALL.
+SYNTHESIZE_SHA256 = {
+    "mesh_nodes.csv": "c5b1c7299db1d5a3515c26a83a8bd685aff02fdb74317d3be2222d3a59b34d60",
+    "mesh_triangles.csv": "c2337b95d22f66d8701456393a245b83b67867e73271593598e30fa02b51cc8d",
+    "theta_true.csv": "0c6233137933b5315f2ec1b88690b4ec558d44203b8b197c297200d756a5f0fd",
+}
+
+
 def test_cli_pipeline_and_determinism(tmp_path):
     cfg_path = write_config(tmp_path)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -159,6 +168,9 @@ def test_cli_pipeline_and_determinism(tmp_path):
         assert len(list(csv.DictReader(f))) == 49  # (6+1)^2 nodes
     with open(os.path.join(out1, "mesh_triangles.csv")) as f:
         assert len(list(csv.DictReader(f))) == 72  # 2 * 6^2 triangles
+    # the mesh and field tables, byte for byte
+    for name, digest in SYNTHESIZE_SHA256.items():
+        assert hashlib.sha256(read_bytes(os.path.join(out1, name))).hexdigest() == digest, name
 
     assert main(["oed", "--config", cfg_path, "--out", out1]) == 0
     assert main(["oed", "--config", cfg_path, "--out", out2]) == 0
@@ -349,8 +361,13 @@ def test_z_cache_key_is_the_nine_section_digest(tmp_path):
     assert set(SECTION_CHANGES) == {f.name for f in dataclasses.fields(ExperimentConfig)}
     cfg = ExperimentConfig.from_dict(DESK_CONFIG)
     problem = build_problem(cfg)
-    listed = oed.config_hash_bytes("|".join(cfg.canonical_json_section(name) for name in Z_SECTIONS))
+    sections = (
+        json.dumps(dataclasses.asdict(getattr(cfg, name)), sort_keys=True, separators=(",", ":")) for name in Z_SECTIONS
+    )
+    listed = hashlib.sha256("|".join(sections).encode()).digest()
     assert problem.z_config_hash() == listed
+    # the desk config's key, pinned so z_cache.bin files written under it keep hitting
+    assert listed.hex() == "d7e609e74bea16b302bd472fa33fb97701da3958580535f7215c990b7e0931b4"
 
     cache = tmp_path / "z_cache.bin"
     written = oed.precompute_z(problem.G, problem.design.noise, problem.obs.n_t, cache, listed)

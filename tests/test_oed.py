@@ -1,6 +1,7 @@
 """Misfit-Hessian estimators: z constants, Eig-k, randomized, frozen, KL, dense."""
 
 import gc
+import hashlib
 import tracemalloc
 import warnings
 import weakref
@@ -27,7 +28,6 @@ from oed_dopt.oed import (
     MisfitHessianOp,
     NoiseModel,
     check_design_weights,
-    config_hash_bytes,
     kl_divergence,
     precompute_z,
     sensor_blocks,
@@ -108,7 +108,7 @@ def test_z_sigma_scaling(small_problem):
 
 
 def test_z_cache_round_trip(tmp_path, small_design):
-    h = config_hash_bytes("payload-a")
+    h = hashlib.sha256(b"payload-a").digest()
     path = tmp_path / "z.bin"
     n_y = small_design.G.n_y
     with count_solves() as c1:
@@ -122,7 +122,7 @@ def test_z_cache_round_trip(tmp_path, small_design):
     assert c2.delta.adjoint == 0  # served from cache
     assert np.array_equal(C1, C2)
     with pytest.warns(UserWarning, match="cache"):
-        C3 = precompute_z(small_design.G, small_design.noise, small_design.n_t, path, config_hash_bytes("payload-b"))
+        C3 = precompute_z(small_design.G, small_design.noise, small_design.n_t, path, hashlib.sha256(b"payload-b").digest())
     assert np.allclose(C3, C1)
 
 
@@ -139,7 +139,7 @@ def test_z_cache_round_trip(tmp_path, small_design):
 )
 def test_z_cache_malformed_is_a_miss(tmp_path, small_design, corrupt):
     d = small_design
-    h = config_hash_bytes("payload-a")
+    h = hashlib.sha256(b"payload-a").digest()
     path = tmp_path / "z.bin"
     C1 = precompute_z(d.G, d.noise, d.n_t, path, h)
     path.write_bytes(corrupt(path.read_bytes()))
@@ -161,7 +161,7 @@ def test_z_cache_old_format_is_recomputed(tmp_path, small_design):
     import struct
 
     d = small_design
-    h = config_hash_bytes("payload-a")
+    h = hashlib.sha256(b"payload-a").digest()
     z, C = (np.asarray(a, dtype="<f8").tobytes() for a in (d.z, d.C))
     older = {
         b"OEDZ0001": struct.pack("<I", d.n_s) + z,
@@ -625,7 +625,7 @@ def test_first_reader_runs_the_one_z_step(tmp_path, small_design):
     """Whichever reader comes first runs the design's one z step (n_y adjoint solves);
     every later reader and ensure_z cost 0 and share its C.  The cache arguments of
     ensure_z apply to that first step only."""
-    h = config_hash_bytes("payload-a")
+    h = hashlib.sha256(b"payload-a").digest()
     n_y = small_design.G.n_y
     for first in ("ensure_z", "dense", "frozen"):
         path = tmp_path / f"{first}.bin"
@@ -780,7 +780,7 @@ def test_held_Gt_is_built_once(tmp_path, small_design, first):
     design holds: building it costs n_y adjoint solves."""
     readers = {"frozen": lambda d: d.build_frozen(8), "dense": lambda d: d.dense_reference()}
     order = [first] + [name for name in readers if name != first]
-    h = config_hash_bytes("payload-a")
+    h = hashlib.sha256(b"payload-a").digest()
     n_y = small_design.G.n_y
     for cache_hit in (False, True):
         d = DesignProblem(small_design.G, small_design.noise)
