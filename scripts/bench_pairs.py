@@ -4,10 +4,14 @@
 Runs ``python3 perfbench/run.py --workload all --seed S`` in two checkouts, once per
 seed, alternating which checkout runs first, and writes one JSON file: per
 ``workload/metric``, each side's runs, median and quartiles, and how many pairs the
-change won (ties count for neither side), with the direction taken from
-BENCHMARK.json.  The file is rewritten after every pair.  A run that prints no
-result line counts as failed (``failed`` null, ``correct`` false) and keeps its
-exit code; a metric is summarized over the pairs in which both sides report it.
+change won (ties count for neither side), with the direction and bound taken from
+BENCHMARK.json, and the verdict on that bound: ``median_ratio`` (change over parent),
+``within_bound`` (the change's median is no worse than the parent's by more than
+bound x the parent's median) and ``unresolved`` (the parent's IQR exceeds bound x its
+median, so the runs spread too widely to tell).  The file is rewritten after every
+pair.  A run that prints no result line counts as failed (``failed`` null,
+``correct`` false) and keeps its exit code; a metric is summarized over the pairs in
+which both sides report it.
 The script exits 1 once the record is written if any run exited non-zero or
 reported ``correct: false``, else 0.
 
@@ -65,7 +69,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     with open(trees["change"] / "BENCHMARK.json") as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        end_to_end = {m["name"]: m for m in json.load(f)["end_to_end"]}
 
     seeds = args.seeds
     commits = {side: commit(tree) for side, tree in trees.items()}
@@ -76,16 +80,17 @@ def main(argv=None) -> int:
             results[side].append(run(trees[side], seed))
             r = results[side][-1]
             print(f"seed {seed} {side}: exit {r['exit_code']}, failed {r['failed']}", file=sys.stderr, flush=True)
-        write_record(args.out, seeds[: i + 1], commits, results, better)
+        write_record(args.out, seeds[: i + 1], commits, results, end_to_end)
     return 0 if all(r["exit_code"] == 0 and r["correct"] for rs in results.values() for r in rs) else 1
 
 
-def write_record(out: Path, seeds: list, commits: dict, results: dict, better: dict) -> None:
+def write_record(out: Path, seeds: list, commits: dict, results: dict, end_to_end: dict) -> None:
     """Summarize the pairs run so far; a metric counts the pairs in which both sides report it."""
     metrics = {}
     names = sorted({name for rs in results.values() for r in rs for name in r["metrics"]})
     for name in names:
-        direction = better[name.split("/")[-1]]
+        spec = end_to_end[name.split("/")[-1]]
+        direction, bound = spec["better"], spec["bound"]
         sign = 1.0 if direction == "lower" else -1.0
         pairs = [
             (b["metrics"][name]["value"], n["metrics"][name]["value"])
@@ -95,12 +100,18 @@ def write_record(out: Path, seeds: list, commits: dict, results: dict, better: d
         if not pairs:
             continue
         base, new = (list(side) for side in zip(*pairs))
+        parent, change = summary(base), summary(new)
+        scale = bound * abs(parent["median"])
         metrics[name] = {
             "better": direction,
-            "parent": summary(base),
-            "change": summary(new),
+            "bound": bound,
+            "parent": parent,
+            "change": change,
             "change_wins": sum(sign * (b - n) > 0 for b, n in pairs),
             "pairs": len(pairs),
+            "median_ratio": change["median"] / parent["median"] if parent["median"] else None,
+            "within_bound": bool(sign * (change["median"] - parent["median"]) <= scale),
+            "unresolved": bool(parent["iqr"] > scale),
         }
     record = {
         "command": "python3 perfbench/run.py --workload all --seed S",

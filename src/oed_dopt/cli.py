@@ -30,8 +30,8 @@ from .bench import error_vs_rank_sweep, mesh_refinement_sweep
 from .config import ExperimentConfig
 from .errors import ConfigError, NumericalError
 from .inverse import map_estimate
-from .oed import check_design_weights, check_tol, kl_divergence
-from .optimize import IterationRecord, check_solve, random_binary_designs, solve_continuation, solve_l1
+from .oed import check_design_weights, kl_divergence
+from .optimize import IterationRecord, random_binary_designs, solve_continuation, solve_l1
 from .problem import build_problem
 from .sketch import SketchConfig
 
@@ -134,18 +134,14 @@ def cmd_synthesize(config: ExperimentConfig, out_dir: str) -> None:
         os.path.join(out_dir, "mesh_nodes.csv"),
         os.path.join(out_dir, "mesh_triangles.csv"),
     )
-    config.save_resolved(os.path.join(out_dir, "resolved_config.json"))
 
 
 def cmd_oed(config: ExperimentConfig, out_dir: str) -> None:
     opt = config.opt
     if opt.penalty == "l1":
         solve, route = solve_l1, {"threshold_rel": opt.threshold}
-    elif opt.penalty == "cont":
-        solve, route = solve_continuation, {"schedule": [0.5**i for i in range(1, opt.cont_stages + 1)]}
     else:
-        raise ConfigError(f"unknown opt.penalty {opt.penalty!r} (expected 'l1' or 'cont')")
-    check_solve(opt.gamma, opt.tol, opt.max_iters, **route)
+        solve, route = solve_continuation, {"schedule": opt.schedule}
     problem = build_problem(config)
     design = _prepare_design(problem, out_dir)
     estimator = _estimator(problem, config)
@@ -179,11 +175,9 @@ def cmd_oed(config: ExperimentConfig, out_dir: str) -> None:
                 for i, s in enumerate(result.stages, start=1)
             ],
         )
-    config.save_resolved(os.path.join(out_dir, "resolved_config.json"))
 
 
 def cmd_evaluate(config: ExperimentConfig, weights_file: str, out_dir: str) -> None:
-    check_tol(config.opt.tol)
     problem = build_problem(config)
     w, _ = _read_weights(weights_file, problem.obs.n_s)
     design = _prepare_design(problem, out_dir)
@@ -211,7 +205,6 @@ def cmd_evaluate(config: ExperimentConfig, weights_file: str, out_dir: str) -> N
     metrics["D_KL"] = kl_divergence(lam, design.G.prior.weighted_norm_sq(report.theta_post))
     metrics["map_cg_iterations"] = report.iterations
     write_json(os.path.join(out_dir, "metrics.json"), metrics)
-    config.save_resolved(os.path.join(out_dir, "resolved_config.json"))
 
 
 def cmd_compare_random(config: ExperimentConfig, weights_file: str, n_designs: int, out_dir: str) -> None:
@@ -239,7 +232,6 @@ def cmd_compare_random(config: ExperimentConfig, weights_file: str, n_designs: i
         ["design_id", "neg_J", "info_gain_from_data"],
         rows,
     )
-    config.save_resolved(os.path.join(out_dir, "resolved_config.json"))
 
 
 def cmd_bench(config: ExperimentConfig, out_dir: str) -> None:
@@ -268,7 +260,6 @@ def cmd_bench(config: ExperimentConfig, out_dir: str) -> None:
         ["nx", "n", "mean_rel_err_J"],
         [[r["nx"], r["n"], r["mean_rel_err_J"]] for r in mesh_rows],
     )
-    config.save_resolved(os.path.join(out_dir, "resolved_config.json"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,6 +293,7 @@ def main(argv=None) -> int:
             cmd_compare_random(config, args.weights, args.n_designs, args.out)
         elif args.command == "bench":
             cmd_bench(config, args.out)
+        config.save_resolved(os.path.join(args.out, "resolved_config.json"))
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,10 @@
 """Experiment configuration: nested dataclasses, JSON round-trip, content hash.
 
-Unknown keys are rejected; the resolved configuration (all defaults made
-explicit) is what gets hashed and emitted next to every command's outputs, so
-identical configs always map to identical artifacts.
+Unknown keys are rejected, and each section checks the limits that depend on the
+config alone when it is built, so every command refuses a bad value before any
+PDE solve.  The resolved configuration (all defaults made explicit) is what gets
+hashed and emitted next to every command's outputs, so identical configs always
+map to identical artifacts.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .oed import ESTIMATORS
+from .optimize import check_solve
+from .sketch import SketchConfig
 
 
 @dataclass
@@ -69,6 +74,10 @@ class NoiseConfig:
     # synthetic-data noise (pct stays < 1, sigma_rel need not).
     sigma_rel: float | None = None
 
+    def __post_init__(self):
+        if not (0 <= self.pct < 1 and (self.sigma_rel is None or self.sigma_rel >= 0)):
+            raise ConfigError(f"need 0 <= noise.pct < 1 and sigma_rel null or >= 0, got {self.pct}, {self.sigma_rel}")
+
 
 @dataclass
 class TrueStateConfig:
@@ -98,6 +107,9 @@ class SketchSection:
     q: int = 1
     seed: int | None = None  # None: derived from seeds.master
 
+    def __post_init__(self):
+        SketchConfig(self.k, self.p, self.q)
+
 
 @dataclass
 class OptConfig:
@@ -112,8 +124,18 @@ class OptConfig:
     frozen_k: int | None = None
 
     def __post_init__(self):
+        if self.method not in ESTIMATORS:
+            raise ConfigError(f"unknown opt.method {self.method!r} (expected one of {ESTIMATORS})")
+        if self.penalty not in ("l1", "cont"):
+            raise ConfigError(f"unknown opt.penalty {self.penalty!r} (expected 'l1' or 'cont')")
         if any(k is not None and k < 1 for k in (self.eig_k, self.frozen_k)):
             raise ConfigError(f"opt.eig_k and opt.frozen_k must be null or >= 1, got {self.eig_k}, {self.frozen_k}")
+        check_solve(self.gamma, self.tol, self.max_iters, self.threshold, self.schedule)
+
+    @property
+    def schedule(self) -> tuple:
+        """The continuation's eps_i = 1/2^i for i = 1..cont_stages."""
+        return tuple(0.5**i for i in range(1, self.cont_stages + 1))
 
 
 @dataclass
@@ -206,20 +228,13 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
     def content_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
-
-    def resolved(self) -> dict:
-        out = self.to_dict()
-        out["content_hash"] = self.content_hash()
-        return out
+        return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
     def save_resolved(self, path) -> None:
+        """Write the resolved configuration, every default explicit, with its content hash."""
         with open(path, "w") as f:
-            json.dump(self.resolved(), f, indent=2, sort_keys=True)
+            json.dump({**self.to_dict(), "content_hash": self.content_hash()}, f, indent=2, sort_keys=True)
             f.write("\n")
 
     # -- derived quantities --------------------------------------------------

@@ -49,9 +49,14 @@ class Mesh:
     def h(self) -> float:
         return 1.0 / self.nx
 
-    def _cells(self, points) -> np.ndarray:
-        """Index into ``triangles[0::2]`` of a retained cell whose center lies within
-        h/2·(1+1e-9) of each point (max norm), or -1 when none does."""
+    def nearest_nodes(self, points) -> np.ndarray:
+        """Node id nearest each (x, y) of the closed domain, -1 for a point outside it.
+
+        A point lies in the closed domain when it is within h/2·(1+1e-9) (max norm) of a
+        retained cell's center; NaN and ±inf coordinates lie outside.  The nearest grid node
+        to a point of a retained cell is a corner of that cell, so the Euclidean-nearest of its
+        four corners is the nearest node of the mesh; an exact tie goes to the lower node id.
+        """
         p = np.atleast_2d(np.asarray(points, dtype=float))
         # NaN and ±inf lie outside; clipping keeps every index finite and leaves the answer alone
         p = np.clip(np.where(np.isfinite(p), p, -1.0), -1.0, 2.0)
@@ -62,31 +67,14 @@ class Mesh:
         reach = 0.5 * self.h * (1.0 + 1e-9)  # slack: a point on a cell edge may round outside
         # per axis, the upper of the two cells that can reach, shifted as in index
         top = np.floor(p * self.nx + 1e-9).astype(int) + 1
-        cells = np.full(len(p), -1)
+        cells = np.full(len(p), -1)  # index into triangles[0::2] of a cell within reach, or -1
         for shift in ((0, 0), (1, 0), (0, 1), (1, 1)):
             ci, cj = np.clip(top - shift, 0, self.nx + 1).T
             k = index[cj, ci]
             near = np.abs(p - lower[k] - 0.5 * self.h).max(axis=1) <= reach
             cells = np.where((k >= 0) & near, k, cells)
-        return cells
-
-    def contains(self, points) -> np.ndarray:
-        """Whether each (x, y) lies in the closed domain: within h/2·(1+1e-9) (max norm) of a
-        retained cell's center.  NaN and ±inf coordinates lie outside.  ``nearest_nodes`` snaps
-        such a point to its cell's nearest corner, an exact tie going to the lower node id."""
-        return self._cells(points) >= 0
-
-    def nearest_nodes(self, points) -> np.ndarray:
-        """Node id nearest each (x, y) of the closed domain, -1 for a point outside it.
-
-        The nearest grid node to a point of a retained cell (the reach of ``contains``) is a
-        corner of that cell, so the Euclidean-nearest of its four corners is the nearest node
-        of the mesh; an exact tie goes to the lower node id.
-        """
-        cells = self._cells(points)
         first, second = self.triangles[0::2][cells], self.triangles[1::2][cells]
         corners = np.column_stack([first[:, :2], second[:, 2], first[:, 2]])  # ascending node ids
-        p = np.atleast_2d(np.asarray(points, dtype=float))
         d2 = ((self.nodes[corners] - p[:, None, :]) ** 2).sum(axis=2)
         return np.where(cells >= 0, corners[np.arange(len(cells)), np.argmin(d2, axis=1)], -1)
 

@@ -54,6 +54,7 @@ from .sketch import (
 )
 
 _ZCACHE_MAGIC = b"OEDZ0003"
+ESTIMATORS = ("eig", "rand", "frozen", "dense")  # the method names DesignProblem.estimator takes
 
 
 @dataclass(frozen=True)
@@ -351,7 +352,6 @@ class DesignProblem:
         design, whose sketch reads the Eig-k factor.  T is kept for :meth:`_sketch`.
         """
         op = self.misfit_op(w)
-        self.ensure_z()
         Q, T = subspace_iteration(op, cfg)
         op.sketch_run = (cfg, T)
         eig = low_rank_eig(Q, T)
@@ -461,6 +461,8 @@ class DesignProblem:
         only for "frozen"; "dense" needs nothing.  An unknown name or a missing
         parameter is a :class:`ConfigError`.
         """
+        if method not in ESTIMATORS:
+            raise ConfigError(f"unknown estimator method {method!r}")
         if method == "eig":
             if k is None:
                 raise ConfigError("the eig estimator needs k")
@@ -473,9 +475,7 @@ class DesignProblem:
             if frozen is None:
                 raise ConfigError("the frozen estimator needs a factor from build_frozen")
             return FrozenEstimator(self, frozen() if callable(frozen) else frozen)
-        if method == "dense":
-            return DenseEstimator(self)
-        raise ConfigError(f"unknown estimator method {method!r}")
+        return DenseEstimator(self)
 
 
 class DenseReference:

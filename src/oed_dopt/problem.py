@@ -10,7 +10,6 @@ from functools import cached_property
 import numpy as np
 
 from .config import ExperimentConfig, float_array
-from .errors import ConfigError
 from .fem import MassFactor, assemble, build_mesh, warn_if_advection_dominated
 from .oed import DesignProblem, NoiseModel
 from .prior import PriorOperator, WhitenedForwardMap
@@ -62,8 +61,6 @@ class Problem:
         rel = self.config.noise.sigma_rel
         if rel is None:
             rel = self.config.noise.pct
-        if not rel >= 0.0:
-            raise ConfigError(f"noise.sigma_rel (default noise.pct) must be >= 0, got {rel!r}")
         peak = float(np.max(np.abs(self.y_clean)))
         if peak == 0.0 or rel == 0.0:
             # keep the noise model valid even for noiseless synthetic studies

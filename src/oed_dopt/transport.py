@@ -116,10 +116,10 @@ def make_observation_setup(
         raise ConfigError("empty observation time set")
     if n_steps < 1 or T <= 0:
         raise ConfigError("need n_steps >= 1 and T > 0")
-    outside = ~mesh.contains(sensor_coords)
+    nodes = mesh.nearest_nodes(sensor_coords)
+    outside = nodes < 0
     if np.any(outside):
         raise ConfigError(f"sensor coordinates {sensor_coords[outside].tolist()} lie outside the meshed domain")
-    nodes = mesh.nearest_nodes(sensor_coords)
     if len(np.unique(nodes)) != len(nodes):
         raise ConfigError("sensors snap to coincident mesh nodes; refine the mesh or move sensors")
 
@@ -333,10 +333,9 @@ def synthesize_data(y_clean: np.ndarray, n_s: int, noise_pct: float, rng_seed: i
     """Noisy observations from the clean ones, y_clean = F theta_true.
 
     The noise standard deviation is identical for all n_s sensors:
-    sigma = noise_pct * max |y_clean|.  Returns (y_obs, sigma_per_sensor).
+    sigma = noise_pct * max |y_clean|, noise_pct in [0, 1) as ``NoiseConfig`` checks.
+    Returns (y_obs, sigma_per_sensor).
     """
-    if not 0.0 <= noise_pct < 1.0:
-        raise ConfigError("noise_pct must lie in [0, 1)")
     peak = np.max(np.abs(y_clean))
     if peak == 0.0:
         raise ConfigError("clean observations are identically zero; noise level undefined")

@@ -24,7 +24,8 @@ def checkout(root: Path, value: float, crash_seed: int, out: Path, correct: bool
     (root / "perfbench").mkdir(parents=True)
     run_py = RUN_PY.format(crash_seed=crash_seed, out=str(out), value=value, correct=correct)
     (root / "perfbench" / "run.py").write_text(run_py)
-    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "session_s", "better": "lower"}]}))
+    benchmark = {"end_to_end": [{"name": "session_s", "better": "lower", "bound": 0.25}]}
+    (root / "BENCHMARK.json").write_text(json.dumps(benchmark))
     return root
 
 
@@ -45,6 +46,9 @@ def test_a_run_without_result_line_is_recorded_and_earlier_pairs_are_kept(tmp_pa
     metric = record["metrics"]["w/session_s"]
     assert (metric["pairs"], metric["change_wins"]) == (2, 2)
     assert metric["parent"]["runs"] == [3.0, 5.0] and metric["change"]["runs"] == [2.0, 4.0]
+    # medians 4 and 3; the parent's IQR of 1.0 is exactly the bound's 0.25 x 4, so resolved
+    assert (metric["bound"], metric["median_ratio"]) == (0.25, 0.75)
+    assert (metric["within_bound"], metric["unresolved"]) == (True, False)
     snapshot = json.loads((change / "snapshot.json").read_text())
     assert snapshot["seeds"] == [1] and snapshot["metrics"]["w/session_s"]["pairs"] == 1
 
@@ -57,7 +61,22 @@ def test_one_seed_runs_one_pair(tmp_path):
     assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--seeds", "5", "--out", str(out)]) == 0
     record = json.loads(out.read_text())
     assert record["seeds"] == [5]
-    assert record["metrics"]["w/session_s"]["parent"]["runs"] == [7.0]
+    metric = record["metrics"]["w/session_s"]
+    assert metric["parent"]["runs"] == [7.0]
+    assert (metric["median_ratio"], metric["within_bound"], metric["unresolved"]) == (6.0 / 7.0, True, False)
+
+
+def test_a_change_worse_than_its_bound_is_flagged(tmp_path):
+    """Parent runs 2-5 (median 3.5, IQR 1.5) against change runs 3-6 (median 4.5): the change is
+    worse by 1.0 against a bound of 0.25 x 3.5 = 0.875, and the parent's IQR exceeds that too."""
+    out = tmp_path / "pairs.json"
+    parent = checkout(tmp_path / "parent", 1.0, -1, out)
+    change = checkout(tmp_path / "change", 2.0, -1, out)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--seeds", "1-4", "--out", str(out)]) == 0
+    metric = json.loads(out.read_text())["metrics"]["w/session_s"]
+    assert (metric["parent"]["median"], metric["parent"]["iqr"], metric["change"]["median"]) == (3.5, 1.5, 4.5)
+    assert (metric["change_wins"], metric["median_ratio"]) == (0, 4.5 / 3.5)
+    assert (metric["within_bound"], metric["unresolved"]) == (False, True)
 
 
 def test_a_run_reporting_incorrect_results_exits_1(tmp_path):

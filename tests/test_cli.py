@@ -47,9 +47,10 @@ def write_config(tmp_path, payload=None, name="cfg.json"):
 # -- configuration ------------------------------------------------------------
 
 
-def test_defaults_resolved():
-    cfg = ExperimentConfig()
-    resolved = cfg.resolved()
+def test_defaults_resolved(tmp_path):
+    path = tmp_path / "resolved_config.json"
+    ExperimentConfig().save_resolved(path)
+    resolved = json.loads(path.read_text())
     assert resolved["prior"]["alpha"] == 2e-3
     assert resolved["prior"]["beta"] == 0.1
     assert resolved["pde"]["kappa"] == 0.001
@@ -648,19 +649,32 @@ def test_cli_evaluate_bad_tol_exits_2_before_any_solve(tmp_path, tol):
             "mesh": {"nx": 10, "holes": [[0.3, 0.3, 0.5, 0.7], [0.5, 0.3, 0.7, 0.7]]},
             "sensors": {"coords": [[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]]},
         },
+        {"sketch": {"k": 0}},
+        {"sketch": {"p": -1}},
+        {"sketch": {"q": 0}},
+        {"opt": {"method": "bogus"}},
+        {"opt": {"penalty": "l1", "cont_stages": 0}},
+        {"noise": {"pct": 1.5}},
+        {"noise": {"pct": -0.5, "sigma_rel": 0.1}},
     ],
     ids=lambda o: json.dumps(o),
 )
-def test_cli_bad_config_value_refused_before_any_solve(tmp_path, override):
-    """A wrong-typed or out-of-range config value exits 2 at 0 solves, without a traceback,
-    and leaves no z cache in a fresh output directory."""
+def test_cli_bad_config_value_refused_before_any_solve(tmp_path, override, capsys):
+    """A wrong-typed or out-of-range config value makes oed, evaluate and compare-random exit 2
+    at 0 solves, without a traceback, and leaves no z cache in a fresh output directory; the
+    refusal is the config's, not the (valid) weights file's."""
     payload = json.loads(json.dumps(SMALL))
     for section, values in override.items():
         payload.setdefault(section, {}).update(values)
-    out = str(tmp_path / "fresh")
-    assert main(["oed", "--config", write_config(tmp_path, payload), "--out", out]) == 2
-    assert solve_counter.snapshot().total == 0  # main() resets the tally on entry
-    assert not os.path.exists(os.path.join(out, "z_cache.bin"))
+    cfg_path = write_config(tmp_path, payload)
+    weights = write_weights(str(tmp_path / "weights"), 1.0)
+    for command in ("oed", "evaluate", "compare-random"):
+        out = str(tmp_path / command)
+        argv = [command, "--config", cfg_path, "--out", out] + (["--weights", weights] if command != "oed" else [])
+        assert main(argv) == 2, command
+        assert solve_counter.snapshot().total == 0, command  # main() resets the tally on entry
+        assert not os.path.exists(os.path.join(out, "z_cache.bin")), command
+    assert "weights file" not in capsys.readouterr().err
 
 
 FIELDS = [

@@ -99,7 +99,7 @@ def test_mesh_contains_the_closed_domain():
     # a non-finite point is outside, never cast to an index (numpy warns on that cast)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert mesh.contains(np.array(list(points))).tolist() == list(points.values())
+        assert (mesh.nearest_nodes(np.array(list(points))) >= 0).tolist() == list(points.values())
         for bad in ([np.nan, 0.5], [0.5, np.inf], [-np.inf, -np.inf]):
             with pytest.raises(ConfigError, match="outside the meshed domain"):
                 make_observation_setup(mesh, [[0.1, 0.1], bad], [1.0], 2.0, 10)
@@ -124,10 +124,11 @@ def meshes_with_holes(draw):
 @settings(max_examples=100, deadline=None)
 @given(meshes_with_holes(), st.data())
 def test_grid_lookup_matches_brute_force(mesh_spec, data):
-    """contains is a max-norm test against every retained cell's center, and nearest_nodes the
-    Euclidean argmin over all nodes (the lower id on an exact tie), on points at cell corners,
-    edges and centers, the outer boundary and hole edges, exact half-cell ties, and just
-    inside (0.4e-9 h) and just outside (0.6e-9 h) the 0.5e-9 h slack past a cell's edge."""
+    """nearest_nodes is -1 exactly where a max-norm test against every retained cell's center
+    fails, and elsewhere the Euclidean argmin over all nodes (the lower id on an exact tie), on
+    points at cell corners, edges and centers, the outer boundary and hole edges, exact
+    half-cell ties, and just inside (0.4e-9 h) and just outside (0.6e-9 h) the 0.5e-9 h slack
+    past a cell's edge."""
     nx, holes = mesh_spec
     mesh = build_mesh(nx, [np.array(hole) / nx for hole in holes])
     h = 1.0 / nx
@@ -143,7 +144,7 @@ def test_grid_lookup_matches_brute_force(mesh_spec, data):
     centers = np.column_stack([ci, cj]) / nx + 0.5 * h
     reach = 0.5 * h * (1.0 + 1e-9)
     inside = (np.abs(points[:, None, :] - centers[None]).max(axis=2) <= reach).any(axis=1)
-    assert mesh.contains(points).tolist() == inside.tolist()
+    assert (mesh.nearest_nodes(points) >= 0).tolist() == inside.tolist()
     nearest = np.argmin(((mesh.nodes[None] - points[:, None, :]) ** 2).sum(axis=2), axis=1)
     assert mesh.nearest_nodes(points).tolist() == np.where(inside, nearest, -1).tolist()
 

@@ -991,6 +991,16 @@ def test_precompute_z_refuses_another_n_t_before_any_solve(desk_design):
     assert c.delta.total == 0
 
 
+def test_rand_sketch_past_n_is_refused_before_the_z_step(tiny_problem):
+    """A sketch of l > n on a fresh design is a ConfigError at 0 solves: the z step runs on
+    the gradient's first read of z, after the sketch has checked its size."""
+    d = DesignProblem(tiny_problem.G, NoiseModel(np.ones(tiny_problem.obs.n_s)))
+    with count_solves() as c, pytest.raises(ConfigError, match="exceeds dimension"):
+        d.objective_grad_rand(np.ones(d.n_s), SketchConfig(k=tiny_problem.G.n, p=1))
+    assert c.delta.total == 0
+    assert d._C is None
+
+
 @pytest.mark.parametrize("case", ["small", "rows_above_n"])
 def test_dense_reference_binary_design_matches_dense_route(small_design, case):
     """On a binary design with inactive sensors the exact core agrees with the dense route:

@@ -204,8 +204,6 @@ def test_synthesize_deterministic(small_problem):
 def test_synthesize_rejects_zero_signal(small_problem):
     with pytest.raises(ConfigError, match="identically zero"):
         synthesize_data(np.zeros(small_problem.G.n_y), small_problem.obs.n_s, 0.02, 0)
-    with pytest.raises(ConfigError):
-        synthesize_data(small_problem.y_clean, small_problem.obs.n_s, 1.5, 0)
 
 
 # -- solve paths: blocked plain solves and single-column transposed solves ----
