@@ -12,6 +12,10 @@ median, so the runs spread too widely to tell).  The file is rewritten after eve
 pair.  A run that prints no result line counts as failed (``failed`` null,
 ``correct`` false) and keeps its exit code; a metric is summarized over the pairs in
 which both sides report it.
+Each run also records the host's load around it, read-only from ``/proc``: the
+1-minute load average before the run (``load_1min``) and the ``cpu`` line's steal
+and iowait ticks over the run; ``host_load`` holds each side's runs and medians,
+and a value is null where ``/proc`` does not have it.
 The script exits 1 once the record is written if any run exited non-zero or
 reported ``correct: false``, else 0.
 
@@ -30,16 +34,42 @@ from pathlib import Path
 import numpy as np
 
 
+PROC = Path("/proc")
+HOST_FIELDS = ("load_1min", "steal_ticks", "iowait_ticks")
+
+
+def load_1min() -> float | None:
+    try:
+        return float((PROC / "loadavg").read_text().split()[0])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def cpu_ticks() -> dict | None:
+    """Steal and iowait ticks of /proc/stat's ``cpu`` line (fields 8 and 5 after its label at 0), or None."""
+    try:
+        fields = (PROC / "stat").read_text().splitlines()[0].split()
+        return {"steal_ticks": int(fields[8]), "iowait_ticks": int(fields[5])}
+    except (OSError, IndexError, ValueError):
+        return None
+
+
 def run(tree: Path, seed: int) -> dict:
-    """The run's result line, with its exit code; a run that prints none is a failed run."""
+    """The run's result line, with its exit code and the host's load around it; a run
+    that prints none is a failed run."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", "all", "--seed", str(seed)]
+    load, before = load_1min(), cpu_ticks()
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, cwd=tree)
+    after = cpu_ticks()
+    host = {"load_1min": load}
+    for name in HOST_FIELDS[1:]:
+        host[name] = after[name] - before[name] if before and after else None
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "failed": None, "metrics": {}}
-    return {**result, "exit_code": proc.returncode}
+    return {**result, "exit_code": proc.returncode, "host": host}
 
 
 def commit(tree: Path) -> str:
@@ -122,9 +152,19 @@ def write_record(out: Path, seeds: list, commits: dict, results: dict, end_to_en
         "exit_codes": {side: [r["exit_code"] for r in rs] for side, rs in results.items()},
         "failed": {side: [r["failed"] for r in rs] for side, rs in results.items()},
         "correct": {side: all(r["correct"] for r in rs) for side, rs in results.items()},
+        "host_load": {side: host_load([r["host"] for r in rs]) for side, rs in results.items()},
         "metrics": metrics,
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
+
+
+def host_load(runs: list) -> dict:
+    """Each run's host load and, per field, the median over the runs that have it (else null)."""
+    medians = {}
+    for name in HOST_FIELDS:
+        values = [h[name] for h in runs if h[name] is not None]
+        medians[name] = float(np.median(values)) if values else None
+    return {"runs": runs, "median": medians}
 
 
 if __name__ == "__main__":

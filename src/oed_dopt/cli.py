@@ -300,6 +300,9 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -264,6 +264,8 @@ class ExperimentConfig:
         grid = float_array(s.grid, "sensors.grid", (2,))
         if np.any(grid < 1) or np.any(grid != np.round(grid)):
             raise ConfigError(f"sensors.grid entries must be integers >= 1, got {s.grid!r}")
+        if grid[0] * grid[1] > (self.mesh.nx + 1) ** 2:  # each sensor needs its own grid node
+            raise ConfigError(f"sensors.grid {s.grid!r} has more points than the {(self.mesh.nx + 1) ** 2} mesh nodes")
         gx, gy = grid.astype(int)
         mx, my = float_array(s.margin, "sensors.margin", (2,))
         if not (0 <= mx < 0.5 and 0 <= my < 0.5):

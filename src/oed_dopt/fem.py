@@ -21,6 +21,10 @@ from .errors import ConfigError, NumericalError
 from .sketch import DENSE_GUARD
 
 _ALIGN_TOL = 1e-12
+#: Largest nx whose step matrix SuperLU's 32-bit indices can address: the assembled
+#: matrices on the full grid hold 7 nx^2 + 6 nx + 1 nonzeros (each node, and both ends
+#: of each of the 3 nx^2 + 2 nx edges), which must not pass 2**31 - 1.
+MAX_NX = 17_514
 
 
 @dataclass
@@ -162,14 +166,15 @@ def build_mesh(nx: int, holes: list | None = None) -> Mesh:
     Parameters
     ----------
     nx : int
-        Cells per side, at least 2.
+        Cells per side, from 2 to ``MAX_NX``; a larger nx is refused before
+        anything is allocated.
     holes : list of (x0, y0, x1, y1), optional
         Axis-aligned rectangles strictly inside (0,1)^2 and aligned to the
         grid.  Cells covered by a hole are dropped, and so are the nodes
         that no retained cell touches.
     """
-    if nx < 2:
-        raise ConfigError(f"nx must be at least 2, got {nx}")
+    if not 2 <= nx <= MAX_NX:
+        raise ConfigError(f"nx must lie in [2, {MAX_NX}], got {nx}")
     holes = [tuple(map(float, h)) for h in (holes or [])]
 
     nn = nx + 1

@@ -14,7 +14,7 @@ forward and one adjoint solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class MapSolveReport:
     theta_post: np.ndarray
     iterations: int
     rel_residual: float
-    iterates: list = field(default_factory=list)
 
 
 def map_estimate(
@@ -38,7 +37,6 @@ def map_estimate(
     w,
     y_obs: np.ndarray,
     tol: float = 1e-8,
-    record_iterates: bool = False,
 ) -> MapSolveReport:
     """MAP point by matrix-free CG on the whitened normal equations.
 
@@ -66,9 +64,8 @@ def map_estimate(
         r = b.copy()
 
     bnorm = float(np.linalg.norm(b))
-    iterates = []
     if bnorm == 0.0:
-        return MapSolveReport(design.G.field_from_whitened(np.zeros(design.G.n)), 0, 0.0, iterates)
+        return MapSolveReport(design.G.field_from_whitened(np.zeros(design.G.n)), 0, 0.0)
 
     p = r.copy()
     rs = float(r @ r)
@@ -83,8 +80,6 @@ def map_estimate(
         alpha = rs / pAp
         x += alpha * p
         r -= alpha * Ap
-        if record_iterates:
-            iterates.append(x.copy())
         rs_new = float(r @ r)
         converged = bool(np.sqrt(rs_new) <= tol * bnorm)
         p = r + (rs_new / rs) * p
@@ -95,4 +90,4 @@ def map_estimate(
             f"CG stalled at relative residual {rel:.3e} after {it} iterations",
             residuals=rel,
         )
-    return MapSolveReport(design.G.field_from_whitened(x), it, rel, iterates)
+    return MapSolveReport(design.G.field_from_whitened(x), it, rel)

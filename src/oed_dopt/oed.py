@@ -419,7 +419,6 @@ class DesignProblem:
         k: int | None = None,
         cfg: SketchConfig | None = None,
         theta_post: np.ndarray | None = None,
-        tol: float = 1e-8,
         seed: int = 0,
     ) -> float:
         """Posterior-to-prior KL divergence for the design w and data y_obs.
@@ -428,15 +427,14 @@ class DesignProblem:
         the prior-precision norm of the MAP point: the norm of a supplied
         ``theta_post``, else the estimator's :meth:`Estimator.map_norm_sq`,
         read after the spectrum so that an Eig-k MAP reads the run's factor.
-        A bad ``tol`` or a ``y_obs`` of the wrong length is refused before any
-        solve.  ``seed`` is unused.
+        A ``y_obs`` of the wrong length is refused before any solve.  ``seed``
+        is unused.
         """
-        check_tol(tol)
         y_obs = check_observations(y_obs, self.G.n_y)
         est = self.estimator(method, k=k, cfg=cfg)
         lam = est.spectrum(w)
         if theta_post is None:
-            return kl_divergence(lam, est.map_norm_sq(w, y_obs, tol))
+            return kl_divergence(lam, est.map_norm_sq(w, y_obs))
         return kl_divergence(lam, self.G.prior.weighted_norm_sq(theta_post))
 
     # -- dense reference and estimator objects ----------------------------------
@@ -561,11 +559,11 @@ class Estimator:
     def objective(self, w) -> float:
         return float(np.sum(np.log1p(self.spectrum(w))))
 
-    def map_norm_sq(self, w, y_obs: np.ndarray, tol: float = 1e-8) -> float:
-        """Prior-precision norm of the MAP point, by matrix-free CG to ``tol``."""
+    def map_norm_sq(self, w, y_obs: np.ndarray) -> float:
+        """Prior-precision norm of the MAP point, by matrix-free CG to map_estimate's default tol."""
         from .inverse import map_estimate
 
-        theta_post = map_estimate(self.design, w, y_obs, tol=tol).theta_post
+        theta_post = map_estimate(self.design, w, y_obs).theta_post
         return self.design.G.prior.weighted_norm_sq(theta_post)
 
 
@@ -630,6 +628,6 @@ class DenseEstimator(Estimator):
     def spectrum(self, w) -> np.ndarray:
         return self.ref.spectrum(w)
 
-    def map_norm_sq(self, w, y_obs: np.ndarray, tol: float = 1e-8) -> float:
-        """Exact, from C with no PDE solve; ``tol`` is unused."""
+    def map_norm_sq(self, w, y_obs: np.ndarray) -> float:
+        """Exact, from C with no PDE solve."""
         return self.ref.map_norm_sq(w, y_obs)

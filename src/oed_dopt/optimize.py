@@ -31,6 +31,7 @@ from .oed import Estimator, check_design_weights, check_tol
 
 DEFAULT_SCHEDULE = tuple(0.5**i for i in range(1, 7))
 LBFGS_MEMORY = 8  # secant pairs held by minimize_box
+ROUND_TOL = 1e-2  # solve_continuation rounds a final weight this close to a bound onto it
 
 
 @dataclass
@@ -238,14 +239,13 @@ def solve_continuation(
     schedule=DEFAULT_SCHEDULE,
     tol: float = 1e-5,
     max_iters: int = 200,
-    round_tol: float = 1e-2,
     dense_ref=None,
 ) -> DesignResult:
     """Warm-started continuation over P_eps(w) = sum w_i/(w_i + eps).
 
     Each stage minimizes -J + gamma * P_eps for the next smaller eps, started
     from the previous solution, the first from all 0.5.  The final weights are
-    rounded to {0,1} where within ``round_tol`` of a bound; failure to reach a
+    rounded to {0,1} where within ``ROUND_TOL`` of a bound; failure to reach a
     binary vector is reported via ``reached_binary``, not rounded away.
     """
     check_solve(penalty_gamma, tol, max_iters, schedule=schedule)
@@ -264,8 +264,8 @@ def solve_continuation(
         )
 
     w_final = w.copy()
-    w_final[w_final <= round_tol] = 0.0
-    w_final[w_final >= 1.0 - round_tol] = 1.0
+    w_final[w_final <= ROUND_TOL] = 0.0
+    w_final[w_final >= 1.0 - ROUND_TOL] = 1.0
     reached = bool(np.all((w_final == 0.0) | (w_final == 1.0)))
     if not reached:
         warnings.warn(

@@ -65,10 +65,6 @@ class SpectrumSplit:
         return cls(lam1=lam[:k], lam2=lam[k:], n=len(lam))
 
     @property
-    def k(self) -> int:
-        return len(self.lam1)
-
-    @property
     def gap_ratio(self) -> float:
         if len(self.lam2) == 0 or self.lam2[0] == 0.0:
             return 0.0

@@ -91,6 +91,40 @@ def test_a_run_reporting_incorrect_results_exits_1(tmp_path):
     assert record["correct"] == {"parent": False, "change": True}
 
 
+def fake_proc(root: Path) -> Path:
+    """A /proc stand-in: a 1-minute load of 0.5, and a cpu line whose field i reads i."""
+    root.mkdir()
+    (root / "loadavg").write_text("0.50 0.40 0.30 1/100 4242\n")
+    (root / "stat").write_text("cpu  1 2 3 4 5 6 7 8 9 10\ncpu0 1 2 3 4 5 6 7 8 9 10\n")
+    return root
+
+
+def test_host_load_is_recorded_per_run_with_medians(tmp_path, monkeypatch):
+    """Each run records the 1-minute load before it and the steal and iowait ticks over it
+    (0 here, as the stand-in stat does not move), and each side holds its runs and medians."""
+    monkeypatch.setattr(bench_pairs, "PROC", fake_proc(tmp_path / "proc"))
+    assert bench_pairs.cpu_ticks() == {"steal_ticks": 8, "iowait_ticks": 5}
+    out = tmp_path / "pairs.json"
+    parent = checkout(tmp_path / "parent", 2.0, -1, out)
+    change = checkout(tmp_path / "change", 1.0, -1, out)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--seeds", "1-2", "--out", str(out)]) == 0
+    host = json.loads(out.read_text())["host_load"]
+    run = {"load_1min": 0.5, "steal_ticks": 0, "iowait_ticks": 0}
+    for side in ("parent", "change"):
+        assert host[side] == {"runs": [run, run], "median": {"load_1min": 0.5, "steal_ticks": 0.0, "iowait_ticks": 0.0}}
+
+
+def test_host_load_is_null_without_proc(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "PROC", tmp_path / "absent")
+    out = tmp_path / "pairs.json"
+    parent = checkout(tmp_path / "parent", 2.0, -1, out)
+    change = checkout(tmp_path / "change", 1.0, -1, out)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--seeds", "1", "--out", str(out)]) == 0
+    host = json.loads(out.read_text())["host_load"]
+    null = dict.fromkeys(bench_pairs.HOST_FIELDS)
+    assert host == {side: {"runs": [null], "median": null} for side in ("parent", "change")}
+
+
 @pytest.mark.parametrize("seeds", ["40-31", "", "5-", "-5", "a-b", "1-2-3"])
 def test_empty_or_malformed_seed_range_exits_2(tmp_path, seeds, capsys):
     """An empty or malformed range is an argparse error (exit 2) before any run, and no record is written."""

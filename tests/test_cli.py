@@ -656,6 +656,8 @@ def test_cli_evaluate_bad_tol_exits_2_before_any_solve(tmp_path, tol):
         {"opt": {"penalty": "l1", "cont_stages": 0}},
         {"noise": {"pct": 1.5}},
         {"noise": {"pct": -0.5, "sigma_rel": 0.1}},
+        {"mesh": {"nx": 10**9}},
+        {"sensors": {"grid": [1e8, 1e8]}},
     ],
     ids=lambda o: json.dumps(o),
 )
@@ -675,6 +677,29 @@ def test_cli_bad_config_value_refused_before_any_solve(tmp_path, override, capsy
         assert solve_counter.snapshot().total == 0, command  # main() resets the tally on entry
         assert not os.path.exists(os.path.join(out, "z_cache.bin")), command
     assert "weights file" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [{"mesh": {"nx": 10**9}}, {"sensors": {"grid": [1e8, 1e8]}}])
+def test_cli_oversized_mesh_or_grid_exits_2_in_one_line(tmp_path, override, capsys):
+    """A mesh whose step matrix SuperLU cannot index, or a sensor grid with more points than
+    the mesh has nodes, is refused before it is allocated: synthesize exits 2 at 0 solves
+    with one stderr line (it ended in a MemoryError traceback)."""
+    cfg_path = write_config(tmp_path, {**SMALL, **override})
+    assert main(["synthesize", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert solve_counter.snapshot().total == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:"), err
+
+
+def test_cli_out_of_memory_exits_1_in_one_line(tmp_path, monkeypatch, capsys):
+    """A MemoryError is a failure of the run, not of its config: one stderr line, exit 1."""
+
+    def out_of_memory(config):
+        raise MemoryError("Unable to allocate 1.60 GiB")
+
+    monkeypatch.setattr(cli, "build_problem", out_of_memory)
+    assert main(["synthesize", "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["out of memory: Unable to allocate 1.60 GiB"]
 
 
 FIELDS = [

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oed_dopt.errors import ConfigError, NumericalError
 from oed_dopt.fem import (
+    MAX_NX,
     MassFactor,
     assemble,
     build_mesh,
@@ -152,6 +153,24 @@ def test_grid_lookup_matches_brute_force(mesh_spec, data):
 def test_nx_below_minimum_rejected():
     with pytest.raises(ConfigError):
         build_mesh(1)
+
+
+def test_nx_past_the_superlu_index_bound_rejected():
+    """The assembled matrices on the full grid hold 7 nx^2 + 6 nx + 1 nonzeros, and MAX_NX
+    is the largest nx for which that fits SuperLU's 32-bit indices; a larger nx is refused
+    before anything is allocated (nx = 10**9 raised a MemoryError, 10**11 a ValueError)."""
+
+    def nnz(nx):
+        return 7 * nx * nx + 6 * nx + 1
+
+    for nx in (2, 3, 7):
+        ops = assemble(build_mesh(nx))
+        assert ops.K.nnz == ops.M.nnz == nnz(nx)
+    assert MAX_NX == 17_514
+    assert nnz(MAX_NX) <= 2**31 - 1 < nnz(MAX_NX + 1)
+    for nx in (MAX_NX + 1, 10**9, 10**11):
+        with pytest.raises(ConfigError, match="nx must lie"):
+            build_mesh(nx)
 
 
 def test_misaligned_hole_rejected():

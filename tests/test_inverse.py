@@ -80,15 +80,13 @@ def test_map_validation(small_design):
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0])
-def test_map_and_kl_refuse_a_bad_tol_before_any_solve(desk_design, tol):
+def test_map_refuses_a_bad_tol_before_any_solve(desk_design, tol):
     """A tol that is not a finite number > 0 is a ConfigError at 0 solves; a NaN tol
     used to run CG past convergence into a ZeroDivisionError."""
     d, w, y = desk_design, np.ones(desk_design.n_s), np.ones(desk_design.G.n_y)
-    calls = (lambda: map_estimate(d, w, y, tol=tol), lambda: d.kl_estimate(w, y, "eig", k=10, tol=tol))
-    for call in calls:
-        with count_solves() as c, pytest.raises(ConfigError, match="tol"):
-            call()
-        assert c.delta.total == 0
+    with count_solves() as c, pytest.raises(ConfigError, match="tol"):
+        map_estimate(d, w, y, tol=tol)
+    assert c.delta.total == 0
 
 
 @pytest.mark.parametrize("method", ["eig", "rand", "dense"])
@@ -114,15 +112,21 @@ def test_map_breakdown_raises_convergence_error(small_design):
 
 
 def test_cg_energy_error_monotone(small_design, y_obs):
-    """The operator-energy-norm error is nonincreasing across CG iterates."""
+    """The operator-energy-norm error is nonincreasing across CG iterates: a ladder of
+    tolerances stops CG at increasing iteration counts, and each stop's iterate is
+    x = R^{-1} L theta_post, read back from the returned MAP point."""
     w = np.full(small_design.n_s, 0.7)
-    rep = map_estimate(fresh(small_design), w, y_obs, tol=1e-10, record_iterates=True)
+    prior = small_design.G.prior
     A = np.eye(small_design.G.n) + dense_hessian(small_design, w)
     dw = weighted_diag(w, small_design.noise, small_design.n_t)
     b = dense_G(small_design).T @ (dw * y_obs)
     x_star = np.linalg.solve(A, b)
-    errors = [np.sqrt((x - x_star) @ (A @ (x - x_star))) for x in rep.iterates]
-    assert len(errors) >= 2  # a held Eig-k block for w would leave nothing to compare
+    stops = {}
+    for tol in 10.0 ** -np.arange(1, 11):
+        rep = map_estimate(fresh(small_design), w, y_obs, tol=tol)
+        stops[rep.iterations] = prior.mass.solve_R(prior.L @ rep.theta_post)
+    errors = [np.sqrt((x - x_star) @ (A @ (x - x_star))) for _, x in sorted(stops.items())]
+    assert len(errors) >= 8  # a held Eig-k block for w would leave nothing to compare
     assert all(e2 <= e1 + 1e-9 * errors[0] for e1, e2 in zip(errors, errors[1:]))
 
 
@@ -244,9 +248,14 @@ def test_synthesize_invert_round_trip():
 
 
 def test_kl_chain_whitened_vs_dense_paths(small_design, y_obs):
-    """KL with the CG MAP equals KL with the dense-path MAP."""
-    w = np.full(small_design.n_s, 0.9)
-    kl_cg = small_design.kl_estimate(w, y_obs, "dense", tol=1e-12)
+    """KL with the CG MAP equals KL with the dense-path MAP: the randomized estimator holds
+    no factor, so its MAP norm runs CG at map_estimate's default tol, each iteration one
+    forward and one adjoint solve past the sketch's l(q+1) forward solves."""
+    w, cfg = np.full(small_design.n_s, 0.9), SketchConfig(k=27, p=5, q=1, seed=0)
+    d = fresh(small_design)
+    with count_solves() as c:
+        kl_cg = d.kl_estimate(w, y_obs, "rand", cfg=cfg)
+    assert c.delta.forward > cfg.l * (cfg.q + 1)
     theta_dense = dense_theta_post(small_design, w, y_obs)
-    kl_direct = small_design.kl_estimate(w, y_obs, "dense", theta_post=theta_dense)
+    kl_direct = fresh(small_design).kl_estimate(w, y_obs, "rand", cfg=cfg, theta_post=theta_dense)
     assert kl_cg == pytest.approx(kl_direct, rel=1e-8)

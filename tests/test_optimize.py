@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oed_dopt
+from oed_dopt import optimize
 from oed_dopt.errors import ConfigError
 from oed_dopt.optimize import (
     DEFAULT_SCHEDULE,
@@ -311,13 +312,14 @@ def test_estimator_agnostic_agreement(desk_design):
     assert np.max(np.abs(res_rand.w_opt - res_dense.w_opt)) <= 1e-3
 
 
-def test_continuation_large_eps_matches_l1_limit(desk_design):
+def test_continuation_large_eps_matches_l1_limit(desk_design, monkeypatch):
     """A single huge-eps stage behaves like l1 with gamma/eps."""
+    monkeypatch.setattr(optimize, "ROUND_TOL", 0.0)
     eps = 1e3
     gamma = 0.6 * eps
     est = desk_design.estimator("dense")
     with pytest.warns(UserWarning, match="away from the bounds"):
-        res_cont = solve_continuation(est, gamma, schedule=[eps], max_iters=400, round_tol=0.0)
+        res_cont = solve_continuation(est, gamma, schedule=[eps], max_iters=400)
     res_l1 = solve_l1(est, gamma / eps, max_iters=400)
     assert np.max(np.abs(res_cont.w_opt - res_l1.w_opt)) <= 1e-2
 
